@@ -4,7 +4,6 @@ from .costs import Affine, CostFunction, PiecewiseLinear, Polynomial, cost_from_
 from .errors import (
     BisectionFailure,
     ClassificationConflict,
-    DegenerateSegmentWarning,
     GridExceedsBreakpointMax,
     NegativeLoad,
     NoPath,
@@ -14,6 +13,7 @@ from .errors import (
     PoakitError,
     SignViolation,
     SupportSearchExhausted,
+    TraceFailure,
 )
 from .network import (
     Edge,

@@ -14,7 +14,6 @@ import sys
 
 import numpy as np
 
-from .costs import Affine
 from .equilibrium import (
     DEFAULT_TOL,
     MAX_ITER,
@@ -35,6 +34,7 @@ from .errors import (
     PathExplosion,
     SignViolation,
     SupportSearchExhausted,
+    TraceFailure,
 )
 from .network import load_network
 from .parametric import (
@@ -47,6 +47,7 @@ from .parametric import (
 )
 from .poa import (
     DECLARE_ONE_TOL,
+    _is_affine,
     classify_segments,
     compute_poa,
     find_poa_max,
@@ -101,10 +102,6 @@ def _json_text(doc: dict) -> str:
 def _meta(command: str, args, tolerances: dict) -> dict:
     return {"command": command, "network": args.network,
             "tolerances": tolerances}
-
-
-def _is_affine(net, costs) -> bool:
-    return all(isinstance(costs[e.id], Affine) for e in net.edges)
 
 
 def _solution_doc(sol: EquilibriumSolution, kind: str) -> dict:
@@ -181,10 +178,8 @@ def cmd_optimum(args) -> int:
 
 def cmd_trace(args) -> int:
     net, costs = load_network(args.network)
-    trace = trace_affine(net, costs, args.max_demand,
-                         refine_tol=args.refine_tol, path_cap=_path_cap())
-    doc = {"trace": trace_to_json(trace),
-           "meta": _meta("trace", args, {"refine_tol": args.refine_tol})}
+    trace = trace_affine(net, costs, args.max_demand, path_cap=_path_cap())
+    doc = {"trace": trace_to_json(trace), "meta": _meta("trace", args, {})}
     _emit(_json_text(doc), args.output)
     return EXIT_OK
 
@@ -193,11 +188,9 @@ def cmd_breakpoints(args) -> int:
     net, costs = load_network(args.network)
     cap = _path_cap()
     if args.max_demand is None:
-        trace = trace_to_completion(net, costs, refine_tol=args.refine_tol,
-                                    path_cap=cap)
+        trace = trace_to_completion(net, costs, path_cap=cap)
     else:
-        trace = trace_affine(net, costs, args.max_demand,
-                             refine_tol=args.refine_tol, path_cap=cap)
+        trace = trace_affine(net, costs, args.max_demand, path_cap=cap)
     def rows(bps):
         return [{"mu": b.mu, "active_before": sorted(b.active_before),
                  "active_after": sorted(b.active_after)} for b in bps]
@@ -206,7 +199,7 @@ def cmd_breakpoints(args) -> int:
         "optimum_breakpoints": rows(optimum_breakpoints(trace.breakpoints)),
         "complete": trace.complete,
         "mu_max": trace.mu_max,
-        "meta": _meta("breakpoints", args, {"refine_tol": args.refine_tol}),
+        "meta": _meta("breakpoints", args, {}),
     }
     _emit(_json_text(doc), args.output)
     return EXIT_OK
@@ -339,8 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="piecewise equilibrium structure, affine costs (JSON)")
     common(p)
     p.add_argument("--max-demand", type=float, required=True)
-    p.add_argument("--refine-tol", type=float, default=1e-9,
-                   help="breakpoint refinement tolerance (default 1e-9)")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("breakpoints",
@@ -348,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--max-demand", type=float, default=None,
                    help="stop here; default traces until the structure is final")
-    p.add_argument("--refine-tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_breakpoints)
 
     p = sub.add_parser("sweep", help="tabulate the ratio over a demand range")
@@ -403,7 +393,7 @@ def main(argv=None) -> int:
         print(f"poakit: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NonConvergence, BisectionFailure, SupportSearchExhausted,
-            RuntimeError) as exc:
+            TraceFailure) as exc:
         print(f"poakit: error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (SignViolation, ClassificationConflict, GridExceedsBreakpointMax,

@@ -13,6 +13,7 @@ Evaluating any cost at a negative load raises :class:`NegativeLoad`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,14 @@ def _check_load(x) -> np.ndarray | float:
     if np.any(arr < 0):
         raise NegativeLoad(f"cost evaluated at negative load {arr.min()!r}")
     return arr if arr.ndim else float(arr)
+
+
+def _finite(kind: str, name: str, values) -> tuple[float, ...]:
+    """Coerce a cost field to floats, rejecting NaN and infinities."""
+    out = tuple(float(v) for v in values)
+    if not all(math.isfinite(v) for v in out):
+        raise ValueError(f"{kind} cost field {name!r} must be finite, got {list(out)}")
+    return out
 
 
 class CostFunction:
@@ -67,10 +76,12 @@ class Affine(CostFunction):
     smooth = True
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValueError(f"affine cost needs a, b >= 0, got ({self.a}, {self.b})")
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
+        (a,) = _finite("affine", "a", (self.a,))
+        (b,) = _finite("affine", "b", (self.b,))
+        if a < 0 or b < 0:
+            raise ValueError(f"affine cost needs a, b >= 0, got ({a}, {b})")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def evaluate(self, x):
         x = _check_load(x)
@@ -96,7 +107,7 @@ class Polynomial(CostFunction):
     smooth = True
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = _finite("polynomial", "coeffs", self.coeffs)
         if not coeffs:
             raise ValueError("polynomial cost needs at least one coefficient")
         if any(c < 0 for c in coeffs):
@@ -136,8 +147,8 @@ class PiecewiseLinear(CostFunction):
     _cum: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        xs = tuple(float(v) for v in self.x)
-        ys = tuple(float(v) for v in self.y)
+        xs = _finite("piecewise-linear", "x", self.x)
+        ys = _finite("piecewise-linear", "y", self.y)
         if len(xs) != len(ys) or len(xs) < 1:
             raise ValueError("piecewise-linear cost needs matching nonempty knot lists")
         if any(b <= a for a, b in zip(xs, xs[1:])):

@@ -10,8 +10,8 @@ Solvers:
   followed by an active-support Newton polish and a minimum-norm selection
   among equilibrium path flows.
 - :func:`solve_optimum`      the same solver on marginal costs.
-- :func:`solve_affine_exact` support enumeration for all-affine costs;
-  exact up to linear-solve precision.
+- :func:`solve_affine_exact` primal active-set method on the quadratic
+  potential of all-affine costs; exact up to linear-solve precision.
 - :func:`sp_equilibrium`     recursive solver on a series-parallel
   decomposition, splitting parallel joins by monotone bisection.
 
@@ -21,7 +21,6 @@ outputs are deterministic even when equilibria are non-unique.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -330,6 +329,14 @@ def _least_norm_nonneg(C: np.ndarray, r: np.ndarray, x0: np.ndarray,
     return x  # pivot cap reached; x is feasible and near-optimal
 
 
+def _path_quadratic(Z: np.ndarray, cost_list) -> tuple[np.ndarray, np.ndarray]:
+    """Path costs A f + d under affine edge costs a*x + b on incidence Z:
+    A = Z' diag(a) Z sums slopes over shared edges, d = Z' b sums intercepts."""
+    a = np.array([c.a for c in cost_list])
+    b = np.array([c.b for c in cost_list])
+    return Z.T * a @ Z, Z.T @ b
+
+
 def _min_norm_flows(ps: PathSet, cost_list, mu: float, f: np.ndarray) -> np.ndarray:
     """Select the minimum-norm path-flow vector among equilibria.
 
@@ -339,10 +346,7 @@ def _min_norm_flows(ps: PathSet, cost_list, mu: float, f: np.ndarray) -> np.ndar
     """
     Z = ps.incidence
     if all(isinstance(c, Affine) for c in cost_list):
-        a = np.array([c.a for c in cost_list])
-        b = np.array([c.b for c in cost_list])
-        A = Z.T * a @ Z
-        d = Z.T @ b
+        A, d = _path_quadratic(Z, cost_list)
         C = np.vstack([np.ones((1, ps.n_paths)), A, d[None, :]])
         r = np.concatenate([[mu], A @ f, [d @ f]])
     else:
@@ -446,17 +450,79 @@ def solve_optimum(net: Network, costs: dict[str, CostFunction], mu: float,
                     social_override=_social(cost_list, eq.edge_loads))
 
 
-def solve_affine_exact(net: Network, costs: dict[str, CostFunction], mu: float,
-                       seed_support: tuple[int, ...] | None = None,
-                       path_cap: int | None = None) -> EquilibriumSolution:
-    """Exact equilibrium for all-affine costs by support enumeration.
+def _simplex_qp(A: np.ndarray, d: np.ndarray, total: float,
+                free: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """min 1/2 x'Ax + d'x subject to sum(x) = total and x >= 0 off ``free``.
 
-    For each candidate set of used paths the equal-cost linear system is
-    solved directly; a candidate is accepted when flows are nonnegative and
-    no outside path undercuts the common cost. Candidates are tried in order
-    of plausibility (seed support, numeric warm start, then exhaustively by
-    cardinality). Raises :class:`SupportSearchExhausted` if nothing is
-    consistent, which signals numerical degeneracy.
+    Primal active-set method for positive semidefinite A. Each pivot solves
+    the equality-constrained problem on the working set S (the variables
+    allowed off zero) through the KKT system [A_SS -1; 1' 0]. Where that
+    system is singular, its null space holds zero-curvature directions along
+    which the objective is linear; if one of them descends, the subproblem is
+    unbounded and a null-space step moves along it to the first bound.
+    Entering and leaving variables are picked by Bland's rule (smallest
+    index), which rules out cycling through degenerate pivots. Returns (x, lam), lam being the
+    common value of (Ax + d) on S. Raises :class:`SupportSearchExhausted`
+    once 50*(n+1) pivots pass without an optimum.
+    """
+    n = len(d)
+    bounded = np.ones(n, dtype=bool) if free is None else ~free
+    max_pivots = 50 * (n + 1)
+    x = np.zeros(n)
+    k = int(np.argmin(d)) if bounded.all() else int(np.flatnonzero(~bounded)[0])
+    x[k] = total
+    S = ~bounded
+    S[k] = True
+    flow_tol = 1e-12 * max(1.0, abs(total))
+    for _ in range(max_pivots):
+        idx = np.flatnonzero(S)
+        m = len(idx)
+        kkt = np.zeros((m + 1, m + 1))
+        kkt[:m, :m] = A[np.ix_(idx, idx)]
+        kkt[:m, m] = -1.0
+        kkt[m, :m] = 1.0
+        U, sv, Vt = np.linalg.svd(kkt)
+        rank = int((sv > 1e-10 * sv[0]).sum())
+        g = A @ x + d
+        null = Vt[rank:, :m]  # zero-curvature directions (p, 0)
+        slope = null @ g[idx]
+        if slope.size and np.abs(slope).max() > 1e-12 * max(1.0, np.abs(g[idx]).max()):
+            p = -(null.T @ slope)  # descends linearly until a bound blocks
+        else:
+            rhs = np.concatenate([-d[idx], [total]])
+            y = Vt[:rank].T @ ((U[:, :rank].T @ rhs) / sv[:rank])
+            full, lam = y[:m], float(y[m])
+            if full[bounded[idx]].min(initial=0.0) >= -flow_tol:
+                x[idx] = full
+                s = A @ x + d - lam
+                entering = np.flatnonzero(~S & (s < -1e-11 * max(1.0, abs(lam))))
+                if not len(entering):
+                    return x, lam
+                S[entering[0]] = True
+                continue
+            p = full - x[idx]
+        blocking = bounded[idx] & (p < 0)
+        if not blocking.any():
+            raise SupportSearchExhausted("objective unbounded along a null-space direction")
+        ratios = np.full(m, np.inf)
+        ratios[blocking] = np.maximum(x[idx][blocking], 0.0) / -p[blocking]
+        j = int(np.argmin(ratios))
+        x[idx] += ratios[j] * p
+        x[idx[j]] = 0.0
+        S[idx[j]] = False
+    raise SupportSearchExhausted(f"active-set search took over {max_pivots} pivots")
+
+
+def solve_affine_exact(net: Network, costs: dict[str, CostFunction], mu: float,
+                       path_cap: int | None = None) -> EquilibriumSolution:
+    """Exact equilibrium for all-affine costs.
+
+    The potential is the quadratic 1/2 f'Af + d'f in path flows, minimized
+    over the demand simplex by a primal active-set method that solves the
+    equal-cost linear system of each candidate support directly. The answer
+    is accepted when used paths share one cost, no unused path is cheaper
+    and no flow is negative; otherwise :class:`SupportSearchExhausted` is
+    raised, which signals numerical degeneracy.
     """
     if mu < 0:
         raise ValueError(f"demand must be nonnegative, got {mu}")
@@ -464,91 +530,23 @@ def solve_affine_exact(net: Network, costs: dict[str, CostFunction], mu: float,
     if not all(isinstance(c, Affine) for c in cost_list):
         raise ValueError("solve_affine_exact requires every cost to be affine")
     ps = PathSet.build(net) if path_cap is None else PathSet.build(net, cap=path_cap)
-    n = ps.n_paths
-    if n > 20:
-        raise ValueError(f"support enumeration over {n} paths is not practical")
     if mu == 0:
-        return _package(ps, cost_list, 0.0, np.zeros(n))
+        return _package(ps, cost_list, 0.0, np.zeros(ps.n_paths))
 
-    Z = ps.incidence
-    a = np.array([c.a for c in cost_list])
-    b = np.array([c.b for c in cost_list])
-    A = Z.T * a @ Z
-    d = Z.T @ b
-    scale = max(1.0, float(np.abs(d).max()), float(np.abs(A).max()) * mu)
-
-    def try_support(S: tuple[int, ...]):
-        m = len(S)
-        idx = list(S)
-        lhs = np.zeros((m + 1, m + 1))
-        lhs[:m, :m] = A[np.ix_(idx, idx)]
-        lhs[:m, m] = -1.0
-        lhs[m, :m] = 1.0
-        rhs = np.concatenate([-d[idx], [mu]])
-        sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-        if not np.allclose(lhs @ sol, rhs, atol=1e-9 * scale):
-            return None
-        f_s, lam = sol[:m], sol[m]
-        if f_s.min() < -1e-9 * max(1.0, mu):
-            return None
-        f = np.zeros(n)
-        f[idx] = np.maximum(f_s, 0.0)
-        c_path = A @ f + d
-        # a true support solution matches to machine precision, so both cost
-        # checks can sit far below solver tolerances; loose bands here would
-        # admit near-degenerate supports that shave the common cost
-        cost_tol = 1e-10 * max(1.0, abs(lam))
-        if np.abs(c_path[idx] - lam).max() > cost_tol:
-            return None  # clamping distorted the support costs
-        if c_path.min() < lam - cost_tol:
-            return None  # some unused path is strictly cheaper
-        return f
-
-    tried: set[tuple[int, ...]] = set()
-
-    def candidates():
-        if seed_support:
-            S = tuple(sorted(seed_support))
-            yield S
-            # single-path perturbations of the seed
-            for p in range(n):
-                if p not in S:
-                    yield tuple(sorted(S + (p,)))
-            for p in S:
-                if len(S) > 1:
-                    yield tuple(q for q in S if q != p)
-        # numeric warm start
-        f_num, _, _ = _frank_wolfe(ps, cost_list, mu, 1e-9, 20000)
-        f_num = _polish(ps, cost_list, mu, f_num)
-        c_path = A @ f_num + d
-        lam = float(c_path.min())
-        used = tuple(np.flatnonzero(f_num > 1e-7 * mu).tolist())
-        near = tuple(np.flatnonzero(c_path <= lam + 1e-6 * max(1.0, lam)).tolist())
-        yield used
-        yield near
-        extras = [p for p in near if p not in used]
-        for size in range(1, len(extras) + 1):
-            for combo in itertools.combinations(extras, size):
-                yield tuple(sorted(used + combo))
-        # exhaustive fallback, smallest supports first
-        for size in range(1, n + 1):
-            for combo in itertools.combinations(range(n), size):
-                yield combo
-
-    attempts = 0
-    for S in candidates():
-        if not S or S in tried:
-            continue
-        tried.add(S)
-        attempts += 1
-        if attempts > 300_000:
-            break
-        f = try_support(S)
-        if f is not None:
-            f = _min_norm_flows(ps, cost_list, mu, f)
-            return _package(ps, cost_list, mu, f)
-    raise SupportSearchExhausted(
-        f"no consistent used-path set among {attempts} candidates at demand {mu}")
+    A, d = _path_quadratic(ps.incidence, cost_list)
+    f, lam = _simplex_qp(A, d, mu)
+    if f.min() < -1e-9 * max(1.0, mu):
+        raise SupportSearchExhausted(f"negative path flow {f.min():.3e} at demand {mu}")
+    f = np.maximum(f, 0.0)
+    c_path = A @ f + d
+    # a true support solution matches to machine precision, so both cost
+    # checks can sit far below solver tolerances
+    cost_tol = 1e-10 * max(1.0, abs(lam))
+    if np.abs(c_path[f > 0] - lam).max() > cost_tol or c_path.min() < lam - cost_tol:
+        raise SupportSearchExhausted(
+            f"active-set solution fails the equal-cost test at demand {mu}")
+    f = _min_norm_flows(ps, cost_list, mu, f)
+    return _package(ps, cost_list, mu, f)
 
 
 # -- verification and regularity ------------------------------------------------

@@ -28,7 +28,11 @@ class NonConvergence(PoakitError):
 
 
 class SupportSearchExhausted(PoakitError):
-    """No equilibrium support was found by enumeration."""
+    """The exact affine solver found no support that passes its equilibrium test."""
+
+
+class TraceFailure(PoakitError):
+    """The equilibrium tracer could not continue past an event."""
 
 
 class BisectionFailure(PoakitError):
@@ -45,7 +49,3 @@ class ClassificationConflict(PoakitError):
 
 class GridExceedsBreakpointMax(PoakitError):
     """A sampled PoA grid exceeds the breakpoint maximum beyond tolerance."""
-
-
-class DegenerateSegmentWarning(UserWarning):
-    """A traced segment collapsed to (numerically) zero length."""

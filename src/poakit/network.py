@@ -24,6 +24,7 @@ __all__ = [
     "Network",
     "PathSet",
     "enumerate_paths",
+    "incidence",
     "SPLeaf",
     "SPSeries",
     "SPParallel",
@@ -115,6 +116,16 @@ def enumerate_paths(net: Network, cap: int = DEFAULT_PATH_CAP) -> list[tuple[str
     return paths
 
 
+def incidence(paths, edge_ids) -> np.ndarray:
+    """Edge-path incidence: entry [e, p] is 1 when path p uses edge_ids[e]."""
+    index = {eid: i for i, eid in enumerate(edge_ids)}
+    Z = np.zeros((len(edge_ids), len(paths)))
+    for p, path in enumerate(paths):
+        for eid in path:
+            Z[index[eid], p] = 1.0
+    return Z
+
+
 @dataclass(frozen=True)
 class PathSet:
     """Paths of a network plus the edge-path incidence matrix.
@@ -130,12 +141,7 @@ class PathSet:
     @classmethod
     def build(cls, net: Network, cap: int = DEFAULT_PATH_CAP) -> "PathSet":
         paths = tuple(enumerate_paths(net, cap=cap))
-        index = net.edge_index()
-        Z = np.zeros((len(net.edges), len(paths)))
-        for p, path in enumerate(paths):
-            for eid in path:
-                Z[index[eid], p] = 1.0
-        return cls(net=net, paths=paths, incidence=Z)
+        return cls(net=net, paths=paths, incidence=incidence(paths, net.edge_ids))
 
     @property
     def n_paths(self) -> int:
@@ -256,7 +262,12 @@ def network_from_json(doc: dict) -> tuple[Network, dict[str, CostFunction]]:
             origin=str(doc["origin"]),
             destination=str(doc["destination"]),
         )
-        costs = {str(e["id"]): cost_from_json(e["cost"]) for e in doc["edges"]}
+        costs = {}
+        for e in doc["edges"]:
+            try:
+                costs[str(e["id"])] = cost_from_json(e["cost"])
+            except ValueError as exc:
+                raise ValueError(f"edge {str(e['id'])!r}: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed network document: {exc}") from exc
     return net, costs
@@ -276,12 +287,13 @@ def network_to_json(net: Network, costs: dict[str, CostFunction]) -> dict:
 
 def load_network(path: str) -> tuple[Network, dict[str, CostFunction]]:
     """Read a network JSON file; returns the network and per-edge costs."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     return network_from_json(doc)
 
 
 def dump_network(path: str, net: Network, costs: dict[str, CostFunction]) -> None:
-    with open(path, "w") as fh:
-        json.dump(network_to_json(net, costs), fh, indent=2, sort_keys=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(network_to_json(net, costs), fh, indent=2, sort_keys=True,
+                  ensure_ascii=False)
         fh.write("\n")

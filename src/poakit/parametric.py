@@ -3,9 +3,13 @@
 For all-affine costs the equilibrium flow is piecewise affine in the demand:
 f(mu) = mu*w + z on maximal intervals where the active edge set is constant,
 with common cost lambda(mu) = alpha + beta*mu. :func:`trace_affine` walks
-those intervals by continuation, locating the demands where the active
-network changes (breakpoints) and fitting (w, z) per segment; the segment
-algebra feeds the efficiency analytics downstream.
+those intervals by pivoting, as in a parametric linear complementarity
+problem: on the current support the flow line is exact, the next event
+(a used path's flow reaching zero, or an unused path's cost reaching the
+common cost) has a closed-form demand, and the support past the event
+comes from a small quadratic program on the paths tied at it. The demands
+where the active network changes are the breakpoints; the segment algebra
+feeds the efficiency analytics downstream.
 
 Optimum-side structure comes for free: the social optimum at demand mu is
 half the equilibrium at demand 2*mu, so optimum breakpoints are equilibrium
@@ -15,15 +19,20 @@ optimum social-cost quadratic gamma + alpha*mu + beta*mu^2.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .costs import Affine, CostFunction
-from .errors import DegenerateSegmentWarning, SignViolation
-from .network import Network, PathSet
-from .equilibrium import EquilibriumSolution, solve_affine_exact
+from .errors import SignViolation, SupportSearchExhausted, TraceFailure
+from .network import Network, PathSet, incidence
+from .equilibrium import (
+    EquilibriumSolution,
+    _min_norm_flows,
+    _path_quadratic,
+    _simplex_qp,
+)
 
 __all__ = [
     "TraceSegment",
@@ -39,6 +48,10 @@ __all__ = [
 ]
 
 SIGN_TOL = 1e-9
+MAX_EVENTS = 1000
+# an event within this fraction of mu_max is taken to lie at mu_max, so that
+# roundoff in its root cannot leave a segment of near-zero length at the end
+LIMIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -101,20 +114,14 @@ class AffineTrace:
 # -- segment algebra -----------------------------------------------------------
 
 
-def _path_quadratic(paths, costs: dict[str, CostFunction]):
-    """A[p,q] = sum of slopes on shared edges; d[p] = sum of intercepts."""
-    n = len(paths)
-    edge_ids = sorted({e for p in paths for e in p})
-    a = {e: costs[e].a for e in edge_ids}
-    b = {e: costs[e].b for e in edge_ids}
-    A = np.zeros((n, n))
-    d = np.zeros(n)
-    for i, p in enumerate(paths):
-        sp = set(p)
-        d[i] = sum(b[e] for e in p)
-        for j, q in enumerate(paths):
-            A[i, j] = sum(a[e] for e in sp.intersection(q))
-    return A, d
+def _social_coefficients(A, d, w, z) -> tuple[float, float, float]:
+    """(alpha, beta, gamma) of the flow line mu*w + z: the equilibrium social
+    cost is alpha*mu + beta*mu^2 and the optimum's is gamma + alpha*mu +
+    beta*mu^2 while 2*mu stays on the line."""
+    alpha = float((A @ z + d) @ w)
+    beta = float(A @ w @ w)
+    gamma = float(0.25 * (A @ z @ z) + 0.5 * (d @ z))
+    return alpha, beta, gamma
 
 
 def segment_social_costs(seg: TraceSegment, costs: dict[str, CostFunction]):
@@ -125,11 +132,9 @@ def segment_social_costs(seg: TraceSegment, costs: dict[str, CostFunction]):
     Raises :class:`SignViolation` if alpha or beta is negative or gamma is
     positive beyond tolerance, which signals a mis-traced segment.
     """
-    A, d = _path_quadratic(seg.paths, costs)
-    w, z = seg.w, seg.z
-    alpha = float((A @ z + d) @ w)
-    beta = float(A @ w @ w)
-    gamma = float(0.25 * (A @ z @ z) + 0.5 * (d @ z))
+    edge_ids = sorted({e for p in seg.paths for e in p})
+    A, d = _path_quadratic(incidence(seg.paths, edge_ids), [costs[e] for e in edge_ids])
+    alpha, beta, gamma = _social_coefficients(A, d, seg.w, seg.z)
     scale = max(1.0, abs(alpha), abs(beta), abs(gamma))
     if alpha < -SIGN_TOL * scale or beta < -SIGN_TOL * scale or gamma > SIGN_TOL * scale:
         raise SignViolation(
@@ -141,24 +146,18 @@ def segment_social_costs(seg: TraceSegment, costs: dict[str, CostFunction]):
 # -- the tracer ----------------------------------------------------------------
 
 
-def _step_in(mu: float) -> float:
-    return 1e-7 * max(1.0, mu)
-
-
 def _forward_events(w, z, A, d, mu_ref: float, active_paths) -> list[float]:
-    """Demands > mu_ref where the fitted line stops being an equilibrium.
+    """Demands > mu_ref where the line stops being an equilibrium.
 
-    Two affine event families: a used path's flow reaching zero, and an
-    unused path's cost falling to the common cost.
+    Two affine event families: a used path's flow reaching zero, and a path
+    outside ``active_paths`` whose cost falls to the common cost.
     """
-    scale = max(1.0, mu_ref)
-    tiny = 1e-11 * scale
     events: list[float] = []
     # flow hits zero
     for p in range(len(w)):
         if w[p] < -1e-13:
             root = -z[p] / w[p]
-            if root > mu_ref + tiny:
+            if root > mu_ref:
                 events.append(float(root))
     # cost gap of a non-optimal path hits zero
     cost_slope = A @ w
@@ -170,10 +169,9 @@ def _forward_events(w, z, A, d, mu_ref: float, active_paths) -> list[float]:
             continue
         gs = cost_slope[p] - lam_slope
         gi = cost_icept[p] - lam_icept
-        gap_ref = gs * mu_ref + gi
-        if gs < -1e-13 and gap_ref > tiny:
+        if gs < -1e-13:
             root = -gi / gs
-            if root > mu_ref + tiny:
+            if root > mu_ref:
                 events.append(float(root))
     return sorted(events)
 
@@ -186,18 +184,61 @@ def _optimal_paths(A, d, w, z, mu: float) -> set[int]:
     return {p for p in range(len(c)) if c[p] <= lam + tol}
 
 
+def _pivot(A, d, mu_limit: float):
+    """Equilibrium flow lines from demand 0 up to the first event at or past
+    ``mu_limit`` (to within LIMIT_TOL).
+
+    Returns ``(pieces, complete)``: each piece is ``(lo, w, z)``, the line
+    mu*w + z being an equilibrium from ``lo`` up to the next piece's ``lo``;
+    ``complete`` is True when no event follows the last piece. At each event
+    every path tied at the common cost is resolved at once: paths that still
+    carry flow keep a free rate, the others a nonnegative one, and the rates
+    w minimizing w'A_TT w over sum(w) = 1 are the derivative of the
+    equilibrium just past the event.
+    """
+    n = len(d)
+    pieces = []
+    lo = 0.0
+    f = np.zeros(n)
+    for _ in range(MAX_EVENTS):
+        c = A @ f + d
+        lam = float(c.min())
+        # equilibrium costs here are exact to roundoff, so the tie band sits
+        # well below the 1e-9 band that reads active sets off a line
+        tie = np.flatnonzero(c <= lam + 1e-10 * max(1.0, abs(lam)))
+        f = np.where(f > 1e-12 * max(1.0, lo), f, 0.0)  # clear roundoff dust
+        flowing = f[tie] > 0
+        try:
+            rate, _ = _simplex_qp(A[np.ix_(tie, tie)], np.zeros(len(tie)), 1.0,
+                                  free=flowing)
+        except SupportSearchExhausted as exc:
+            raise TraceFailure(f"no equilibrium direction past demand {lo}: {exc}") from exc
+        w = np.zeros(n)
+        w[tie] = np.where(flowing, rate, np.maximum(rate, 0.0))
+        z = f - lo * w
+        pieces.append((lo, w, z))
+        events = _forward_events(w, z, A, d, lo, set(tie.tolist()))
+        if not events:
+            return pieces, True
+        if events[0] >= mu_limit * (1.0 - LIMIT_TOL):
+            return pieces, False
+        lo = events[0]
+        f = lo * w + z
+    raise TraceFailure(f"tracer found no end after {MAX_EVENTS} events")
+
+
 def trace_affine(net: Network, costs: dict[str, CostFunction], mu_max: float,
-                 refine_tol: float = 1e-9,
-                 path_cap: int | None = None) -> AffineTrace:
+                 path_cap: int | None = None, *, grow: bool = False) -> AffineTrace:
     """Trace the exact equilibrium structure over demands (0, mu_max].
 
-    Forward continuation: fit the local flow line from two exact solves,
-    compute candidate events in closed form, and validate each by re-solving
-    just past it. Candidates that do not change the active edge set are
-    selection artifacts (equilibria are non-unique there) and the scan
-    continues; genuine changes are refined by bisection on active-set
-    equality down to ``refine_tol`` and recorded as breakpoints. Each
-    breakpoint belongs to the segment on its left.
+    One pivoting pass from demand 0 (see :func:`_pivot`) yields the exact
+    equilibrium lines and the events between them. Events that leave the
+    active edge set unchanged are selection kinks (equilibria are non-unique
+    there) and stay inside one segment; the others are the breakpoints, each
+    belonging to the segment on its left. Each segment reports the chord
+    between the minimum-norm equilibria at its two ends, an equilibrium
+    across the whole segment. With ``grow`` set, ``mu_max`` is doubled until
+    it lies beyond the last event, and the trace is complete.
     """
     if mu_max <= 0:
         raise ValueError(f"mu_max must be positive, got {mu_max}")
@@ -205,159 +246,54 @@ def trace_affine(net: Network, costs: dict[str, CostFunction], mu_max: float,
     if not all(isinstance(c, Affine) for c in cost_list):
         raise ValueError("trace_affine requires every cost to be affine")
     ps = PathSet.build(net) if path_cap is None else PathSet.build(net, cap=path_cap)
-    A, d = _path_quadratic(ps.paths, costs)
+    A, d = _path_quadratic(ps.incidence, cost_list)
+    pieces, complete = _pivot(A, d, math.inf if grow else mu_max)
+    while grow and pieces[-1][0] >= mu_max * (1.0 - LIMIT_TOL):
+        mu_max *= 2.0
 
-    seed: tuple[int, ...] | None = None
+    def active(k: int) -> frozenset[str]:
+        lo, w, z = pieces[k]
+        hi = pieces[k + 1][0] if k + 1 < len(pieces) else mu_max
+        return frozenset(e for p in _optimal_paths(A, d, w, z, 0.5 * (lo + hi))
+                         for e in ps.paths[p])
 
-    def solve(mu: float):
-        nonlocal seed
-        sol = solve_affine_exact(net, costs, mu, seed_support=seed,
-                                 path_cap=path_cap)
-        seed = tuple(np.flatnonzero(sol.path_flows > 1e-9 * max(1.0, mu)).tolist())
-        return sol
-
-    def tight_active(sol) -> frozenset[str]:
-        # exact-solver path costs are machine precision, so a band far below
-        # the solver's reporting tolerance resolves activity right up against
-        # a breakpoint without flipping early
-        c = A @ sol.path_flows + d
-        lam = float(c.min())
-        tol = 1e-10 * max(1.0, lam)
-        return frozenset(
-            e for p, cp in zip(ps.paths, c) if cp <= lam + tol for e in p)
-
-    def active_at(mu: float) -> frozenset[str]:
-        return tight_active(solve(mu))
-
-    def fit_line(mu_a: float, mu_b: float):
-        fa = solve(mu_a).path_flows
-        fb = solve(mu_b).path_flows
-        w = (fb - fa) / (mu_b - mu_a)
-        z = fa - mu_a * w
-        return w, z
+    # group the pieces into segments of one active edge set
+    groups: list[tuple[int, frozenset[str]]] = []  # (last piece, active set)
+    for k in range(len(pieces)):
+        act = active(k)
+        if groups and groups[-1][1] == act:
+            groups[-1] = (k, act)
+        else:
+            groups.append((k, act))
 
     segments: list[TraceSegment] = []
     breakpoints: list[Breakpoint] = []
-    lo = 0.0
-    complete = False
-    guard = 0
-
-    while lo < mu_max:
-        guard += 1
-        if guard > 1000:
-            raise RuntimeError("tracer failed to make progress (over 1000 segments)")
-        eps = _step_in(lo)
-        probe = lo + eps
-        act = active_at(probe)
-
-        # scan forward inside this active-set interval
-        cursor = probe
-        hi: float | None = None  # demand of the next breakpoint, if any
-        scan_guard = 0
-        while True:
-            scan_guard += 1
-            if scan_guard > 200:
-                raise RuntimeError(f"event scan stalled near demand {cursor}")
-            h = 0.5 * max(1.0, cursor)
-            while True:
-                w, z = fit_line(cursor, cursor + h)
-                mid = cursor + 0.5 * h
-                f_mid = solve(mid).path_flows
-                if np.abs(f_mid - (mid * w + z)).max() <= 1e-8 * max(1.0, mid) \
-                        and (mid * w + z).min() >= -1e-9 * max(1.0, mid):
-                    break
-                h *= 0.5
-                if h < 4 * eps:
-                    # breakpoint closer than the smallest reliable fit step
-                    w = z = None
-                    break
-            if w is None:
-                if active_at(cursor + 4 * eps) == act:
-                    raise RuntimeError(
-                        f"line fit failed without an active-set change near {cursor}")
-                hi = _bisect_breakpoint(active_at, act, cursor, cursor + 4 * eps,
-                                        refine_tol)
-                break
-            events = _forward_events(w, z, A, d, cursor,
-                                     _optimal_paths(A, d, w, z, cursor))
-            nxt = events[0] if events else None
-            if nxt is None:
-                complete = True
-                break
-            if nxt >= mu_max:
-                if active_at(mu_max) == act:
-                    break
-                hi = _bisect_breakpoint(active_at, act, cursor, mu_max, refine_tol)
-                break
-            step = _step_in(nxt)
-            if active_at(nxt + step) == act:
-                cursor = nxt + step  # selection kink only; refit and continue
-                continue
-            hi = _bisect_breakpoint(active_at, act, cursor, nxt + step, refine_tol)
-            # snap to the closed-form root when the refinement agrees with it
-            # to within its own resolution; the root is the sharper estimate
-            if abs(nxt - hi) <= 10 * refine_tol * max(1.0, hi):
-                hi = nxt
-            break
-
-        seg_hi = mu_max if hi is None else min(hi, mu_max)
-        if seg_hi <= lo:
-            warnings.warn(
-                f"zero-length segment at demand {lo}", DegenerateSegmentWarning)
-            seg_hi = lo + eps
-        # anchor the reported line at the segment ends: any equilibria there
-        # extend affinely across the whole segment
-        f_lo = np.zeros(ps.n_paths) if lo == 0.0 else solve(lo).path_flows
-        f_hi = solve(seg_hi).path_flows
-        w = (f_hi - f_lo) / (seg_hi - lo)
+    lo, f_lo = 0.0, np.zeros(ps.n_paths)
+    for g, (last, act) in enumerate(groups):
+        hi = pieces[last + 1][0] if g + 1 < len(groups) else mu_max
+        _, w_end, z_end = pieces[last]
+        f_hi = _min_norm_flows(ps, cost_list, hi, np.maximum(hi * w_end + z_end, 0.0))
+        w = (f_hi - f_lo) / (hi - lo)
         z = f_lo - lo * w
-        alpha = float((A @ z + d) @ w)
-        beta = float(A @ w @ w)
-        gamma = float(0.25 * (A @ z @ z) + 0.5 * (d @ z))
+        alpha, beta, gamma = _social_coefficients(A, d, w, z)
         segments.append(TraceSegment(
-            mu_lo=lo, mu_hi=seg_hi, paths=ps.paths, w=w, z=z,
+            mu_lo=lo, mu_hi=hi, paths=ps.paths, w=w, z=z,
             alpha=alpha, beta=beta, gamma=gamma, active_edges=act))
-        if hi is not None and hi < mu_max:
-            after = active_at(hi + _step_in(hi))
-            breakpoints.append(Breakpoint(mu=hi, active_before=act, active_after=after))
-            lo = hi
-        else:
-            if hi is not None and hi >= mu_max:
-                complete = False
-            break
+        if g + 1 < len(groups):
+            breakpoints.append(Breakpoint(mu=hi, active_before=act,
+                                          active_after=groups[g + 1][1]))
+        lo, f_lo = hi, f_hi
 
     return AffineTrace(segments=tuple(segments), breakpoints=tuple(breakpoints),
                        mu_max=mu_max, complete=complete)
 
 
-def _bisect_breakpoint(active_at, act_left: frozenset, lo: float, hi: float,
-                       refine_tol: float) -> float:
-    """Smallest demand in (lo, hi] whose right side leaves the active set
-    ``act_left``, by bisection on active-set equality."""
-    for _ in range(200):
-        if hi - lo <= refine_tol * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if active_at(mid) == act_left:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def trace_to_completion(net: Network, costs: dict[str, CostFunction],
-                        mu_start: float = 8.0, refine_tol: float = 1e-9,
-                        max_doublings: int = 40,
+                        mu_start: float = 8.0,
                         path_cap: int | None = None) -> AffineTrace:
-    """Trace with mu_max doubled until the structure stabilizes for good."""
-    mu = mu_start
-    for _ in range(max_doublings):
-        trace = trace_affine(net, costs, mu, refine_tol=refine_tol,
-                             path_cap=path_cap)
-        if trace.complete:
-            return trace
-        mu *= 2.0
-    raise RuntimeError(f"no terminal segment found up to demand {mu}")
+    """Trace until no event remains; ``mu_max`` is the smallest
+    mu_start * 2**k beyond the last event."""
+    return trace_affine(net, costs, mu_start, path_cap=path_cap, grow=True)
 
 
 def segment_solution(net: Network, costs: dict[str, CostFunction],

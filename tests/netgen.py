@@ -38,6 +38,19 @@ def random_affine_network(rng: np.random.Generator, max_edges: int = 8,
     raise RuntimeError("failed to sample a connected instance")
 
 
+def layered_affine_network(rng: np.random.Generator, widths=(3, 3, 3),
+                           a_range=(0.1, 2.0), b_range=(0.0, 5.0)):
+    """Layered DAG with every edge between consecutive layers present, so
+    it has prod(widths) origin-destination paths."""
+    layers = [["O"]] + [[f"v{k}_{i}" for i in range(w)] for k, w in enumerate(widths)] + [["D"]]
+    edges = tuple(Edge(f"e{t}-{h}", t, h)
+                  for tails, heads in zip(layers, layers[1:]) for t in tails for h in heads)
+    net = Network(tuple(v for layer in layers for v in layer), edges, "O", "D")
+    costs = {e.id: Affine(float(rng.uniform(*a_range)), float(rng.uniform(*b_range)))
+             for e in edges}
+    return net, costs
+
+
 def random_sp_tree(rng: np.random.Generator, n_leaves: int) -> SPTree:
     if n_leaves == 1:
         return SPLeaf("")  # ids assigned when the network is built

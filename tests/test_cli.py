@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from poakit import TraceFailure, cli
+
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
@@ -39,7 +41,7 @@ class TestCommands:
         mus = [b["mu"] for b in doc["trace"]["breakpoints"]]
         assert np.allclose(mus, [1, 2, 3, 4, 7], atol=1e-6)
         assert doc["trace"]["complete"]
-        assert doc["meta"]["tolerances"]["refine_tol"] == 1e-9
+        assert doc["meta"]["tolerances"] == {}
 
     def test_solve_reports_ratio_one(self):
         code, out, err = run_cli("solve", "--network", fixture("parallel_quad"),
@@ -129,6 +131,34 @@ class TestCommands:
         n_segments = 6
         assert doc["checked"] == 5 * n_segments
 
+    # fig1's trace is verified by test_verify_round_trip
+    @pytest.mark.parametrize("name, max_demand", [
+        ("nested2", "25"), ("nested3", "260"), ("braess_direct", "10")])
+    def test_verify_trace_of_affine_fixture(self, tmp_path, name, max_demand):
+        trace_file = tmp_path / "trace.json"
+        code, _, err = run_cli("trace", "--network", fixture(name),
+                               "--max-demand", max_demand, "--output", str(trace_file))
+        assert code == 0, err
+        n_segments = len(json.loads(trace_file.read_text(encoding="utf-8"))["trace"]["segments"])
+        code, out, err = run_cli("verify", "--network", fixture(name),
+                                 "--trace", str(trace_file))
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["ok"] is True
+        assert doc["checked"] == 5 * n_segments
+
+    def test_affine_analyze_runs_without_frank_wolfe(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Frank-Wolfe called on an affine instance")
+
+        monkeypatch.setattr("poakit.equilibrium._frank_wolfe", refuse)
+        out = tmp_path / "analyze.json"
+        assert cli.main(["analyze", "--network", fixture("nested3"),
+                         "--output", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert len(doc["eq_breakpoints"]) == 14
+        assert doc["max"]["value"] == pytest.approx(1.267327, abs=1e-6)
+
     def test_verify_fresh_solve(self):
         code, out, err = run_cli("verify", "--network", fixture("nested2"),
                                  "--demand", "4")
@@ -186,6 +216,33 @@ class TestExitCodes:
                                "--demand", "3", "--max-iter", "0")
         assert code == 2
         assert "duality gap" in err
+
+    def test_non_finite_cost_is_input_error(self, tmp_path):
+        bad = tmp_path / "nan.json"
+        with open(fixture("fig1"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["edges"][2]["cost"]["b"] = float("nan")
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert "NaN" in bad.read_text(encoding="utf-8")
+        code, _, err = run_cli("solve", "--network", str(bad), "--demand", "1")
+        assert code == 1
+        assert f"edge {doc['edges'][2]['id']!r}" in err and "'b'" in err
+
+    def test_trace_failure_is_solver_failure(self, monkeypatch, capsys):
+        def stuck(*args, **kwargs):
+            raise TraceFailure("no equilibrium direction")
+
+        monkeypatch.setattr(cli, "trace_to_completion", stuck)
+        assert cli.main(["breakpoints", "--network", fixture("fig1")]) == 2
+        assert "no equilibrium direction" in capsys.readouterr().err
+
+    def test_programming_error_is_not_a_solver_failure(self, monkeypatch):
+        def bug(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli, "trace_to_completion", bug)
+        with pytest.raises(RuntimeError, match="bug"):
+            cli.main(["breakpoints", "--network", fixture("fig1")])
 
     def test_verify_violations_exit_three(self, tmp_path):
         sol = tmp_path / "sol.json"

@@ -47,6 +47,19 @@ def test_pwl_primitive_trapezoid():
     assert d.primitive(0.5) == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: Affine(float("nan"), 1), "'a'"),
+    (lambda: Affine(1, float("inf")), "'b'"),
+    (lambda: Polynomial((float("inf"),)), "'coeffs'"),
+    (lambda: Polynomial((1.0, float("nan"))), "'coeffs'"),
+    (lambda: PiecewiseLinear((0, float("nan")), (1, 2)), "'x'"),
+    (lambda: PiecewiseLinear((0, 1), (1, float("-inf"))), "'y'"),
+], ids=["affine-a", "affine-b", "poly-inf", "poly-nan", "pwl-x", "pwl-y"])
+def test_non_finite_parameters_rejected(make, field):
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
 def test_marginal_affine_doubles_slope():
     assert Affine(1, 0).marginal() == Affine(2, 0)
     assert Affine(0, 7).marginal() == Affine(0, 7)

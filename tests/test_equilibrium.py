@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from poakit import Affine, Edge, Network, NonConvergence, load_network
+from poakit import Affine, Edge, Network, NonConvergence, PathSet, load_network
 from poakit.equilibrium import (
     check_regularity,
     solve_affine_exact,
@@ -18,7 +18,7 @@ from poakit.equilibrium import (
 )
 from poakit.network import decompose_series_parallel
 
-from netgen import random_affine_network, random_sp_network
+from netgen import layered_affine_network, random_affine_network, random_sp_network
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -271,6 +271,17 @@ def test_random_affine_exact_vs_iterative():
             a = solve_equilibrium(net, costs, float(mu))
             b = solve_affine_exact(net, costs, float(mu))
             assert a.edge_loads == pytest.approx(b.edge_loads, abs=1e-6)
+
+
+def test_exact_solver_beyond_twenty_paths():
+    net, costs = layered_affine_network(np.random.default_rng(5), widths=(3, 3, 3))
+    assert PathSet.build(net).n_paths == 27
+    for mu in (0.5, 4.0, 30.0):
+        exact = solve_affine_exact(net, costs, mu)
+        iterative = solve_equilibrium(net, costs, mu)
+        assert np.abs(exact.edge_loads - iterative.edge_loads).max() <= 1e-8
+        assert exact.cost == pytest.approx(iterative.cost, abs=1e-8)
+        assert verify_wardrop(net, costs, exact, tol=1e-10).ok
 
 
 def test_lambda_monotone_in_demand():

@@ -151,3 +151,26 @@ def test_malformed_json_rejected():
     with pytest.raises(ValueError):
         network_from_json({"vertices": ["O", "D"], "edges": [{"id": "e"}],
                            "origin": "O", "destination": "D"})
+
+
+def test_utf8_round_trip(tmp_path):
+    net = Network(vertices=("Ursprung", "Zürich", "D"),
+                  edges=(Edge("straße", "Ursprung", "Zürich"), Edge("→D", "Zürich", "D")),
+                  origin="Ursprung", destination="D")
+    costs = {"straße": Affine(1, 0), "→D": Affine(0, 2)}
+    path = tmp_path / "net.json"
+    dump_network(str(path), net, costs)
+    assert "straße".encode("utf-8") in path.read_bytes()
+    net2, costs2 = load_network(str(path))
+    assert net2 == net and costs2 == costs
+
+
+def test_non_finite_cost_names_edge_and_field(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"vertices": ["O", "D"], "origin": "O", "destination": "D", "edges": ['
+        '{"id": "good", "tail": "O", "head": "D", "cost": {"type": "affine", "a": 1, "b": 0}},'
+        '{"id": "bad", "tail": "O", "head": "D", "cost": {"type": "affine", "a": NaN, "b": 0}}]}',
+        encoding="utf-8")
+    with pytest.raises(ValueError, match="edge 'bad'.*'a'"):
+        load_network(str(path))

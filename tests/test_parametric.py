@@ -252,6 +252,24 @@ def test_braess_selection_kink_is_not_a_breakpoint():
         assert verify_wardrop(net, costs, sol).ok, mu
 
 
+def test_braess_segment_lines_are_min_norm_chords():
+    # A_SS is singular past mu=1: the equilibria at demand mu are
+    # (mu-2+t, 1-t, t, 1-t), and the minimum-norm one has t = 2-mu on
+    # [1, 4/3], t = 1-mu/4 on [4/3, 4] and t = 0 beyond. Each segment
+    # reports the chord between the minimum-norm equilibria at its ends.
+    net, costs = tracked("braess_direct")
+    first, second = trace_affine(net, costs, 10.0).segments
+    assert first.w == pytest.approx([0, 0, 1, 0], abs=1e-12)
+    assert first.z == pytest.approx([0, 0, 0, 0], abs=1e-12)
+    assert second.flows(1.0) == pytest.approx([0, 0, 1, 0], abs=1e-12)
+    assert second.flows(10.0) == pytest.approx([8, 1, 0, 1], abs=1e-12)
+    assert second.w == pytest.approx([8 / 9, 1 / 9, -1 / 9, 1 / 9], abs=1e-12)
+    # tracing to completion stops at the first doubling past mu=1
+    done = trace_to_completion(net, costs)
+    assert done.mu_max == 8.0 and done.complete
+    assert done.segments[1].flows(8.0) == pytest.approx([6, 1, 0, 1], abs=1e-12)
+
+
 # -- optimum breakpoints -----------------------------------------------------------
 
 
