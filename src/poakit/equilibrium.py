@@ -13,7 +13,8 @@ Solvers:
 - :func:`solve_affine_exact` primal active-set method on the quadratic
   potential of all-affine costs; exact up to linear-solve precision.
 - :func:`sp_equilibrium`     recursive solver on a series-parallel
-  decomposition, splitting parallel joins by monotone bisection.
+  decomposition, splitting parallel joins at the root of the nondecreasing
+  branch-cost difference.
 
 All solvers return the minimum-Euclidean-norm path-flow equilibrium so that
 outputs are deterministic even when equilibria are non-unique.
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .costs import Affine, CostFunction
 from .errors import BisectionFailure, NonConvergence, SupportSearchExhausted
@@ -119,36 +119,66 @@ def _active_edge_set(ps: PathSet, path_costs: np.ndarray, lam: float) -> frozens
     return frozenset(active)
 
 
+# -- monotone root finding ----------------------------------------------------
+
+
+def _first_root(g, lo: float, g_lo: float, hi: float, g_hi: float, xtol: float) -> float:
+    """Smallest t in [lo, hi] with g(t) >= 0, to within xtol, for
+    nondecreasing g with g_lo = g(lo) < 0 <= g_hi = g(hi).
+
+    Secant steps through the two latest points, bisecting when one would
+    leave the bracket or is not under half the step before last (Dekker's
+    method with Brent's step test, Brent 1973, ch. 4): superlinear on smooth
+    g, exact once two points share a linear piece, and finite. Steps stay
+    xtol/2 inside the bracket, so linear g takes two. Points with g >= 0
+    become the upper end, which thus reaches the left end of a zero interval.
+    Returns the upper end if g is zero there, else the lower end (lo itself
+    when g jumps up just past it). NaN raises :class:`BisectionFailure`.
+    """
+    if not g_lo < 0 <= g_hi:
+        raise BisectionFailure(f"no sign change to bracket on [{lo!r}, {hi!r}]")
+    a, g_a, b, g_b = lo, g_lo, hi, g_hi  # the two latest points, b the newer
+    step_prev = step_old = math.inf  # lengths of the last two steps
+    while hi - lo > xtol:
+        t = math.nan
+        if g_b != g_a:
+            t = b - g_b * (b - a) / (g_b - g_a)
+            if lo <= t <= hi:
+                t = min(max(t, lo + 0.5 * xtol), hi - 0.5 * xtol)
+        if not (lo < t < hi and abs(t - b) < 0.5 * step_old):
+            t = lo + 0.5 * (hi - lo)
+            if not lo < t < hi:
+                break  # lo and hi are adjacent floats
+        step_prev, step_old = abs(t - b), step_prev
+        g_t = g(t)
+        if math.isnan(g_t):
+            raise BisectionFailure(f"NaN at {t!r} while bracketing a root on [{lo!r}, {hi!r}]")
+        a, g_a, b, g_b = b, g_b, t, g_t
+        if g_t >= 0:
+            hi, g_hi = t, g_t
+        else:
+            lo = t
+    return hi if g_hi == 0 else lo
+
+
 # -- Frank-Wolfe with away steps ----------------------------------------------
 
 
 def _line_search(cost_list, loads, delta, hi):
-    """Exact minimizer of t -> potential(loads + t*delta) on [0, hi]."""
+    """Minimizer of t -> potential(loads + t*delta) on [0, hi]: its slope's first root."""
     if hi <= 0:
         return 0.0
-    if all(isinstance(c, Affine) for c in cost_list):
-        # phi'(t) = <c(x), dx> + t <a dx, dx> is linear
-        num = -sum(c.evaluate(x) * dx for c, x, dx in zip(cost_list, loads, delta))
-        den = sum(c.a * dx * dx for c, dx in zip(cost_list, delta))
-        if den <= 0:
-            return hi if num > 0 else 0.0
-        return float(min(max(num / den, 0.0), hi))
 
     def dphi(t):
         x = np.maximum(loads + t * delta, 0.0)
         return float(sum(c.evaluate(v) * dv for c, v, dv in zip(cost_list, x, delta)))
 
-    lo_slope = dphi(0.0)
-    if lo_slope >= 0:
+    slope_lo, slope_hi = dphi(0.0), dphi(hi)
+    if slope_lo >= 0:
         return 0.0
-    if dphi(hi) <= 0:
+    if slope_hi <= 0:
         return float(hi)
-    res = scipy.optimize.minimize_scalar(
-        lambda t: _beckmann(cost_list, np.maximum(loads + t * delta, 0.0)),
-        bounds=(0.0, hi), method="bounded",
-        options={"xatol": 1e-14},
-    )
-    return float(min(max(res.x, 0.0), hi))
+    return _first_root(dphi, 0.0, slope_lo, float(hi), slope_hi, 1e-14 * max(1.0, hi))
 
 
 def _frank_wolfe(ps: PathSet, cost_list, mu: float, tol: float, max_iter: int,
@@ -401,7 +431,7 @@ def solve_equilibrium(net: Network, costs: dict[str, CostFunction], mu: float,
     """
     if mu < 0:
         raise ValueError(f"demand must be nonnegative, got {mu}")
-    ps = PathSet.build(net) if path_cap is None else PathSet.build(net, cap=path_cap)
+    ps = PathSet.build(net, cap=path_cap)
     cost_list = _cost_list(net, costs)
     if mu == 0:
         return _package(ps, cost_list, 0.0, np.zeros(ps.n_paths))
@@ -411,14 +441,10 @@ def solve_equilibrium(net: Network, costs: dict[str, CostFunction], mu: float,
     # with fresh polish attempts; the polish draws on the same budget
     remaining = max_iter
     f = None
-    gap_rel = np.inf
     chunk = 0
     while True:
-        if chunk > 0 or f is None:
-            f, it, gap_rel = _frank_wolfe(ps, cost_list, mu, tol, chunk, f0=f)
-            remaining -= it
-        else:
-            it = chunk
+        f, it, gap_rel = _frank_wolfe(ps, cost_list, mu, tol, chunk, f0=f)
+        remaining -= it
         rounds = min(60, max(remaining, 0))
         if rounds > 0:
             f = _polish(ps, cost_list, mu, f, rounds=rounds)
@@ -427,10 +453,10 @@ def solve_equilibrium(net: Network, costs: dict[str, CostFunction], mu: float,
         if probe_rel <= tol or gap_rel <= tol:
             break
         if remaining <= 0 or (chunk > 0 and it < chunk):
-            # budget exhausted, or the iteration stalled inside its block
+            why = "iteration budget exhausted" if remaining <= 0 else "iterations stalled"
             raise NonConvergence(
                 f"relative duality gap {min(gap_rel, probe_rel):.3e} above tol "
-                f"{tol:.1e} within {max_iter} iterations")
+                f"{tol:.1e} after {max_iter - remaining} iterations ({why})")
         chunk = min(remaining, max(4 * chunk, 32))
     f = _min_norm_flows(ps, cost_list, mu, f)
     return _package(ps, cost_list, mu, f)
@@ -443,7 +469,7 @@ def solve_optimum(net: Network, costs: dict[str, CostFunction], mu: float,
     marginal = {eid: c.marginal() for eid, c in costs.items()}
     eq = solve_equilibrium(net, marginal, mu, tol=tol, max_iter=max_iter,
                            path_cap=path_cap)
-    ps = PathSet.build(net) if path_cap is None else PathSet.build(net, cap=path_cap)
+    ps = PathSet.build(net, cap=path_cap)
     cost_list = _cost_list(net, costs)
     marg_list = _cost_list(net, marginal)
     return _package(ps, marg_list, mu, eq.path_flows, kind=OptimumSolution,
@@ -529,7 +555,7 @@ def solve_affine_exact(net: Network, costs: dict[str, CostFunction], mu: float,
     cost_list = _cost_list(net, costs)
     if not all(isinstance(c, Affine) for c in cost_list):
         raise ValueError("solve_affine_exact requires every cost to be affine")
-    ps = PathSet.build(net) if path_cap is None else PathSet.build(net, cap=path_cap)
+    ps = PathSet.build(net, cap=path_cap)
     if mu == 0:
         return _package(ps, cost_list, 0.0, np.zeros(ps.n_paths))
 
@@ -654,8 +680,7 @@ def _sp_split(tree: SPParallel, costs: dict[str, CostFunction], x: float) -> flo
         return (_sp_cost(tree.first, costs, y)
                 - _sp_cost(tree.second, costs, x - y))
 
-    lo, hi = 0.0, float(x)
-    phi_lo, phi_hi = phi(lo), phi(hi)
+    phi_lo, phi_hi = phi(0.0), phi(x)
     if math.isnan(phi_lo) or math.isnan(phi_hi) or phi_lo > phi_hi + 1e-9 * max(1.0, abs(phi_hi)):
         raise BisectionFailure(
             f"branch cost curves not bracketable at throughput {x}")
@@ -663,21 +688,7 @@ def _sp_split(tree: SPParallel, costs: dict[str, CostFunction], x: float) -> flo
         return 0.0
     if phi_hi < 0:
         return float(x)
-    root = scipy.optimize.brentq(phi, lo, hi, xtol=1e-13 * max(1.0, x), rtol=1e-15)
-    # phi can sit at zero on an interval (flat costs); take its left end
-    eps = 1e-9 * max(1.0, x)
-    if root > eps and phi(root - eps) >= -1e-13 * max(1.0, abs(phi_hi)):
-        lo2, hi2 = 0.0, root
-        for _ in range(100):
-            mid = 0.5 * (lo2 + hi2)
-            if phi(mid) >= 0:
-                hi2 = mid
-            else:
-                lo2 = mid
-            if hi2 - lo2 <= 1e-13 * max(1.0, x):
-                break
-        root = hi2
-    return float(min(max(root, 0.0), x))
+    return _first_root(phi, 0.0, phi_lo, float(x), phi_hi, 1e-13 * max(1.0, x))
 
 
 def _sp_flows(tree: SPTree, costs: dict[str, CostFunction], x: float):
@@ -735,8 +746,9 @@ def sp_equilibrium(dec: SPTree, costs: dict[str, CostFunction],
     """Equilibrium of a series-parallel network via its composition tree.
 
     Series children carry the full throughput and add their costs; parallel
-    children split it where the branch cost curves cross (monotone
-    bisection). Edge ids in the solution follow sorted leaf order.
+    children split it where the branch cost curves cross (the first root of
+    their nondecreasing difference). Edge ids in the solution follow sorted
+    leaf order.
     """
     if mu < 0:
         raise ValueError(f"demand must be nonnegative, got {mu}")

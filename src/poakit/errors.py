@@ -36,7 +36,7 @@ class TraceFailure(PoakitError):
 
 
 class BisectionFailure(PoakitError):
-    """A monotone bisection lost its bracket (non-monotone or NaN data)."""
+    """A monotone root search lost its bracket (non-monotone or NaN data)."""
 
 
 class SignViolation(PoakitError):

@@ -139,8 +139,8 @@ class PathSet:
     incidence: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
-    def build(cls, net: Network, cap: int = DEFAULT_PATH_CAP) -> "PathSet":
-        paths = tuple(enumerate_paths(net, cap=cap))
+    def build(cls, net: Network, cap: int | None = None) -> "PathSet":
+        paths = tuple(enumerate_paths(net, cap=DEFAULT_PATH_CAP if cap is None else cap))
         return cls(net=net, paths=paths, incidence=incidence(paths, net.edge_ids))
 
     @property

@@ -20,7 +20,7 @@ optimum social-cost quadratic gamma + alpha*mu + beta*mu^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,9 @@ from .errors import SignViolation, SupportSearchExhausted, TraceFailure
 from .network import Network, PathSet, incidence
 from .equilibrium import (
     EquilibriumSolution,
+    _cost_list,
     _min_norm_flows,
+    _package,
     _path_quadratic,
     _simplex_qp,
 )
@@ -245,7 +247,7 @@ def trace_affine(net: Network, costs: dict[str, CostFunction], mu_max: float,
     cost_list = [costs[e.id] for e in net.edges]
     if not all(isinstance(c, Affine) for c in cost_list):
         raise ValueError("trace_affine requires every cost to be affine")
-    ps = PathSet.build(net) if path_cap is None else PathSet.build(net, cap=path_cap)
+    ps = PathSet.build(net, cap=path_cap)
     A, d = _path_quadratic(ps.incidence, cost_list)
     pieces, complete = _pivot(A, d, math.inf if grow else mu_max)
     while grow and pieces[-1][0] >= mu_max * (1.0 - LIMIT_TOL):
@@ -298,34 +300,20 @@ def trace_to_completion(net: Network, costs: dict[str, CostFunction],
 
 def segment_solution(net: Network, costs: dict[str, CostFunction],
                      seg: TraceSegment, mu: float) -> EquilibriumSolution:
-    """Equilibrium at ``mu`` reconstructed from a segment's flow line.
+    """Equilibrium at ``mu`` from a segment's flow line, matched to paths by key.
 
     The line is an equilibrium only on the segment's own demand interval
     (and beyond it for the terminal segment of a complete trace); endpoint
     roundoff dust in the flows is clipped, anything more negative surfaces
     as a cost-evaluation error.
     """
-    f = np.asarray(seg.flows(mu), dtype=float)
+    ps = PathSet.build(net)
+    by_path = dict(zip(seg.paths, np.asarray(seg.flows(mu), dtype=float)))
+    f = np.array([by_path.get(p, 0.0) for p in ps.paths])
     dust = 1e-9 * max(1.0, mu)
     f[(f < 0) & (f >= -dust)] = 0.0
-    loads = {e.id: 0.0 for e in net.edges}
-    for path, fp in zip(seg.paths, f):
-        for eid in path:
-            loads[eid] += fp
-    x = np.array([loads[e.id] for e in net.edges])
-    cost_list = [costs[e.id] for e in net.edges]
-    edge_costs = np.array([c.evaluate(v) for c, v in zip(cost_list, x)])
-    by_id = dict(zip((e.id for e in net.edges), edge_costs))
-    c_path = np.array([sum(by_id[eid] for eid in p) for p in seg.paths])
-    lam = float(c_path.min())
-    social = float((x * edge_costs).sum())
-    beckmann = float(sum(c.primitive(v) for c, v in zip(cost_list, x)))
-    gap = float(f @ c_path - mu * lam)
-    return EquilibriumSolution(
-        demand=float(mu), edge_ids=tuple(e.id for e in net.edges),
-        paths=seg.paths, path_flows=f, edge_loads=x, edge_costs=edge_costs,
-        cost=lam, active_edges=seg.active_edges, beckmann_value=beckmann,
-        duality_gap=gap, social_cost=social)
+    sol = _package(ps, _cost_list(net, costs), float(mu), f)
+    return replace(sol, active_edges=seg.active_edges)
 
 
 def optimum_breakpoints(breakpoints: tuple[Breakpoint, ...]) -> tuple[Breakpoint, ...]:

@@ -20,7 +20,8 @@ import numpy as np
 from .costs import Affine, CostFunction
 from .errors import ClassificationConflict, GridExceedsBreakpointMax
 from .network import Network
-from .equilibrium import solve_equilibrium, solve_optimum, solve_affine_exact
+from .equilibrium import (_cost_list, _social, solve_affine_exact, solve_equilibrium,
+                          solve_optimum)
 from .parametric import AffineTrace, trace_affine, trace_to_completion
 
 __all__ = [
@@ -88,9 +89,7 @@ def compute_poa(net: Network, costs: dict[str, CostFunction], mu: float,
         eq = solve_affine_exact(net, costs, mu, path_cap=path_cap)
         marginal = {e.id: costs[e.id].marginal() for e in net.edges}
         opt_eq = solve_affine_exact(net, marginal, mu, path_cap=path_cap)
-        sc_opt = float(sum(
-            load * costs[e](load)
-            for e, load in zip(opt_eq.edge_ids, opt_eq.edge_loads)))
+        sc_opt = _social(_cost_list(net, costs), opt_eq.edge_loads)
         sc_eq = eq.social_cost
         lam = eq.cost
         active = eq.active_edges

@@ -3,12 +3,17 @@
 import dataclasses
 import math
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from poakit import Affine, Edge, Network, NonConvergence, PathSet, load_network
+import poakit
+from poakit import Affine, BisectionFailure, Edge, Network, NonConvergence, PathSet, load_network
 from poakit.equilibrium import (
+    _first_root,
     check_regularity,
     solve_affine_exact,
     solve_equilibrium,
@@ -149,8 +154,21 @@ def test_zero_demand_is_free_flow():
 
 def test_exhausted_iteration_budget_raises():
     net, costs = fixture("fig1")
-    with pytest.raises(NonConvergence):
-        solve_equilibrium(net, costs, 2.5, max_iter=0)
+    for budget in (0, 2):
+        with pytest.raises(NonConvergence,
+                           match=rf"after {budget} iterations \(iteration budget exhausted\)"):
+            solve_equilibrium(net, costs, 2.5, max_iter=budget)
+
+
+def test_stalled_iteration_reports_work_done():
+    # the marginal costs of the piecewise-linear edges jump at their knots,
+    # where the duality gap cannot be certified; the default budget is 10**6
+    net, costs = fixture("wheatstone_pwl")
+    mu = float(np.linspace(0.1, 12.0, 100)[35])
+    with pytest.raises(NonConvergence, match=r"\(iterations stalled\)") as err:
+        solve_optimum(net, costs, mu)
+    done = int(re.search(r"after (\d+) iterations", str(err.value)).group(1))
+    assert 0 < done < 10_000
 
 
 def test_exact_solver_rejects_non_affine():
@@ -208,6 +226,78 @@ def test_parallel_and_single_edge_regular():
     assert check_regularity(solve_equilibrium(net, costs, 2.0)).regular
     single = Network(("O", "D"), (Edge("e", "O", "D"),), "O", "D")
     assert check_regularity(solve_equilibrium(single, {"e": Affine(1, 1)}, 1.0)).regular
+
+
+# -- monotone root finding ----------------------------------------------------------
+
+
+def counted(g):
+    """g plus the list of points it was evaluated at."""
+    calls = []
+
+    def wrapped(t):
+        calls.append(t)
+        return g(t)
+
+    return wrapped, calls
+
+
+def first_root(g, lo, hi, xtol):
+    return _first_root(g, lo, g(lo), hi, g(hi), xtol)
+
+
+def test_first_root_lands_on_a_linear_root_in_one_step():
+    g, calls = counted(lambda t: 3.0 * t - 1.0)
+    root = first_root(g, 0.0, 1.0, 1e-14)
+    assert calls[2] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert len(calls) == 4  # both ends, the root, and the step closing the bracket
+    assert 1.0 / 3.0 <= root <= 1.0 / 3.0 + 1e-14
+
+
+def test_first_root_takes_the_left_end_of_a_zero_interval():
+    def g(t):
+        return min(t - 0.25, 0.0) + max(t - 0.6, 0.0)
+
+    for hi in (1.0, 0.5):  # g(hi) > 0, and g(hi) == 0 inside the interval
+        assert 0.25 <= first_root(g, 0.0, hi, 1e-13) <= 0.25 + 1e-13
+
+
+def test_first_root_at_a_kink_of_a_piecewise_linear_g():
+    for kink, left, right in ((0.3, 1.0, 10.0), (0.7, 10.0, 1.0)):
+        g, calls = counted(lambda t: (left if t < kink else right) * (t - kink))
+        root = first_root(g, 0.0, 1.0, 1e-14)
+        assert kink <= root <= kink + 1e-14
+        assert len(calls) <= 10
+
+
+def test_first_root_keeps_lo_when_g_jumps_just_past_it():
+    # a line search at a knot where a marginal cost jumps up: no step helps
+    assert first_root(lambda t: 14.5 if t > 0 else -305.5, 0.0, 1.0, 1e-14) == 0.0
+
+
+def test_first_root_is_superlinear_on_smooth_g():
+    # bisection needs 47 steps for this bracket and tolerance
+    g, calls = counted(lambda t: t ** 3 - 0.3)
+    root = first_root(g, 0.0, 1.0, 1e-14)
+    assert abs(root - 0.3 ** (1.0 / 3.0)) <= 1e-14
+    assert len(calls) <= 16
+
+
+def test_first_root_rejects_nan():
+    with pytest.raises(BisectionFailure):
+        _first_root(lambda t: math.nan, 0.0, -1.0, 1.0, 1.0, 1e-14)
+    with pytest.raises(BisectionFailure):
+        _first_root(lambda t: t, 0.0, math.nan, 1.0, 1.0, 1e-14)
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(poakit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, poakit; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # -- series-parallel recursion -----------------------------------------------------

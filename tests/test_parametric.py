@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from poakit.costs import Affine
-from poakit.equilibrium import solve_affine_exact, verify_wardrop, EquilibriumSolution
+from poakit.equilibrium import solve_affine_exact, verify_wardrop
 from poakit.errors import SignViolation
 from poakit.network import Network, Edge, PathSet, load_network
 from poakit.parametric import (
@@ -15,6 +15,7 @@ from poakit.parametric import (
     TraceSegment,
     optimum_breakpoints,
     segment_social_costs,
+    segment_solution,
     trace_affine,
     trace_from_json,
     trace_to_completion,
@@ -41,23 +42,6 @@ def full_trace(name):
         start = {"nested3": 260.0, "nested2": 24.0}.get(name, 8.0)
         _TRACE_CACHE[name] = (net, costs, trace_to_completion(net, costs, mu_start=start))
     return _TRACE_CACHE[name]
-
-
-def solution_from_segment(net, costs, seg, mu):
-    """Package the segment's flow line at mu so verify_wardrop can grade it."""
-    ps = PathSet.build(net)
-    f = seg.flows(mu)
-    x = ps.edge_loads(f)
-    cost_list = [costs[e.id] for e in net.edges]
-    edge_costs = {e.id: float(c(v)) for e, c, v in zip(net.edges, cost_list, x)}
-    c_path = np.array([sum(edge_costs[e] for e in p) for p in ps.paths])
-    lam = float(c_path.min())
-    social = float(sum(v * edge_costs[e.id] for e, v in zip(net.edges, x)))
-    return EquilibriumSolution(
-        demand=mu, edge_ids=tuple(e.id for e in net.edges), paths=ps.paths,
-        path_flows=f, edge_loads=x, edge_costs=edge_costs, cost=lam,
-        active_edges=seg.active_edges, beckmann_value=0.0, duality_gap=0.0,
-        social_cost=social)
 
 
 # -- the seven-edge fixture: full structure ------------------------------------
@@ -110,7 +94,7 @@ class TestSevenEdgeTrace:
         for seg in self.trace.segments:
             for t in (0.1, 0.3, 0.5, 0.7, 0.9):
                 mu = seg.mu_lo + t * (seg.mu_hi - seg.mu_lo)
-                sol = solution_from_segment(self.net, self.costs, seg, mu)
+                sol = segment_solution(self.net, self.costs, seg, mu)
                 assert verify_wardrop(self.net, self.costs, sol).ok, (seg.mu_lo, mu)
 
     def test_unused_paths_have_zero_line(self):
@@ -247,8 +231,8 @@ def test_braess_selection_kink_is_not_a_breakpoint():
     for mu in np.linspace(seg.mu_lo, seg.mu_hi, 9):
         if mu == 0:
             continue
-        sol = solution_from_segment(net, costs, seg, mu)
-        assert sol.path_flows.min() >= -1e-9
+        assert seg.flows(mu).min() >= -1e-9
+        sol = segment_solution(net, costs, seg, mu)
         assert verify_wardrop(net, costs, sol).ok, mu
 
 
@@ -395,5 +379,5 @@ def test_random_networks_trace_cleanly():
                 mu = seg.mu_lo + t * (seg.mu_hi - seg.mu_lo)
                 if mu <= 0:
                     continue
-                sol = solution_from_segment(net, costs, seg, mu)
+                sol = segment_solution(net, costs, seg, mu)
                 assert verify_wardrop(net, costs, sol).ok, (seg.mu_lo, mu)
