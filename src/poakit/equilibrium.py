@@ -13,8 +13,7 @@ Solvers:
 - :func:`solve_affine_exact` primal active-set method on the quadratic
   potential of all-affine costs; exact up to linear-solve precision.
 - :func:`sp_equilibrium`     recursive solver on a series-parallel
-  decomposition, splitting parallel joins at the root of the nondecreasing
-  branch-cost difference.
+  decomposition, splitting parallel joins by a monotone root search.
 
 All solvers return the minimum-Euclidean-norm path-flow equilibrium so that
 outputs are deterministic even when equilibria are non-unique.
@@ -130,13 +129,14 @@ def _first_root(g, lo: float, g_lo: float, hi: float, g_hi: float, xtol: float) 
     leave the bracket or is not under half the step before last (Dekker's
     method with Brent's step test, Brent 1973, ch. 4): superlinear on smooth
     g, exact once two points share a linear piece, and finite. Steps stay
-    xtol/2 inside the bracket, so linear g takes two. Points with g >= 0
-    become the upper end, which thus reaches the left end of a zero interval.
-    Returns the upper end if g is zero there, else the lower end (lo itself
-    when g jumps up just past it). NaN raises :class:`BisectionFailure`.
+    xtol/2 inside the bracket, so linear g takes two; points with g >= 0
+    close it from above, down to the left end of a zero interval. Returns the
+    last point found with g < 0, short of any jump in g, or the upper end if
+    that point is lo. NaN raises :class:`BisectionFailure`.
     """
     if not g_lo < 0 <= g_hi:
         raise BisectionFailure(f"no sign change to bracket on [{lo!r}, {hi!r}]")
+    start = lo
     a, g_a, b, g_b = lo, g_lo, hi, g_hi  # the two latest points, b the newer
     step_prev = step_old = math.inf  # lengths of the last two steps
     while hi - lo > xtol:
@@ -155,10 +155,10 @@ def _first_root(g, lo: float, g_lo: float, hi: float, g_hi: float, xtol: float) 
             raise BisectionFailure(f"NaN at {t!r} while bracketing a root on [{lo!r}, {hi!r}]")
         a, g_a, b, g_b = b, g_b, t, g_t
         if g_t >= 0:
-            hi, g_hi = t, g_t
+            hi = t
         else:
             lo = t
-    return hi if g_hi == 0 else lo
+    return lo if lo > start else hi
 
 
 # -- Frank-Wolfe with away steps ----------------------------------------------
@@ -746,9 +746,8 @@ def sp_equilibrium(dec: SPTree, costs: dict[str, CostFunction],
     """Equilibrium of a series-parallel network via its composition tree.
 
     Series children carry the full throughput and add their costs; parallel
-    children split it where the branch cost curves cross (the first root of
-    their nondecreasing difference). Edge ids in the solution follow sorted
-    leaf order.
+    children split it at the first root of their nondecreasing cost
+    difference. Edge ids in the solution follow sorted leaf order.
     """
     if mu < 0:
         raise ValueError(f"demand must be nonnegative, got {mu}")

@@ -171,6 +171,15 @@ def test_stalled_iteration_reports_work_done():
     assert 0 < done < 10_000
 
 
+def test_optimum_at_the_knots_of_jumping_marginal_costs():
+    # at mu = 4 the optimum puts both piecewise-linear edges exactly on their
+    # knot x = 2, where their marginal costs jump from 1 to 81
+    net, costs = fixture("wheatstone_pwl")
+    sol = solve_optimum(net, costs, 4.0)
+    assert sol.social_cost == pytest.approx(12.0, rel=1e-9)
+    assert dict(zip(sol.edge_ids, sol.edge_loads))["v1-D"] == pytest.approx(2.0, abs=1e-9)
+
+
 def test_exact_solver_rejects_non_affine():
     net, costs = fixture("parallel_quad")
     with pytest.raises(ValueError):
@@ -251,7 +260,7 @@ def test_first_root_lands_on_a_linear_root_in_one_step():
     root = first_root(g, 0.0, 1.0, 1e-14)
     assert calls[2] == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert len(calls) == 4  # both ends, the root, and the step closing the bracket
-    assert 1.0 / 3.0 <= root <= 1.0 / 3.0 + 1e-14
+    assert abs(root - 1.0 / 3.0) <= 1e-14
 
 
 def test_first_root_takes_the_left_end_of_a_zero_interval():
@@ -259,20 +268,23 @@ def test_first_root_takes_the_left_end_of_a_zero_interval():
         return min(t - 0.25, 0.0) + max(t - 0.6, 0.0)
 
     for hi in (1.0, 0.5):  # g(hi) > 0, and g(hi) == 0 inside the interval
-        assert 0.25 <= first_root(g, 0.0, hi, 1e-13) <= 0.25 + 1e-13
+        assert abs(first_root(g, 0.0, hi, 1e-13) - 0.25) <= 1e-13
 
 
 def test_first_root_at_a_kink_of_a_piecewise_linear_g():
     for kink, left, right in ((0.3, 1.0, 10.0), (0.7, 10.0, 1.0)):
         g, calls = counted(lambda t: (left if t < kink else right) * (t - kink))
         root = first_root(g, 0.0, 1.0, 1e-14)
-        assert kink <= root <= kink + 1e-14
+        assert abs(root - kink) <= 1e-14
         assert len(calls) <= 10
 
 
-def test_first_root_keeps_lo_when_g_jumps_just_past_it():
-    # a line search at a knot where a marginal cost jumps up: no step helps
-    assert first_root(lambda t: 14.5 if t > 0 else -305.5, 0.0, 1.0, 1e-14) == 0.0
+def test_first_root_stops_short_of_a_jump_but_never_at_lo():
+    # a line search toward a knot where a marginal cost jumps up
+    root = first_root(lambda t: 14.5 if t > 0.3 else -305.5, 0.0, 1.0, 1e-14)
+    assert 0.3 - 1e-14 <= root <= 0.3
+    # g(lo) < 0, so the root lies past lo even when the jump is within xtol of it
+    assert 0.0 < first_root(lambda t: 14.5 if t > 0 else -305.5, 0.0, 1.0, 1e-14) <= 1e-14
 
 
 def test_first_root_is_superlinear_on_smooth_g():
