@@ -18,6 +18,8 @@ from .equilibrium import (
     DEFAULT_TOL,
     MAX_ITER,
     EquilibriumSolution,
+    _cost_list,
+    _is_affine,
     solve_affine_exact,
     solve_equilibrium,
     solve_optimum,
@@ -47,7 +49,6 @@ from .parametric import (
 )
 from .poa import (
     DECLARE_ONE_TOL,
-    _is_affine,
     classify_segments,
     compute_poa,
     find_poa_max,
@@ -139,7 +140,7 @@ def _solution_from_doc(doc: dict) -> EquilibriumSolution:
 
 def _solve_one(net, costs, mu: float, tol: float, max_iter: int,
                cap: int | None) -> EquilibriumSolution:
-    if _is_affine(net, costs):
+    if _is_affine(_cost_list(net, costs)):
         return solve_affine_exact(net, costs, mu, path_cap=cap)
     return solve_equilibrium(net, costs, mu, tol=tol, max_iter=max_iter,
                              path_cap=cap)
@@ -225,13 +226,7 @@ def cmd_sweep(args) -> int:
 def cmd_analyze(args) -> int:
     net, costs = load_network(args.network)
     cap = _path_cap()
-    if args.max_demand is None:
-        trace = trace_to_completion(net, costs, path_cap=cap)
-        last = trace.breakpoint_demands[-1] if trace.breakpoints else 1.0
-        mu_max = 2.0 * last + 1.0
-        curve = classify_segments(net, costs, mu_max, trace=trace, path_cap=cap)
-    else:
-        curve = classify_segments(net, costs, args.max_demand, path_cap=cap)
+    curve = classify_segments(net, costs, args.max_demand, path_cap=cap)
     mx = find_poa_max(net, costs, n_grid=args.grid, grid_slack=args.grid_slack,
                       path_cap=cap, curve=curve)
     doc = {
@@ -270,17 +265,19 @@ def cmd_verify(args) -> int:
         for seg in trace.segments:
             for mu in np.linspace(seg.mu_lo, seg.mu_hi,
                                   args.samples_per_segment + 2)[1:-1]:
-                sol = segment_solution(net, costs, seg, float(mu))
-                checks.append((float(mu), verify_wardrop(net, costs, sol,
-                                                         tol=args.tol)))
+                sol = segment_solution(net, costs, seg, float(mu), path_cap=cap)
+                checks.append((float(mu), verify_wardrop(net, costs, sol, tol=args.tol,
+                                                         path_cap=cap)))
     elif args.solution is not None:
         sol = _solution_from_doc(_read_json(args.solution))
-        checks.append((sol.demand, verify_wardrop(net, costs, sol, tol=args.tol)))
+        checks.append((sol.demand, verify_wardrop(net, costs, sol, tol=args.tol,
+                                                  path_cap=cap)))
     else:
         if args.demand <= 0:
             raise ValueError(f"demand must be positive, got {args.demand}")
         sol = _solve_one(net, costs, args.demand, DEFAULT_TOL, MAX_ITER, cap)
-        checks.append((args.demand, verify_wardrop(net, costs, sol, tol=args.tol)))
+        checks.append((args.demand, verify_wardrop(net, costs, sol, tol=args.tol,
+                                                   path_cap=cap)))
     violations = [f"mu={mu:.12g}: {v}"
                   for mu, rep in checks for v in rep.violations]
     doc = {

@@ -17,6 +17,13 @@ Solvers:
 
 All solvers return the minimum-Euclidean-norm path-flow equilibrium so that
 outputs are deterministic even when equilibria are non-unique.
+
+One primal active-set kernel, :func:`_simplex_qp`, solves every quadratic
+program here: min 1/2 x'Hx + g'x subject to Cx = r and x >= 0. With C = 1'
+it is the exact affine solve (H, g the path quadratic) and the tracer's
+direction problem past an event; with H = I, g = 0 and C an orthonormal
+basis of the equations that fix the equilibrium set, it is the minimum-norm
+selection.
 """
 
 from __future__ import annotations
@@ -49,6 +56,8 @@ MAX_ITER = 10 ** 6
 # c_p <= EPS_ACTIVE_ABS when lambda == 0
 EPS_ACTIVE_REL = 1e-7
 EPS_ACTIVE_ABS = 1e-9
+# the active-set kernel gives up after this many pivots per variable, plus one
+PIVOTS_PER_VARIABLE = 50
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,10 @@ def _cost_list(net: Network, costs: dict[str, CostFunction]) -> list[CostFunctio
     if missing:
         raise ValueError(f"no cost given for edges {missing}")
     return [costs[e.id] for e in net.edges]
+
+
+def _is_affine(cost_list) -> bool:
+    return all(isinstance(c, Affine) for c in cost_list)
 
 
 def _edge_costs(cost_list, loads: np.ndarray) -> np.ndarray:
@@ -307,58 +320,6 @@ def _polish(ps: PathSet, cost_list, mu: float, f0: np.ndarray, rounds: int = 60)
 # -- minimum-norm selection ----------------------------------------------------
 
 
-def _least_norm_nonneg(C: np.ndarray, r: np.ndarray, x0: np.ndarray,
-                       max_pivots: int | None = None) -> np.ndarray:
-    """min ||x||_2 subject to Cx = r, x >= 0, starting from a feasible x0.
-
-    Primal active-set projection. Each subproblem fixes a set of variables
-    at zero and takes the minimum-norm solution of the remaining equality
-    system; blocking constraints join the set, and variables with negative
-    multipliers leave it.
-    """
-    n = C.shape[1]
-    x = np.maximum(np.asarray(x0, dtype=float).copy(), 0.0)
-    scale = max(1.0, float(np.abs(r).max())) if r.size else 1.0
-    zero = 1e-12 * scale
-    at_bound = x <= zero
-    if max_pivots is None:
-        max_pivots = 30 * (n + 1)
-
-    for _ in range(max_pivots):
-        free = ~at_bound
-        if not free.any():
-            return x
-        y_f, *_ = np.linalg.lstsq(C[:, free], r, rcond=None)
-        y = np.zeros(n)
-        y[free] = y_f
-        if y_f.min() >= -zero:
-            x = np.maximum(y, 0.0)
-            # multipliers: x_free = (C^T nu)_free; bound components need
-            # sigma = -(C^T nu) >= 0 for optimality
-            nu, *_ = np.linalg.lstsq(C[:, free].T, x[free], rcond=None)
-            sigma = -(C.T @ nu)
-            worst = None
-            if at_bound.any():
-                idx = np.flatnonzero(at_bound)
-                k = idx[int(np.argmin(sigma[idx]))]
-                if sigma[k] < -zero:
-                    worst = k
-            if worst is None:
-                return x
-            at_bound[worst] = False
-            continue
-        # step toward y until the first coordinate hits zero
-        drop = (y < -zero) & free
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(drop, x / np.maximum(x - y, 1e-300), np.inf)
-        k = int(np.argmin(ratios))
-        t = float(min(max(ratios[k], 0.0), 1.0))
-        x = np.maximum(x + t * (y - x), 0.0)
-        at_bound[k] = True
-        x[k] = 0.0
-    return x  # pivot cap reached; x is feasible and near-optimal
-
-
 def _path_quadratic(Z: np.ndarray, cost_list) -> tuple[np.ndarray, np.ndarray]:
     """Path costs A f + d under affine edge costs a*x + b on incidence Z:
     A = Z' diag(a) Z sums slopes over shared edges, d = Z' b sums intercepts."""
@@ -372,17 +333,25 @@ def _min_norm_flows(ps: PathSet, cost_list, mu: float, f: np.ndarray) -> np.ndar
 
     For all-affine costs the full equilibrium set {A f' = A f, d.f' = d.f}
     is searched; otherwise the loads are held fixed, which preserves every
-    edge cost and therefore equilibrium.
+    edge cost and therefore equilibrium. Both systems have dependent rows,
+    so they are reduced once to an orthonormal basis B of their row space
+    and the search runs on B f' = B f.
     """
-    Z = ps.incidence
-    if all(isinstance(c, Affine) for c in cost_list):
+    Z, n = ps.incidence, ps.n_paths
+    if _is_affine(cost_list):
         A, d = _path_quadratic(Z, cost_list)
-        C = np.vstack([np.ones((1, ps.n_paths)), A, d[None, :]])
-        r = np.concatenate([[mu], A @ f, [d @ f]])
+        C = np.vstack([np.ones((1, n)), A, d[None, :]])
     else:
-        C = np.vstack([np.ones((1, ps.n_paths)), Z])
-        r = np.concatenate([[mu], Z @ f])
-    out = _least_norm_nonneg(C, r, f)
+        C = np.vstack([np.ones((1, n)), Z])
+    _, sv, Vt = np.linalg.svd(C, full_matrices=False)
+    B = Vt[:int((sv > 1e-10 * sv[0]).sum())]
+    if len(B) == n:
+        return f  # the constraints pin the flows
+    try:
+        out, _ = _simplex_qp(np.eye(n), np.zeros(n), B, B @ f, f)
+    except SupportSearchExhausted:
+        return f  # the input is an equilibrium already
+    out = np.maximum(out, 0.0)
     # never let the selection degrade the equilibrium itself
     c_out = _edge_costs(cost_list, Z @ out) @ Z
     c_in = _edge_costs(cost_list, Z @ f) @ Z
@@ -394,8 +363,7 @@ def _min_norm_flows(ps: PathSet, cost_list, mu: float, f: np.ndarray) -> np.ndar
 # -- public solvers -------------------------------------------------------------
 
 
-def _package(ps: PathSet, cost_list, mu: float, f: np.ndarray,
-             kind=EquilibriumSolution, social_override=None) -> EquilibriumSolution:
+def _package(ps: PathSet, cost_list, mu: float, f: np.ndarray) -> EquilibriumSolution:
     Z = ps.incidence
     x = Z @ f
     c_edge = _edge_costs(cost_list, x)
@@ -403,8 +371,7 @@ def _package(ps: PathSet, cost_list, mu: float, f: np.ndarray,
     lam = float(c_path.min()) if len(c_path) else 0.0
     value = _beckmann(cost_list, x)
     gap = float(c_path @ f - mu * lam)
-    social = _social(cost_list, x) if social_override is None else social_override
-    return kind(
+    return EquilibriumSolution(
         demand=mu,
         edge_ids=ps.net.edge_ids,
         paths=ps.paths,
@@ -415,7 +382,7 @@ def _package(ps: PathSet, cost_list, mu: float, f: np.ndarray,
         active_edges=_active_edge_set(ps, c_path, lam),
         beckmann_value=value,
         duality_gap=max(gap, 0.0),
-        social_cost=social,
+        social_cost=_social(cost_list, x),
     )
 
 
@@ -469,61 +436,61 @@ def solve_optimum(net: Network, costs: dict[str, CostFunction], mu: float,
     marginal = {eid: c.marginal() for eid, c in costs.items()}
     eq = solve_equilibrium(net, marginal, mu, tol=tol, max_iter=max_iter,
                            path_cap=path_cap)
-    ps = PathSet.build(net, cap=path_cap)
-    cost_list = _cost_list(net, costs)
-    marg_list = _cost_list(net, marginal)
-    return _package(ps, marg_list, mu, eq.path_flows, kind=OptimumSolution,
-                    social_override=_social(cost_list, eq.edge_loads))
+    social = _social(_cost_list(net, costs), eq.edge_loads)
+    return OptimumSolution(**{**vars(eq), "social_cost": social})
 
 
-def _simplex_qp(A: np.ndarray, d: np.ndarray, total: float,
-                free: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """min 1/2 x'Ax + d'x subject to sum(x) = total and x >= 0 off ``free``.
+def _simplex_qp(H: np.ndarray, g: np.ndarray, C: np.ndarray, r: np.ndarray,
+                x0: np.ndarray, free: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """min 1/2 x'Hx + g'x subject to Cx = r and x >= 0 off ``free``, from a
+    feasible x0.
 
-    Primal active-set method for positive semidefinite A. Each pivot solves
-    the equality-constrained problem on the working set S (the variables
-    allowed off zero) through the KKT system [A_SS -1; 1' 0]. Where that
-    system is singular, its null space holds zero-curvature directions along
-    which the objective is linear; if one of them descends, the subproblem is
-    unbounded and a null-space step moves along it to the first bound.
-    Entering and leaving variables are picked by Bland's rule (smallest
-    index), which rules out cycling through degenerate pivots. Returns (x, lam), lam being the
-    common value of (Ax + d) on S. Raises :class:`SupportSearchExhausted`
-    once 50*(n+1) pivots pass without an optimum.
+    Primal active-set method for positive semidefinite H (Nocedal & Wright,
+    ch. 16). Each pivot solves the equality-constrained problem on the
+    working set S (the variables allowed off zero) through the KKT system
+    [H_SS -C_S'; C_S 0], by SVD, so that dependent rows of C_S do no harm.
+    Where the system is singular in x, its null space holds zero-curvature
+    directions along which the objective is linear; if one of them descends,
+    the subproblem is unbounded and a null-space step moves along it to the
+    first bound. Entering and leaving variables are picked by Bland's rule
+    (smallest index), which rules out cycling through degenerate pivots.
+    Returns (x, nu), nu being the multipliers of Cx = r, so that
+    Hx + g - C'nu is zero on S and nonnegative off it. Raises
+    :class:`SupportSearchExhausted` once PIVOTS_PER_VARIABLE*(n+1) pivots
+    pass without an optimum.
     """
-    n = len(d)
+    n = len(g)
     bounded = np.ones(n, dtype=bool) if free is None else ~free
-    max_pivots = 50 * (n + 1)
-    x = np.zeros(n)
-    k = int(np.argmin(d)) if bounded.all() else int(np.flatnonzero(~bounded)[0])
-    x[k] = total
-    S = ~bounded
-    S[k] = True
-    flow_tol = 1e-12 * max(1.0, abs(total))
+    max_pivots = PIVOTS_PER_VARIABLE * (n + 1)
+    x = np.array(x0, dtype=float)
+    flow_tol = 1e-12 * max(1.0, float(np.abs(x).max(initial=0.0)))
+    S = ~bounded | (x > flow_tol)
+    x[~S] = 0.0  # dust starts at its bound
+    k = len(r)
     for _ in range(max_pivots):
         idx = np.flatnonzero(S)
         m = len(idx)
-        kkt = np.zeros((m + 1, m + 1))
-        kkt[:m, :m] = A[np.ix_(idx, idx)]
-        kkt[:m, m] = -1.0
-        kkt[m, :m] = 1.0
+        kkt = np.zeros((m + k, m + k))
+        kkt[:m, :m] = H[np.ix_(idx, idx)]
+        kkt[:m, m:] = -C[:, idx].T
+        kkt[m:, :m] = C[:, idx]
         U, sv, Vt = np.linalg.svd(kkt)
         rank = int((sv > 1e-10 * sv[0]).sum())
-        g = A @ x + d
+        grad = H @ x + g
         null = Vt[rank:, :m]  # zero-curvature directions (p, 0)
-        slope = null @ g[idx]
-        if slope.size and np.abs(slope).max() > 1e-12 * max(1.0, np.abs(g[idx]).max()):
+        slope = null @ grad[idx]
+        if slope.size and np.abs(slope).max() > 1e-12 * max(1.0, np.abs(grad[idx]).max()):
             p = -(null.T @ slope)  # descends linearly until a bound blocks
         else:
-            rhs = np.concatenate([-d[idx], [total]])
+            rhs = np.concatenate([-g[idx], r])
             y = Vt[:rank].T @ ((U[:, :rank].T @ rhs) / sv[:rank])
-            full, lam = y[:m], float(y[m])
+            full, nu = y[:m], y[m:]
             if full[bounded[idx]].min(initial=0.0) >= -flow_tol:
                 x[idx] = full
-                s = A @ x + d - lam
-                entering = np.flatnonzero(~S & (s < -1e-11 * max(1.0, abs(lam))))
+                s = H @ x + g - C.T @ nu
+                entering = np.flatnonzero(~S & (s < -1e-11 * max(1.0, np.abs(nu).max())))
                 if not len(entering):
-                    return x, lam
+                    return x, nu
                 S[entering[0]] = True
                 continue
             p = full - x[idx]
@@ -553,14 +520,17 @@ def solve_affine_exact(net: Network, costs: dict[str, CostFunction], mu: float,
     if mu < 0:
         raise ValueError(f"demand must be nonnegative, got {mu}")
     cost_list = _cost_list(net, costs)
-    if not all(isinstance(c, Affine) for c in cost_list):
+    if not _is_affine(cost_list):
         raise ValueError("solve_affine_exact requires every cost to be affine")
     ps = PathSet.build(net, cap=path_cap)
     if mu == 0:
         return _package(ps, cost_list, 0.0, np.zeros(ps.n_paths))
 
     A, d = _path_quadratic(ps.incidence, cost_list)
-    f, lam = _simplex_qp(A, d, mu)
+    f0 = np.zeros(ps.n_paths)
+    f0[np.argmin(d)] = mu  # start on the cheapest path at zero load
+    f, nu = _simplex_qp(A, d, np.ones((1, ps.n_paths)), np.array([mu]), f0)
+    lam = float(nu[0])
     if f.min() < -1e-9 * max(1.0, mu):
         raise SupportSearchExhausted(f"negative path flow {f.min():.3e} at demand {mu}")
     f = np.maximum(f, 0.0)
@@ -592,13 +562,14 @@ class WardropReport:
 
 
 def verify_wardrop(net: Network, costs: dict[str, CostFunction],
-                   sol: EquilibriumSolution, tol: float = 1e-8) -> WardropReport:
+                   sol: EquilibriumSolution, tol: float = 1e-8,
+                   path_cap: int | None = None) -> WardropReport:
     """Check the equilibrium conditions of a solution, report-only.
 
     Used paths must sit within tol of the minimum path cost; no path may be
     cheaper than the reported common cost; total cost must equal mu*lambda.
     """
-    ps = PathSet.build(net)
+    ps = PathSet.build(net, cap=path_cap)
     flow_by_path = dict(zip(sol.paths, np.asarray(sol.path_flows, dtype=float)))
     f = np.array([flow_by_path.get(p, 0.0) for p in ps.paths])
     cost_list = _cost_list(net, costs)

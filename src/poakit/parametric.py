@@ -24,12 +24,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .costs import Affine, CostFunction
+from .costs import CostFunction
 from .errors import SignViolation, SupportSearchExhausted, TraceFailure
 from .network import Network, PathSet, incidence
 from .equilibrium import (
     EquilibriumSolution,
     _cost_list,
+    _is_affine,
     _min_norm_flows,
     _package,
     _path_quadratic,
@@ -210,9 +211,12 @@ def _pivot(A, d, mu_limit: float):
         tie = np.flatnonzero(c <= lam + 1e-10 * max(1.0, abs(lam)))
         f = np.where(f > 1e-12 * max(1.0, lo), f, 0.0)  # clear roundoff dust
         flowing = f[tie] > 0
+        m = len(tie)
+        start = np.zeros(m)
+        start[np.argmax(flowing)] = 1.0  # the first flowing path, else the first
         try:
-            rate, _ = _simplex_qp(A[np.ix_(tie, tie)], np.zeros(len(tie)), 1.0,
-                                  free=flowing)
+            rate, _ = _simplex_qp(A[np.ix_(tie, tie)], np.zeros(m), np.ones((1, m)),
+                                  np.ones(1), start, free=flowing)
         except SupportSearchExhausted as exc:
             raise TraceFailure(f"no equilibrium direction past demand {lo}: {exc}") from exc
         w = np.zeros(n)
@@ -244,8 +248,8 @@ def trace_affine(net: Network, costs: dict[str, CostFunction], mu_max: float,
     """
     if mu_max <= 0:
         raise ValueError(f"mu_max must be positive, got {mu_max}")
-    cost_list = [costs[e.id] for e in net.edges]
-    if not all(isinstance(c, Affine) for c in cost_list):
+    cost_list = _cost_list(net, costs)
+    if not _is_affine(cost_list):
         raise ValueError("trace_affine requires every cost to be affine")
     ps = PathSet.build(net, cap=path_cap)
     A, d = _path_quadratic(ps.incidence, cost_list)
@@ -299,7 +303,8 @@ def trace_to_completion(net: Network, costs: dict[str, CostFunction],
 
 
 def segment_solution(net: Network, costs: dict[str, CostFunction],
-                     seg: TraceSegment, mu: float) -> EquilibriumSolution:
+                     seg: TraceSegment, mu: float,
+                     path_cap: int | None = None) -> EquilibriumSolution:
     """Equilibrium at ``mu`` from a segment's flow line, matched to paths by key.
 
     The line is an equilibrium only on the segment's own demand interval
@@ -307,7 +312,7 @@ def segment_solution(net: Network, costs: dict[str, CostFunction],
     roundoff dust in the flows is clipped, anything more negative surfaces
     as a cost-evaluation error.
     """
-    ps = PathSet.build(net)
+    ps = PathSet.build(net, cap=path_cap)
     by_path = dict(zip(seg.paths, np.asarray(seg.flows(mu), dtype=float)))
     f = np.array([by_path.get(p, 0.0) for p in ps.paths])
     dust = 1e-9 * max(1.0, mu)

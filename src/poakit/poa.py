@@ -17,11 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .costs import Affine, CostFunction
+from .costs import CostFunction
 from .errors import ClassificationConflict, GridExceedsBreakpointMax
 from .network import Network
-from .equilibrium import (_cost_list, _social, solve_affine_exact, solve_equilibrium,
-                          solve_optimum)
+from .equilibrium import (_cost_list, _is_affine, _social, solve_affine_exact,
+                          solve_equilibrium, solve_optimum)
 from .parametric import AffineTrace, trace_affine, trace_to_completion
 
 __all__ = [
@@ -65,10 +65,6 @@ class PoAPoint:
         return active_set_hash(self.active_edges)
 
 
-def _is_affine(net: Network, costs: dict[str, CostFunction]) -> bool:
-    return all(isinstance(costs[e.id], Affine) for e in net.edges)
-
-
 def compute_poa(net: Network, costs: dict[str, CostFunction], mu: float,
                 tol: float = DECLARE_ONE_TOL,
                 path_cap: int | None = None) -> PoAPoint:
@@ -85,11 +81,12 @@ def compute_poa(net: Network, costs: dict[str, CostFunction], mu: float,
         sol = solve_equilibrium(net, costs, 0.0, path_cap=path_cap)
         return PoAPoint(mu=0.0, lam=sol.cost, sc_eq=0.0, sc_opt=0.0, poa=1.0,
                         active_edges=sol.active_edges)
-    if _is_affine(net, costs):
+    cost_list = _cost_list(net, costs)
+    if _is_affine(cost_list):
         eq = solve_affine_exact(net, costs, mu, path_cap=path_cap)
         marginal = {e.id: costs[e.id].marginal() for e in net.edges}
         opt_eq = solve_affine_exact(net, marginal, mu, path_cap=path_cap)
-        sc_opt = _social(_cost_list(net, costs), opt_eq.edge_loads)
+        sc_opt = _social(cost_list, opt_eq.edge_loads)
         sc_eq = eq.social_cost
         lam = eq.cost
         active = eq.active_edges
@@ -224,15 +221,22 @@ def _valley_root(c0, c1, c2, roots):
     return roots[0]
 
 
-def classify_segments(net: Network, costs: dict[str, CostFunction], mu_max: float,
+def classify_segments(net: Network, costs: dict[str, CostFunction],
+                      mu_max: float | None = None,
                       trace: AffineTrace | None = None,
                       path_cap: int | None = None) -> PoACurve:
     """Piecewise description of the ratio curve on (0, mu_max], classified.
 
     Needs the equilibrium structure out to 2*mu_max so every denominator
     segment is available; pass ``trace`` to reuse one, otherwise it is
-    traced here.
+    traced here. The default ``mu_max`` is 2*(last breakpoint) + 1, read off
+    a complete trace, which covers every breakpoint on both sides.
     """
+    if mu_max is None:
+        if trace is None or not trace.complete:
+            trace = trace_to_completion(net, costs, path_cap=path_cap)
+        last = trace.breakpoint_demands[-1] if trace.breakpoints else 1.0
+        mu_max = 2.0 * last + 1.0
     if mu_max <= 0:
         raise ValueError(f"mu_max must be positive, got {mu_max}")
     if trace is None or (trace.mu_max < 2.0 * mu_max and not trace.complete):
@@ -283,16 +287,9 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
     ``grid_slack`` the piece structure is inconsistent and
     :class:`GridExceedsBreakpointMax` is raised.
     """
-    if curve is not None:
-        mu_max = curve.mu_max
-    elif mu_max is None:
-        trace = trace_to_completion(net, costs, path_cap=path_cap)
-        last = trace.breakpoint_demands[-1] if trace.breakpoints else 1.0
-        mu_max = 2.0 * last + 1.0
-        curve = classify_segments(net, costs, mu_max, trace=trace,
-                                  path_cap=path_cap)
-    else:
+    if curve is None:
         curve = classify_segments(net, costs, mu_max, path_cap=path_cap)
+    mu_max = curve.mu_max
     eq_set = set(curve.eq_breakpoints)
     candidates = [(mu, True) for mu in curve.merged_breakpoints if mu <= mu_max]
     candidates.append((mu_max, False))

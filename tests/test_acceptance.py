@@ -139,9 +139,7 @@ def random_curves():
     for _ in range(50):
         net, costs = random_affine_network(rng)
         trace = trace_to_completion(net, costs, mu_start=8.0)
-        last = trace.breakpoint_demands[-1] if trace.breakpoints else 1.0
-        mu_max = 2.0 * last + 1.0
-        curve = classify_segments(net, costs, mu_max, trace=trace)
+        curve = classify_segments(net, costs, trace=trace)  # window 2*(last bp) + 1
         out.append((net, costs, curve))
     return out
 

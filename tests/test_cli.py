@@ -263,12 +263,23 @@ class TestExitCodes:
         assert report["ok"] is False
         assert report["violations"]
 
-    def test_path_cap_env_override(self):
+    def test_path_cap_env_override(self, tmp_path):
         code, _, err = run_cli("solve", "--network", fixture("fig1"),
                                "--demand", "1",
                                env_extra={"POA_MAX_PATHS": "2"})
         assert code == 1
         assert "paths" in err
+        # verify honours the cap for a given solution or trace too
+        sol, trace = tmp_path / "sol.json", tmp_path / "trace.json"
+        assert run_cli("solve", "--network", fixture("fig1"), "--demand", "1",
+                       "--output", str(sol))[0] == 0
+        assert run_cli("trace", "--network", fixture("fig1"), "--max-demand", "5",
+                       "--output", str(trace))[0] == 0
+        for flag, path in (("--solution", sol), ("--trace", trace)):
+            code, _, err = run_cli("verify", "--network", fixture("fig1"),
+                                   flag, str(path), env_extra={"POA_MAX_PATHS": "2"})
+            assert code == 1, flag
+            assert "paths" in err, flag
         code, _, err = run_cli("solve", "--network", fixture("fig1"),
                                "--demand", "1",
                                env_extra={"POA_MAX_PATHS": "banana"})

@@ -11,9 +11,15 @@ import numpy as np
 import pytest
 
 import poakit
-from poakit import Affine, BisectionFailure, Edge, Network, NonConvergence, PathSet, load_network
+from poakit import (Affine, BisectionFailure, Edge, Network, NonConvergence, PathSet,
+                    SupportSearchExhausted, load_network)
+from poakit import equilibrium
 from poakit.equilibrium import (
+    _cost_list,
     _first_root,
+    _min_norm_flows,
+    _path_quadratic,
+    _simplex_qp,
     check_regularity,
     solve_affine_exact,
     solve_equilibrium,
@@ -130,6 +136,79 @@ def test_min_norm_is_deterministic():
     a = solve_equilibrium(net, costs, 2.5)
     b = solve_equilibrium(net, costs, 2.5)
     assert a.path_flows.tolist() == b.path_flows.tolist()
+
+
+# -- the active-set kernel ----------------------------------------------------------
+
+
+def assert_kkt(H, g, C, r, x, nu, free=None, tol=1e-10):
+    """Feasibility, multiplier signs and complementarity of a kernel answer."""
+    bounded = np.ones(len(x), dtype=bool) if free is None else ~free
+    s = H @ x + g - C.T @ nu  # multipliers of x >= 0
+    assert np.abs(C @ x - r).max() <= tol * max(1.0, np.abs(r).max())
+    assert x[bounded].min(initial=0.0) >= -tol
+    assert np.abs(s[~bounded]).max(initial=0.0) <= tol
+    assert s[bounded].min(initial=0.0) >= -tol
+    assert np.abs(s[bounded] * x[bounded]).max(initial=0.0) <= tol
+
+
+def braess_quadratic():
+    """Path quadratic of braess_direct; paths O-D, O-v1-D, O-v1-v2-D, O-v2-D."""
+    net, costs = fixture("braess_direct")
+    ps = PathSet.build(net)
+    A, d = _path_quadratic(ps.incidence, _cost_list(net, costs))
+    return ps, _cost_list(net, costs), A, d
+
+
+def test_kernel_min_norm_with_dependent_rows():
+    # the raw affine min-norm system: six rows of rank three
+    _, _, A, d = braess_quadratic()
+    t = 0.8
+    f = np.array([1 + t, 1 - t, t, 1 - t])  # an equilibrium at demand 3
+    C = np.vstack([np.ones((1, 4)), A, d[None, :]])
+    assert np.linalg.matrix_rank(C) == 3
+    H, g, r = np.eye(4), np.zeros(4), C @ f
+    x, nu = _simplex_qp(H, g, C, r, f)
+    assert_kkt(H, g, C, r, x, nu)
+    assert x == pytest.approx([1.25, 0.75, 0.25, 0.75], abs=1e-10)
+
+
+def test_kernel_steps_along_a_descending_null_space_direction():
+    # braess_direct's singular quadratic with the O-D intercept cut to 1.5:
+    # from the uniform start every path is in the working set, and the
+    # zero-curvature direction p descends, so the first pivot is unbounded
+    _, _, A, d = braess_quadratic()
+    g = d.copy()
+    g[0] = 1.5
+    p = np.array([1.0, -1.0, 1.0, -1.0])
+    assert np.all(A @ p == 0) and p.sum() == 0 and g @ p < 0
+    C, r = np.ones((1, 4)), np.array([3.0])
+    x, nu = _simplex_qp(A, g, C, r, np.full(4, 0.75))
+    assert_kkt(A, g, C, r, x, nu)
+    assert x == pytest.approx([2.25, 0.0, 0.75, 0.0], abs=1e-10)
+    assert nu[0] == pytest.approx(1.5, abs=1e-10)
+
+
+def test_kernel_with_free_variables():
+    # the tracer's direction problem at fig1's first event: the first path
+    # carries flow, so its rate is free, and it comes out negative
+    H = np.array([[3.0, 2.0, 2.0], [2.0, 2.0, 1.0], [2.0, 1.0, 2.0]])
+    free = np.array([True, False, True])
+    g, C, r = np.zeros(3), np.ones((1, 3)), np.ones(1)
+    x, nu = _simplex_qp(H, g, C, r, np.array([1.0, 0.0, 0.0]), free=free)
+    assert_kkt(H, g, C, r, x, nu, free=free)
+    assert x == pytest.approx([-1.0, 1.0, 1.0], abs=1e-10)
+
+
+def test_kernel_pivot_cap(monkeypatch):
+    ps, cost_list, A, d = braess_quadratic()
+    f = np.array([1.8, 0.2, 0.8, 0.2])  # an equilibrium at demand 3, not min-norm
+    assert not np.allclose(_min_norm_flows(ps, cost_list, 3.0, f), f)
+    monkeypatch.setattr(equilibrium, "PIVOTS_PER_VARIABLE", 0)
+    with pytest.raises(SupportSearchExhausted, match="pivots"):
+        _simplex_qp(A, d, np.ones((1, 4)), np.array([3.0]), np.array([3.0, 0, 0, 0]))
+    # the selection keeps its input, which is an equilibrium already
+    assert _min_norm_flows(ps, cost_list, 3.0, f) is f
 
 
 # -- single edge, zero demand, convergence buff ---------------------------------
