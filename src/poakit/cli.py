@@ -312,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help=f"relative duality-gap target (default {DEFAULT_TOL:g})")
     p.add_argument("--max-iter", type=int, default=MAX_ITER,
-                   help=f"iteration budget (default {MAX_ITER})")
+                   help=f"Newton iteration budget (default {MAX_ITER})")
     p.add_argument("--equal-tol", type=float, default=DECLARE_ONE_TOL,
                    help="relative band for declaring the ratio exactly one "
                         f"(default {DECLARE_ONE_TOL:g})")
@@ -322,7 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--demand", type=float, required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=MAX_ITER)
+    p.add_argument("--max-iter", type=int, default=MAX_ITER,
+                   help=f"Newton iteration budget (default {MAX_ITER})")
     p.set_defaults(func=cmd_optimum)
 
     p = sub.add_parser("trace",

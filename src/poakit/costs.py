@@ -48,9 +48,6 @@ def _finite(kind: str, name: str, values) -> tuple[float, ...]:
 class CostFunction:
     """Interface shared by all edge cost functions."""
 
-    #: True when derivative() is defined everywhere (enables Newton polish).
-    smooth: bool = False
-
     def evaluate(self, x):
         raise NotImplementedError
 
@@ -73,7 +70,6 @@ class Affine(CostFunction):
 
     a: float
     b: float
-    smooth = True
 
     def __post_init__(self):
         (a,) = _finite("affine", "a", (self.a,))
@@ -104,7 +100,6 @@ class Polynomial(CostFunction):
     """c(x) = sum_k coeffs[k] * x**k with all coefficients >= 0."""
 
     coeffs: tuple[float, ...]
-    smooth = True
 
     def __post_init__(self):
         coeffs = _finite("polynomial", "coeffs", self.coeffs)

@@ -6,9 +6,9 @@ marginal-cost game whose equilibria are the social optima.
 
 Solvers:
 
-- :func:`solve_equilibrium`  Frank-Wolfe with away steps on the potential,
-  followed by an active-support Newton polish and a minimum-norm selection
-  among equilibrium path flows.
+- :func:`solve_equilibrium`  projected Newton steps on the potential, each
+  one kernel call on its second-order model (exact in one step on affine
+  costs), followed by a minimum-norm selection among equilibrium path flows.
 - :func:`solve_optimum`      the same solver on marginal costs.
 - :func:`solve_affine_exact` primal active-set method on the quadratic
   potential of all-affine costs; exact up to linear-solve precision.
@@ -20,10 +20,10 @@ outputs are deterministic even when equilibria are non-unique.
 
 One primal active-set kernel, :func:`_simplex_qp`, solves every quadratic
 program here: min 1/2 x'Hx + g'x subject to Cx = r and x >= 0. With C = 1'
-it is the exact affine solve (H, g the path quadratic) and the tracer's
-direction problem past an event; with H = I, g = 0 and C an orthonormal
-basis of the equations that fix the equilibrium set, it is the minimum-norm
-selection.
+it is the exact affine solve (H, g the path quadratic), each Newton step
+(H, g the potential's second-order model) and the tracer's direction
+problem past an event; with H = I, g = 0 and C an orthonormal basis of the
+equations that fix the equilibrium set, it is the minimum-norm selection.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def _first_root(g, lo: float, g_lo: float, hi: float, g_hi: float, xtol: float) 
     return lo if lo > start else hi
 
 
-# -- Frank-Wolfe with away steps ----------------------------------------------
+# -- Newton steps on the active-set kernel ---------------------------------------
 
 
 def _line_search(cost_list, loads, delta, hi):
@@ -194,127 +194,56 @@ def _line_search(cost_list, loads, delta, hi):
     return _first_root(dphi, 0.0, slope_lo, float(hi), slope_hi, 1e-14 * max(1.0, hi))
 
 
-def _frank_wolfe(ps: PathSet, cost_list, mu: float, tol: float, max_iter: int,
-                 f0: np.ndarray | None = None):
+def _newton(ps: PathSet, cost_list, mu: float, tol: float, max_iter: int) -> np.ndarray:
     """Minimize the potential over the path-flow simplex of total mass mu.
 
-    Returns (flows, iterations, relative_gap). Away steps reactivate dropped
-    paths and give linear convergence on affine instances. ``f0`` warm-starts
-    the iteration; the default start is the cheapest free-flow path vertex.
+    Path-based projected Newton, a sequential QP (Bertsekas & Gafni 1983):
+    at flows f the kernel minimizes the potential's second-order model
+    1/2 y'Hy + g'y over the simplex, with H = Z' diag(c'(x)) Z and
+    g = c_path - H f, and a line search on [0, 1] moves toward y. Exact in
+    one step on affine costs. Starts from the cheapest free-flow path vertex
+    and stops once the relative duality gap is at most ``tol``. Near the
+    optimum rounding can leave the line search short of moving the flows;
+    the full step is then taken if it shrinks the gap without raising the
+    potential. Raises :class:`NonConvergence` if it does not (stalled), or
+    after ``max_iter`` iterations.
     """
     Z = ps.incidence
-    n = ps.n_paths
-    if f0 is None:
-        loads0 = np.zeros(ps.n_edges)
-        costs0 = _edge_costs(cost_list, loads0)
-        start = int(np.argmin(costs0 @ Z))
-        f = np.zeros(n)
-        f[start] = mu
-    else:
-        f = f0.copy()
+    ones, total = np.ones((1, ps.n_paths)), np.array([mu])
+    f = np.zeros(ps.n_paths)
+    f[np.argmin(_edge_costs(cost_list, np.zeros(ps.n_edges)) @ Z)] = mu
 
-    gap_rel = np.inf
-    it = 0
-    best_gap = np.inf
-    last_improvement = 0
-    for it in range(1, max_iter + 1):
+    def evaluate(f):
         x = Z @ f
-        c_edge = _edge_costs(cost_list, x)
-        c_path = c_edge @ Z
-        best = int(np.argmin(c_path))
-        value = _beckmann(cost_list, x)
-        gap = float(c_path @ f - mu * c_path[best])
+        c_path = _edge_costs(cost_list, x) @ Z
+        return x, c_path, _beckmann(cost_list, x), float(c_path @ f - mu * c_path.min())
+
+    def failure(why):
+        return NonConvergence(f"relative duality gap {gap_rel:.3e} above tol {tol:.1e} "
+                              f"after {it} iterations ({why})")
+
+    x, c_path, value, gap = evaluate(f)
+    it = 0
+    while True:
         gap_rel = gap / max(abs(value), 1e-12)
         if gap_rel <= tol or gap <= 1e-15 * max(1.0, mu):
-            break
-        if gap < best_gap * (1.0 - 1e-3):
-            best_gap = gap
-            last_improvement = it
-        elif it - last_improvement > 512:
-            break  # gap has flatlined (nonsmooth costs); polish takes over
-
-        used = np.flatnonzero(f > 1e-14 * mu)
-        worst = int(used[np.argmax(c_path[used])])
-        toward = mu * c_path[worst] - float(c_path @ f)  # away-step improvement rate
-        if toward > gap and f[worst] < mu:
-            d = f.copy()
-            d[worst] -= mu  # direction f - mu*e_worst
-            hi = f[worst] / (mu - f[worst])
-        else:
-            d = -f.copy()
-            d[best] += mu  # direction mu*e_best - f
-            hi = 1.0
-        t = _line_search(cost_list, x, Z @ d, hi)
-        if t <= 0:
-            break  # line search stalled; polish takes over
-        f = np.maximum(f + t * d, 0.0)
-        f *= mu / f.sum()
-    return f, it, gap_rel
-
-
-# -- Newton polish on the active support --------------------------------------
-
-
-def _polish(ps: PathSet, cost_list, mu: float, f0: np.ndarray, rounds: int = 60):
-    """Sharpen a near-equilibrium by solving the equal-cost system on the
-    used-path support, with costs linearized at the current loads.
-
-    Exact in one step for affine costs and within a fixed piece for
-    piecewise-linear costs; a few iterations for polynomials. Every candidate
-    is validated before acceptance, so a failed polish cannot make the
-    returned flows worse.
-    """
-    Z = ps.incidence
-    n = ps.n_paths
-
-    def residual(f):
-        c_path = _edge_costs(cost_list, Z @ f) @ Z
-        return _wardrop_residual(c_path, f, mu)
-
-    best_f = f0
-    best_res = residual(f0)
-    support = set(np.flatnonzero(f0 > 1e-8 * max(1.0, mu)).tolist())
-    f = f0
-    for _ in range(rounds):
-        S = sorted(support)
-        Zs = Z[:, S]
-        x = Z @ f
-        c0 = _edge_costs(cost_list, x)
+            return f
+        if it == max_iter:
+            raise failure("iteration budget exhausted")
+        it += 1
         slope = np.array([c.derivative(v) for c, v in zip(cost_list, x)])
-        # linear model c(x0) + slope*(x - x0); unknowns (f_S, lam):
-        #   Zs^T diag(slope) Zs f_S - lam = Zs^T (slope*x0 - c0),  sum f_S = mu
-        m = len(S)
-        lhs = np.zeros((m + 1, m + 1))
-        lhs[:m, :m] = Zs.T * slope @ Zs
-        lhs[:m, m] = -1.0
-        lhs[m, :m] = 1.0
-        rhs = np.concatenate([Zs.T @ (slope * x - c0), [mu]])
-        sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-        f_s = sol[:m]
-        if f_s.min() < -1e-9 * max(1.0, mu):
-            support.discard(S[int(np.argmin(f_s))])
-            if not support:
-                break
-            continue
-        cand = np.zeros(n)
-        cand[S] = np.maximum(f_s, 0.0)
-        cand *= mu / cand.sum()
-        res = residual(cand)
-        if res < best_res:
-            best_f, best_res = cand, res
-            f = cand
-        # grow the support if an unused path undercuts the common cost
-        c_path = _edge_costs(cost_list, Z @ cand) @ Z
-        lam = float(c_path[sorted(support)].max())
-        entering = [p for p in range(n)
-                    if p not in support and c_path[p] < lam - 1e-13 * max(1.0, lam)]
-        if res <= 1e-14 * max(1.0, lam) and not entering:
-            break
-        if entering:
-            support.add(min(entering, key=lambda p: c_path[p]))
-        elif res >= best_res:
-            break
-    return best_f
+        H = Z.T * slope @ Z
+        y, _ = _simplex_qp(H, c_path - H @ f, ones, total, f)
+        d = y - f
+        t = _line_search(cost_list, x, Z @ d, 1.0)
+        short = t * np.abs(d).max() <= 1e-13 * mu
+        step = np.maximum(f + (1.0 if short else t) * d, 0.0)
+        step *= mu / step.sum()
+        x1, c1, value1, gap1 = evaluate(step)
+        # the potential sums nonnegative primitives, so it rounds relative to itself
+        if short and not (gap1 < gap and value1 <= value + 1e-12 * abs(value)):
+            raise failure("iterations stalled")
+        f, x, c_path, value, gap = step, x1, c1, value1, gap1
 
 
 # -- minimum-norm selection ----------------------------------------------------
@@ -391,10 +320,11 @@ def solve_equilibrium(net: Network, costs: dict[str, CostFunction], mu: float,
                       path_cap: int | None = None) -> EquilibriumSolution:
     """Wardrop equilibrium at demand mu >= 0.
 
-    Frank-Wolfe iterations stop once the relative duality gap drops below
-    ``tol``; a support polish then sharpens the flows to near machine
-    precision, and the minimum-norm equilibrium is returned. Raises
-    :class:`NonConvergence` when the gap cannot be certified.
+    Newton steps on the active-set kernel (see :func:`_newton`) run from the
+    cheapest free-flow path until the relative duality gap is at most
+    ``tol``, at most ``max_iter`` of them; the minimum-norm equilibrium on
+    the loads found is returned. Raises :class:`NonConvergence` when the gap
+    cannot be certified.
     """
     if mu < 0:
         raise ValueError(f"demand must be nonnegative, got {mu}")
@@ -403,28 +333,7 @@ def solve_equilibrium(net: Network, costs: dict[str, CostFunction], mu: float,
     if mu == 0:
         return _package(ps, cost_list, 0.0, np.zeros(ps.n_paths))
 
-    # escalation schedule: try the polish alone first (it is exact for affine
-    # and within-piece costs), then interleave growing blocks of iterations
-    # with fresh polish attempts; the polish draws on the same budget
-    remaining = max_iter
-    f = None
-    chunk = 0
-    while True:
-        f, it, gap_rel = _frank_wolfe(ps, cost_list, mu, tol, chunk, f0=f)
-        remaining -= it
-        rounds = min(60, max(remaining, 0))
-        if rounds > 0:
-            f = _polish(ps, cost_list, mu, f, rounds=rounds)
-        probe = _package(ps, cost_list, mu, f)
-        probe_rel = probe.duality_gap / max(abs(probe.beckmann_value), 1e-12)
-        if probe_rel <= tol or gap_rel <= tol:
-            break
-        if remaining <= 0 or (chunk > 0 and it < chunk):
-            why = "iteration budget exhausted" if remaining <= 0 else "iterations stalled"
-            raise NonConvergence(
-                f"relative duality gap {min(gap_rel, probe_rel):.3e} above tol "
-                f"{tol:.1e} after {max_iter - remaining} iterations ({why})")
-        chunk = min(remaining, max(4 * chunk, 32))
+    f = _newton(ps, cost_list, mu, tol, max_iter)
     f = _min_norm_flows(ps, cost_list, mu, f)
     return _package(ps, cost_list, mu, f)
 

@@ -76,9 +76,6 @@ class Network:
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.edges)
 
-    def edge_index(self) -> dict[str, int]:
-        return {e.id: i for i, e in enumerate(self.edges)}
-
     def out_edges(self, vertex: str) -> list[Edge]:
         return sorted((e for e in self.edges if e.tail == vertex), key=lambda e: e.id)
 

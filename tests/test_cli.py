@@ -147,11 +147,11 @@ class TestCommands:
         assert doc["ok"] is True
         assert doc["checked"] == 5 * n_segments
 
-    def test_affine_analyze_runs_without_frank_wolfe(self, tmp_path, monkeypatch):
+    def test_affine_analyze_runs_without_newton_iterations(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("Frank-Wolfe called on an affine instance")
+            raise AssertionError("iterative solver called on an affine instance")
 
-        monkeypatch.setattr("poakit.equilibrium._frank_wolfe", refuse)
+        monkeypatch.setattr("poakit.equilibrium._newton", refuse)
         out = tmp_path / "analyze.json"
         assert cli.main(["analyze", "--network", fixture("nested3"),
                          "--output", str(out)]) == 0
