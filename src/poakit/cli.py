@@ -18,6 +18,8 @@ from .equilibrium import (
     DEFAULT_TOL,
     MAX_ITER,
     EquilibriumSolution,
+    OptimumSolution,
+    _affine_optimum,
     _cost_list,
     _is_affine,
     solve_affine_exact,
@@ -146,6 +148,13 @@ def _solve_one(net, costs, mu: float, tol: float, max_iter: int,
                              path_cap=cap)
 
 
+def _optimum_one(net, costs, mu: float, tol: float, max_iter: int,
+                 cap: int | None) -> OptimumSolution:
+    if _is_affine(_cost_list(net, costs)):
+        return _affine_optimum(net, costs, mu, path_cap=cap)
+    return solve_optimum(net, costs, mu, tol=tol, max_iter=max_iter, path_cap=cap)
+
+
 # -- command handlers --------------------------------------------------------------
 
 
@@ -168,8 +177,7 @@ def cmd_optimum(args) -> int:
     net, costs = load_network(args.network)
     if args.demand <= 0:
         raise ValueError(f"demand must be positive, got {args.demand}")
-    sol = solve_optimum(net, costs, args.demand, tol=args.tol,
-                        max_iter=args.max_iter, path_cap=_path_cap())
+    sol = _optimum_one(net, costs, args.demand, args.tol, args.max_iter, _path_cap())
     doc = _solution_doc(sol, "optimum")
     doc["meta"] = _meta("optimum", args, {
         "tol": args.tol, "max_iter": args.max_iter})

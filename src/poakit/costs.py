@@ -8,12 +8,19 @@ potential of the routing game convex. Each class provides:
 - ``marginal()``      the cost c(x) + x*c'(x) as a new cost function
 - ``derivative(x)``   c'(x), using the left derivative at piecewise kinks
 
+:class:`EdgeCosts` is the array layer the solvers use: the costs of one
+network's edges, evaluated on a whole load vector per call. Affine and
+polynomial costs share one zero-padded coefficient matrix, evaluated by
+Horner's rule with the same operations, in the same order, as the per-edge
+methods, so both give the same bits.
+
 Evaluating any cost at a negative load raises :class:`NegativeLoad`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +32,17 @@ __all__ = [
     "Affine",
     "Polynomial",
     "PiecewiseLinear",
+    "EdgeCosts",
     "cost_from_json",
     "cost_to_json",
 ]
 
 
 def _check_load(x) -> np.ndarray | float:
+    if isinstance(x, (int, float, np.floating)):
+        if x < 0:
+            raise NegativeLoad(f"cost evaluated at negative load {float(x)!r}")
+        return float(x)
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise NegativeLoad(f"cost evaluated at negative load {arr.min()!r}")
@@ -230,6 +242,81 @@ class _PiecewiseMarginal(CostFunction):
 
     def marginal(self) -> "CostFunction":
         raise NotImplementedError("marginal of a marginal cost is not supported")
+
+
+def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Polynomials at x by Horner's rule, one per column of ``coef`` (row k:
+    the degree-k coefficients), in the steps of ``polynomial.polyval``."""
+    out = coef[-1].copy()
+    for row in coef[-2::-1]:
+        out *= x
+        out += row
+    return out
+
+
+class EdgeCosts(CostFunction):
+    """The costs of a network's edges, in order, evaluated on load vectors.
+
+    Built from a mapping of edge id to cost. Affine (a*x + b, stored as
+    [b, a]) and polynomial costs fill one zero-padded coefficient matrix;
+    ``evaluate``, ``derivative`` and ``primitive`` are Horner passes over it
+    and over its derivative and primitive matrices. The affine primitive
+    keeps its closed form 0.5*a*x*x + b*x, which Horner would round
+    differently. Piecewise-linear costs and their marginals are called one
+    edge at a time. A load vector is checked once per call. ``a`` and ``b``
+    are the slope and intercept columns, meaningful where ``affine`` is set.
+    """
+
+    def __init__(self, costs: Mapping[str, CostFunction]):
+        self.ids = tuple(costs)
+        rows = [(c.b, c.a) if isinstance(c, Affine) else c.coeffs if isinstance(c, Polynomial)
+                else () for c in costs.values()]
+        width = max([2, *map(len, rows)])
+        flat: list[float] = []
+        for row in rows:
+            flat += row
+            flat += (0.0,) * (width - len(row))
+        coef = np.array(flat).reshape(len(rows), width).T
+        k = np.arange(1.0, width + 1.0)[:, None]
+        self._coef = coef
+        self._der = coef[1:] * k[:-1]
+        self._prim = np.zeros((width + 1, len(rows)))
+        np.divide(coef, k, out=self._prim[1:])
+        self.affine = np.array([isinstance(c, Affine) for c in costs.values()], dtype=bool)
+        self.b, self.a = coef[0], coef[1]
+        self._half_a = 0.5 * self.a
+        self._other = [(j, c) for j, c in enumerate(costs.values())
+                       if not isinstance(c, (Affine, Polynomial))]
+
+    def _loads(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        negative = x < 0
+        if negative.any():
+            j = int(negative.argmax())
+            raise NegativeLoad(f"cost of edge {self.ids[j]!r} evaluated at "
+                               f"negative load {float(x[j])!r}")
+        return x
+
+    def evaluate(self, x):
+        x = self._loads(x)
+        out = _horner(self._coef, x)
+        for j, c in self._other:
+            out[j] = c.evaluate(x[j])
+        return out
+
+    def primitive(self, x):
+        x = self._loads(x)
+        out = np.where(self.affine, self._half_a * x * x + self.b * x, _horner(self._prim, x))
+        for j, c in self._other:
+            out[j] = c.primitive(x[j])
+        return out
+
+    def derivative(self, x):
+        x = self._loads(x)
+        out = _horner(self._der, x)
+        for j, c in self._other:
+            out[j] = c.derivative(x[j])
+        return out
 
 
 def cost_to_json(cost: CostFunction) -> dict:

@@ -24,6 +24,10 @@ it is the exact affine solve (H, g the path quadratic), each Newton step
 (H, g the potential's second-order model) and the tracer's direction
 problem past an event; with H = I, g = 0 and C an orthonormal basis of the
 equations that fix the equilibrium set, it is the minimum-norm selection.
+
+Every solve reads its costs through one :class:`~poakit.costs.EdgeCosts`,
+built per call in edge order: each load vector is evaluated, integrated or
+differentiated in one call, not edge by edge.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import Affine, CostFunction
+from .costs import CostFunction, EdgeCosts
 from .errors import BisectionFailure, NonConvergence, SupportSearchExhausted
 from .network import Network, PathSet, SPLeaf, SPParallel, SPSeries, SPTree
 
@@ -87,27 +91,26 @@ class OptimumSolution(EquilibriumSolution):
     """
 
 
-def _cost_list(net: Network, costs: dict[str, CostFunction]) -> list[CostFunction]:
+def _cost_list(net: Network, costs: dict[str, CostFunction]) -> EdgeCosts:
     missing = [e.id for e in net.edges if e.id not in costs]
     if missing:
         raise ValueError(f"no cost given for edges {missing}")
-    return [costs[e.id] for e in net.edges]
+    return EdgeCosts({e.id: costs[e.id] for e in net.edges})
 
 
-def _is_affine(cost_list) -> bool:
-    return all(isinstance(c, Affine) for c in cost_list)
+def _is_affine(cost_list: EdgeCosts) -> bool:
+    return bool(cost_list.affine.all())
 
 
-def _edge_costs(cost_list, loads: np.ndarray) -> np.ndarray:
-    return np.array([c.evaluate(x) for c, x in zip(cost_list, loads)])
+# Edge sums run left to right over Python floats (``sum``), not pairwise as
+# ``np.sum`` does: the summation order fixes the last bits of every answer.
+
+def _beckmann(cost_list: EdgeCosts, loads: np.ndarray) -> float:
+    return float(sum(cost_list.primitive(loads).tolist()))
 
 
-def _beckmann(cost_list, loads: np.ndarray) -> float:
-    return float(sum(c.primitive(x) for c, x in zip(cost_list, loads)))
-
-
-def _social(cost_list, loads: np.ndarray) -> float:
-    return float(sum(x * c.evaluate(x) for c, x in zip(cost_list, loads)))
+def _social(cost_list: EdgeCosts, loads: np.ndarray) -> float:
+    return float(sum((loads * cost_list.evaluate(loads)).tolist()))
 
 
 def _wardrop_residual(path_costs: np.ndarray, flows: np.ndarray, mu: float) -> float:
@@ -184,7 +187,7 @@ def _line_search(cost_list, loads, delta, hi):
 
     def dphi(t):
         x = np.maximum(loads + t * delta, 0.0)
-        return float(sum(c.evaluate(v) * dv for c, v, dv in zip(cost_list, x, delta)))
+        return float(sum((cost_list.evaluate(x) * delta).tolist()))
 
     slope_lo, slope_hi = dphi(0.0), dphi(hi)
     if slope_lo >= 0:
@@ -211,11 +214,11 @@ def _newton(ps: PathSet, cost_list, mu: float, tol: float, max_iter: int) -> np.
     Z = ps.incidence
     ones, total = np.ones((1, ps.n_paths)), np.array([mu])
     f = np.zeros(ps.n_paths)
-    f[np.argmin(_edge_costs(cost_list, np.zeros(ps.n_edges)) @ Z)] = mu
+    f[np.argmin(cost_list.evaluate(np.zeros(ps.n_edges)) @ Z)] = mu
 
     def evaluate(f):
         x = Z @ f
-        c_path = _edge_costs(cost_list, x) @ Z
+        c_path = cost_list.evaluate(x) @ Z
         return x, c_path, _beckmann(cost_list, x), float(c_path @ f - mu * c_path.min())
 
     def failure(why):
@@ -231,8 +234,7 @@ def _newton(ps: PathSet, cost_list, mu: float, tol: float, max_iter: int) -> np.
         if it == max_iter:
             raise failure("iteration budget exhausted")
         it += 1
-        slope = np.array([c.derivative(v) for c, v in zip(cost_list, x)])
-        H = Z.T * slope @ Z
+        H = Z.T * cost_list.derivative(x) @ Z
         y, _ = _simplex_qp(H, c_path - H @ f, ones, total, f)
         d = y - f
         t = _line_search(cost_list, x, Z @ d, 1.0)
@@ -249,15 +251,13 @@ def _newton(ps: PathSet, cost_list, mu: float, tol: float, max_iter: int) -> np.
 # -- minimum-norm selection ----------------------------------------------------
 
 
-def _path_quadratic(Z: np.ndarray, cost_list) -> tuple[np.ndarray, np.ndarray]:
+def _path_quadratic(Z: np.ndarray, cost_list: EdgeCosts) -> tuple[np.ndarray, np.ndarray]:
     """Path costs A f + d under affine edge costs a*x + b on incidence Z:
     A = Z' diag(a) Z sums slopes over shared edges, d = Z' b sums intercepts."""
-    a = np.array([c.a for c in cost_list])
-    b = np.array([c.b for c in cost_list])
-    return Z.T * a @ Z, Z.T @ b
+    return Z.T * cost_list.a @ Z, Z.T @ cost_list.b
 
 
-def _min_norm_flows(ps: PathSet, cost_list, mu: float, f: np.ndarray) -> np.ndarray:
+def _min_norm_flows(ps: PathSet, cost_list: EdgeCosts, mu: float, f: np.ndarray) -> np.ndarray:
     """Select the minimum-norm path-flow vector among equilibria.
 
     For all-affine costs the full equilibrium set {A f' = A f, d.f' = d.f}
@@ -282,8 +282,8 @@ def _min_norm_flows(ps: PathSet, cost_list, mu: float, f: np.ndarray) -> np.ndar
         return f  # the input is an equilibrium already
     out = np.maximum(out, 0.0)
     # never let the selection degrade the equilibrium itself
-    c_out = _edge_costs(cost_list, Z @ out) @ Z
-    c_in = _edge_costs(cost_list, Z @ f) @ Z
+    c_out = cost_list.evaluate(Z @ out) @ Z
+    c_in = cost_list.evaluate(Z @ f) @ Z
     if _wardrop_residual(c_out, out, mu) <= _wardrop_residual(c_in, f, mu) + 1e-9:
         return out
     return f
@@ -292,10 +292,11 @@ def _min_norm_flows(ps: PathSet, cost_list, mu: float, f: np.ndarray) -> np.ndar
 # -- public solvers -------------------------------------------------------------
 
 
-def _package(ps: PathSet, cost_list, mu: float, f: np.ndarray) -> EquilibriumSolution:
+def _package(ps: PathSet, cost_list: EdgeCosts, mu: float,
+             f: np.ndarray) -> EquilibriumSolution:
     Z = ps.incidence
     x = Z @ f
-    c_edge = _edge_costs(cost_list, x)
+    c_edge = cost_list.evaluate(x)
     c_path = c_edge @ Z
     lam = float(c_path.min()) if len(c_path) else 0.0
     value = _beckmann(cost_list, x)
@@ -454,6 +455,16 @@ def solve_affine_exact(net: Network, costs: dict[str, CostFunction], mu: float,
     return _package(ps, cost_list, mu, f)
 
 
+def _affine_optimum(net: Network, costs: dict[str, CostFunction], mu: float,
+                    path_cap: int | None = None) -> OptimumSolution:
+    """Exact social optimum for all-affine costs: :func:`solve_affine_exact`
+    on the marginal-cost game, itself affine, priced in the original costs."""
+    marginal = {e.id: costs[e.id].marginal() for e in net.edges}
+    eq = solve_affine_exact(net, marginal, mu, path_cap=path_cap)
+    social = _social(_cost_list(net, costs), eq.edge_loads)
+    return OptimumSolution(**{**vars(eq), "social_cost": social})
+
+
 # -- verification and regularity ------------------------------------------------
 
 
@@ -483,7 +494,7 @@ def verify_wardrop(net: Network, costs: dict[str, CostFunction],
     f = np.array([flow_by_path.get(p, 0.0) for p in ps.paths])
     cost_list = _cost_list(net, costs)
     x = ps.incidence @ f
-    c_path = _edge_costs(cost_list, x) @ ps.incidence
+    c_path = cost_list.evaluate(x) @ ps.incidence
     lam = float(c_path.min()) if len(c_path) else 0.0
     slacks = c_path - lam
     mu = float(f.sum())
@@ -635,7 +646,7 @@ def sp_equilibrium(dec: SPTree, costs: dict[str, CostFunction],
 
     edge_ids = tuple(sorted(sp_terminals(dec)))
     index = {e: i for i, e in enumerate(edge_ids)}
-    cost_list = [costs[e] for e in edge_ids]
+    cost_list = EdgeCosts({e: costs[e] for e in edge_ids})
 
     paths, flows = _sp_flows(dec, costs, mu)
     f = np.array(flows) if flows else np.zeros(0)
@@ -643,7 +654,7 @@ def sp_equilibrium(dec: SPTree, costs: dict[str, CostFunction],
     for p, fp in zip(paths, flows):
         for e in p:
             loads[index[e]] += fp
-    c_edge = _edge_costs(cost_list, loads)
+    c_edge = cost_list.evaluate(loads)
     lam = _sp_cost(dec, costs, mu)
     social = _social(cost_list, loads)
     active: set[str] = set()

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .costs import CostFunction
+from .costs import CostFunction, EdgeCosts
 from .errors import SignViolation, SupportSearchExhausted, TraceFailure
 from .network import Network, PathSet, incidence
 from .equilibrium import (
@@ -136,7 +136,8 @@ def segment_social_costs(seg: TraceSegment, costs: dict[str, CostFunction]):
     positive beyond tolerance, which signals a mis-traced segment.
     """
     edge_ids = sorted({e for p in seg.paths for e in p})
-    A, d = _path_quadratic(incidence(seg.paths, edge_ids), [costs[e] for e in edge_ids])
+    A, d = _path_quadratic(incidence(seg.paths, edge_ids),
+                           EdgeCosts({e: costs[e] for e in edge_ids}))
     alpha, beta, gamma = _social_coefficients(A, d, seg.w, seg.z)
     scale = max(1.0, abs(alpha), abs(beta), abs(gamma))
     if alpha < -SIGN_TOL * scale or beta < -SIGN_TOL * scale or gamma > SIGN_TOL * scale:

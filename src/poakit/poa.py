@@ -20,7 +20,7 @@ import numpy as np
 from .costs import CostFunction
 from .errors import ClassificationConflict, GridExceedsBreakpointMax
 from .network import Network
-from .equilibrium import (_cost_list, _is_affine, _social, solve_affine_exact,
+from .equilibrium import (_affine_optimum, _cost_list, _is_affine, solve_affine_exact,
                           solve_equilibrium, solve_optimum)
 from .parametric import AffineTrace, trace_affine, trace_to_completion
 
@@ -81,12 +81,9 @@ def compute_poa(net: Network, costs: dict[str, CostFunction], mu: float,
         sol = solve_equilibrium(net, costs, 0.0, path_cap=path_cap)
         return PoAPoint(mu=0.0, lam=sol.cost, sc_eq=0.0, sc_opt=0.0, poa=1.0,
                         active_edges=sol.active_edges)
-    cost_list = _cost_list(net, costs)
-    if _is_affine(cost_list):
+    if _is_affine(_cost_list(net, costs)):
         eq = solve_affine_exact(net, costs, mu, path_cap=path_cap)
-        marginal = {e.id: costs[e.id].marginal() for e in net.edges}
-        opt_eq = solve_affine_exact(net, marginal, mu, path_cap=path_cap)
-        sc_opt = _social(cost_list, opt_eq.edge_loads)
+        sc_opt = _affine_optimum(net, costs, mu, path_cap=path_cap).social_cost
         sc_eq = eq.social_cost
         lam = eq.cost
         active = eq.active_edges

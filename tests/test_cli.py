@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from poakit import TraceFailure, cli
+from poakit import TraceFailure, cli, load_network, solve_optimum
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -158,6 +158,24 @@ class TestCommands:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert len(doc["eq_breakpoints"]) == 14
         assert doc["max"]["value"] == pytest.approx(1.267327, abs=1e-6)
+
+    @pytest.mark.parametrize("name", ["fig1", "nested2", "nested3", "braess_direct"])
+    def test_affine_optimum_runs_without_newton_iterations(self, name, tmp_path, monkeypatch):
+        net, costs = load_network(fixture(name))
+        iterative = solve_optimum(net, costs, 4.5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("iterative solver called on an affine instance")
+
+        monkeypatch.setattr("poakit.equilibrium._newton", refuse)
+        out = tmp_path / "optimum.json"
+        assert cli.main(["optimum", "--network", fixture(name), "--demand", "4.5",
+                         "--max-iter", "0", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["kind"] == "optimum"
+        assert doc["social_cost"] == pytest.approx(iterative.social_cost, rel=1e-12)
+        assert doc["common_cost"] == pytest.approx(iterative.cost, rel=1e-12)
+        assert sorted(doc["active_edges"]) == sorted(iterative.active_edges)
 
     def test_verify_fresh_solve(self):
         code, out, err = run_cli("verify", "--network", fixture("nested2"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from poakit import Affine, NegativeLoad, PiecewiseLinear, Polynomial, cost_from_json, cost_to_json
+from poakit.costs import EdgeCosts
 
 
 def test_affine_values():
@@ -82,8 +83,9 @@ def test_marginal_pwl_evaluates_and_integrates():
 
 def test_negative_load_rejected():
     for c in (Affine(1, 1), Polynomial((1, 1)), PiecewiseLinear((0, 1), (0, 1))):
-        with pytest.raises(NegativeLoad):
-            c.evaluate(-0.5)
+        for x in (-0.5, np.float64(-0.5), np.float32(-0.5), -1):
+            with pytest.raises(NegativeLoad, match=r"negative load -(0\.5|1\.0)$"):
+                c.evaluate(x)
         with pytest.raises(NegativeLoad):
             c.primitive(np.array([1.0, -1e-9]))
 
@@ -165,3 +167,55 @@ def test_primitive_is_convex(c, x1, x2):
     # nondecreasing integrand makes the primitive convex
     mid = 0.5 * (x1 + x2)
     assert c.primitive(mid) <= 0.5 * (c.primitive(x1) + c.primitive(x2)) + 1e-9
+
+
+# -- the array layer ------------------------------------------------------------
+
+def _bpr(t0, capacity):
+    return Polynomial((t0, 0.0, 0.0, 0.0, 0.15 * t0 / capacity ** 4))
+
+
+MIXED = {"aff": Affine(1.5, 0.25), "flat": Affine(0.0, 7.0), "quad": Polynomial((1, 0, 1)),
+         "const": Polynomial((3.0,)), "bpr": _bpr(2.7, 1.3), "cubic": Polynomial((0.5, 2.0, 0.0, 1.25)),
+         "pwl": PiecewiseLinear((0, 2, 2.1), (1, 1, 5)), "pwl1": PiecewiseLinear((0.5,), (2.0,))}
+
+
+@pytest.mark.parametrize("costs", [
+    {k: MIXED[k] for k in ("aff", "flat", "quad", "const", "bpr", "cubic")},
+    {k: MIXED[k] for k in ("pwl", "pwl1")},
+    MIXED,
+    {k: c.marginal() for k, c in MIXED.items()},
+], ids=["affine-poly-bpr", "pwl", "mixed", "marginals"])
+@pytest.mark.parametrize("seed", range(3))
+def test_edge_costs_match_per_edge_methods_bit_for_bit(costs, seed):
+    ec = EdgeCosts(costs)
+    rng = np.random.default_rng(seed)
+    loads = [rng.uniform(0, 4, len(costs)), rng.exponential(10, len(costs)),
+             np.zeros(len(costs)), np.full(len(costs), 2.0)]  # 2.0 sits on a pwl knot
+    for x in loads:
+        for method in ("evaluate", "primitive", "derivative"):
+            got = getattr(ec, method)(x)
+            want = [getattr(c, method)(v) for c, v in zip(costs.values(), x)]
+            assert got.tolist() == [float(w) for w in want], method
+
+
+def test_edge_costs_share_the_affine_columns():
+    ec = EdgeCosts(MIXED)
+    assert ec.affine.tolist() == [True, True] + [False] * 6
+    assert ec.a[:2].tolist() == [1.5, 0.0]
+    assert ec.b[:2].tolist() == [0.25, 7.0]
+
+
+def test_edge_costs_reject_a_negative_load_by_edge():
+    ec = EdgeCosts(MIXED)
+    x = np.ones(len(MIXED))
+    x[4] = -2.5e-9
+    for method in (ec.evaluate, ec.primitive, ec.derivative):
+        with pytest.raises(NegativeLoad, match=r"edge 'bpr' evaluated at negative load -2\.5e-09"):
+            method(x)
+
+
+def test_nan_load_passes_through():
+    for c in (Affine(1, 1), Polynomial((1, 1)), PiecewiseLinear((0, 1), (0, 1))):
+        assert np.isnan(c.evaluate(float("nan")))
+    assert np.isnan(EdgeCosts({"q": Polynomial((1, 1))}).evaluate([float("nan")])).all()
