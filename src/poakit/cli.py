@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -18,11 +19,6 @@ from .equilibrium import (
     DEFAULT_TOL,
     MAX_ITER,
     EquilibriumSolution,
-    OptimumSolution,
-    _affine_optimum,
-    _cost_list,
-    _is_affine,
-    solve_affine_exact,
     solve_equilibrium,
     solve_optimum,
     verify_wardrop,
@@ -52,8 +48,8 @@ from .parametric import (
 from .poa import (
     DECLARE_ONE_TOL,
     classify_segments,
-    compute_poa,
     find_poa_max,
+    poa_ratio,
     sweep_csv_text,
     sweep_poa,
 )
@@ -70,6 +66,27 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _number(kind: type, low: float = -math.inf, above: bool = False):
+    """argparse type: a finite ``kind`` at least ``low``, or above it with ``above``."""
+    bound = ("positive" if above else "nonnegative") if low == 0 else f"at least {low}"
+
+    def parse(text: str):
+        value = kind(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        if value < low or (above and value == low):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse reports "invalid float value: 'x'"
+    return parse
+
+
+_FINITE = _number(float)
+_POSITIVE = _number(float, 0.0, above=True)
+_NONNEGATIVE = _number(float, 0.0)
 
 
 def _path_cap() -> int | None:
@@ -98,8 +115,14 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+_NON_FINITE = "the result holds a non-finite number (inf or NaN)"
+
+
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError(_NON_FINITE) from None
 
 
 def _meta(command: str, args, tolerances: dict) -> dict:
@@ -140,33 +163,16 @@ def _solution_from_doc(doc: dict) -> EquilibriumSolution:
         social_cost=float(doc["social_cost"]))
 
 
-def _solve_one(net, costs, mu: float, tol: float, max_iter: int,
-               cap: int | None) -> EquilibriumSolution:
-    if _is_affine(_cost_list(net, costs)):
-        return solve_affine_exact(net, costs, mu, path_cap=cap)
-    return solve_equilibrium(net, costs, mu, tol=tol, max_iter=max_iter,
-                             path_cap=cap)
-
-
-def _optimum_one(net, costs, mu: float, tol: float, max_iter: int,
-                 cap: int | None) -> OptimumSolution:
-    if _is_affine(_cost_list(net, costs)):
-        return _affine_optimum(net, costs, mu, path_cap=cap)
-    return solve_optimum(net, costs, mu, tol=tol, max_iter=max_iter, path_cap=cap)
-
-
 # -- command handlers --------------------------------------------------------------
 
 
 def cmd_solve(args) -> int:
     net, costs = load_network(args.network)
-    if args.demand <= 0:
-        raise ValueError(f"demand must be positive, got {args.demand}")
     cap = _path_cap()
-    sol = _solve_one(net, costs, args.demand, args.tol, args.max_iter, cap)
-    pt = compute_poa(net, costs, args.demand, tol=args.equal_tol, path_cap=cap)
+    sol = solve_equilibrium(net, costs, args.demand, args.tol, args.max_iter, path_cap=cap)
+    opt = solve_optimum(net, costs, args.demand, args.tol, args.max_iter, path_cap=cap)
     doc = _solution_doc(sol, "equilibrium")
-    doc["poa"] = float(pt.poa)
+    doc["poa"] = poa_ratio(sol.social_cost, opt.social_cost, args.equal_tol)
     doc["meta"] = _meta("solve", args, {
         "tol": args.tol, "max_iter": args.max_iter, "equal_tol": args.equal_tol})
     _emit(_json_text(doc), args.output)
@@ -175,9 +181,7 @@ def cmd_solve(args) -> int:
 
 def cmd_optimum(args) -> int:
     net, costs = load_network(args.network)
-    if args.demand <= 0:
-        raise ValueError(f"demand must be positive, got {args.demand}")
-    sol = _optimum_one(net, costs, args.demand, args.tol, args.max_iter, _path_cap())
+    sol = solve_optimum(net, costs, args.demand, args.tol, args.max_iter, path_cap=_path_cap())
     doc = _solution_doc(sol, "optimum")
     doc["meta"] = _meta("optimum", args, {
         "tol": args.tol, "max_iter": args.max_iter})
@@ -219,6 +223,8 @@ def cmd_sweep(args) -> int:
     rows = sweep_poa(net, costs, args.mu_from, args.to, args.samples,
                      adaptive=args.adaptive, path_cap=_path_cap())
     if args.format == "csv":
+        if not np.isfinite([(r.lam, r.sc_eq, r.sc_opt, r.poa) for r in rows]).all():
+            raise ValueError(_NON_FINITE)
         _emit(sweep_csv_text(rows), args.output)
     else:
         doc = {
@@ -281,9 +287,7 @@ def cmd_verify(args) -> int:
         checks.append((sol.demand, verify_wardrop(net, costs, sol, tol=args.tol,
                                                   path_cap=cap)))
     else:
-        if args.demand <= 0:
-            raise ValueError(f"demand must be positive, got {args.demand}")
-        sol = _solve_one(net, costs, args.demand, DEFAULT_TOL, MAX_ITER, cap)
+        sol = solve_equilibrium(net, costs, args.demand, path_cap=cap)
         checks.append((args.demand, verify_wardrop(net, costs, sol, tol=args.tol,
                                                    path_cap=cap)))
     violations = [f"mu={mu:.12g}: {v}"
@@ -316,42 +320,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="equilibrium at one demand (JSON)")
     common(p)
-    p.add_argument("--demand", type=float, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    p.add_argument("--demand", type=_POSITIVE, required=True)
+    p.add_argument("--tol", type=_NONNEGATIVE, default=DEFAULT_TOL,
                    help=f"relative duality-gap target (default {DEFAULT_TOL:g})")
-    p.add_argument("--max-iter", type=int, default=MAX_ITER,
+    p.add_argument("--max-iter", type=_number(int, 0), default=MAX_ITER,
                    help=f"Newton iteration budget (default {MAX_ITER})")
-    p.add_argument("--equal-tol", type=float, default=DECLARE_ONE_TOL,
+    p.add_argument("--equal-tol", type=_NONNEGATIVE, default=DECLARE_ONE_TOL,
                    help="relative band for declaring the ratio exactly one "
                         f"(default {DECLARE_ONE_TOL:g})")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("optimum", help="social optimum at one demand (JSON)")
     common(p)
-    p.add_argument("--demand", type=float, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=MAX_ITER,
+    p.add_argument("--demand", type=_POSITIVE, required=True)
+    p.add_argument("--tol", type=_NONNEGATIVE, default=DEFAULT_TOL)
+    p.add_argument("--max-iter", type=_number(int, 0), default=MAX_ITER,
                    help=f"Newton iteration budget (default {MAX_ITER})")
     p.set_defaults(func=cmd_optimum)
 
     p = sub.add_parser("trace",
                        help="piecewise equilibrium structure, affine costs (JSON)")
     common(p)
-    p.add_argument("--max-demand", type=float, required=True)
+    p.add_argument("--max-demand", type=_POSITIVE, required=True)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("breakpoints",
                        help="demands where the active network changes (JSON)")
     common(p)
-    p.add_argument("--max-demand", type=float, default=None,
+    p.add_argument("--max-demand", type=_POSITIVE, default=None,
                    help="stop here; default traces until the structure is final")
     p.set_defaults(func=cmd_breakpoints)
 
     p = sub.add_parser("sweep", help="tabulate the ratio over a demand range")
     common(p)
-    p.add_argument("--from", dest="mu_from", type=float, required=True)
-    p.add_argument("--to", type=float, required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--from", dest="mu_from", type=_NONNEGATIVE, required=True)
+    p.add_argument("--to", type=_POSITIVE, required=True)
+    p.add_argument("--samples", type=_number(int, 2), required=True)
     p.add_argument("--adaptive", action="store_true",
                    help="insert midpoints wherever the active set changes")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -360,25 +364,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze",
                        help="ratio curve pieces, shapes, and global max (JSON)")
     common(p)
-    p.add_argument("--max-demand", type=float, default=None,
+    p.add_argument("--max-demand", type=_POSITIVE, default=None,
                    help="analysis window; default covers every breakpoint")
-    p.add_argument("--grid", type=int, default=1000,
+    p.add_argument("--grid", type=_number(int, 1), default=1000,
                    help="verification grid size (default 1000)")
-    p.add_argument("--grid-slack", type=float, default=1e-7,
+    p.add_argument("--grid-slack", type=_FINITE, default=1e-7,
                    help="allowed grid excess over the anchored max (default 1e-7)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify",
                        help="re-check equilibrium conditions; exit 3 on violation")
     common(p)
-    p.add_argument("--demand", type=float, default=None,
+    p.add_argument("--demand", type=_POSITIVE, default=None,
                    help="solve here and verify the result")
     p.add_argument("--solution", default=None,
                    help="solution JSON written by the solve command")
     p.add_argument("--trace", default=None,
                    help="trace JSON; verifies samples inside every segment")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--samples-per-segment", type=int, default=5)
+    p.add_argument("--tol", type=_NONNEGATIVE, default=1e-8)
+    p.add_argument("--samples-per-segment", type=_number(int, 1), default=5)
     p.set_defaults(func=cmd_verify)
 
     return ap

@@ -6,12 +6,12 @@ marginal-cost game whose equilibria are the social optima.
 
 Solvers:
 
-- :func:`solve_equilibrium`  projected Newton steps on the potential, each
-  one kernel call on its second-order model (exact in one step on affine
-  costs), followed by a minimum-norm selection among equilibrium path flows.
-- :func:`solve_optimum`      the same solver on marginal costs.
-- :func:`solve_affine_exact` primal active-set method on the quadratic
-  potential of all-affine costs; exact up to linear-solve precision.
+- :func:`solve_equilibrium`  exact on all-affine costs, else projected
+  Newton steps on the potential (one kernel call each on its second-order
+  model); then a minimum-norm selection among equilibrium path flows.
+- :func:`solve_optimum`      the same on marginal costs, priced in the
+  original costs.
+- :func:`solve_affine_exact` the same, for all-affine costs only.
 - :func:`sp_equilibrium`     recursive solver on a series-parallel
   decomposition, splitting parallel joins by a monotone root search.
 
@@ -25,9 +25,10 @@ it is the exact affine solve (H, g the path quadratic), each Newton step
 problem past an event; with H = I, g = 0 and C an orthonormal basis of the
 equations that fix the equilibrium set, it is the minimum-norm selection.
 
-Every solve reads its costs through one :class:`~poakit.costs.EdgeCosts`,
-built per call in edge order: each load vector is evaluated, integrated or
-differentiated in one call, not edge by edge.
+Every solve reads its costs through one :class:`~poakit.costs.EdgeCosts` in
+edge order: each load vector is evaluated, integrated or differentiated in
+one call, not edge by edge. Each public call builds it and the path set
+once for :func:`_solve`, the one place that picks the exact solve or Newton.
 """
 
 from __future__ import annotations
@@ -316,38 +317,61 @@ def _package(ps: PathSet, cost_list: EdgeCosts, mu: float,
     )
 
 
+def _check_demand(mu: float) -> None:
+    if not (math.isfinite(mu) and mu >= 0):
+        raise ValueError(f"demand must be finite and nonnegative, got {mu}")
+
+
+def _builds(net: Network, costs: dict[str, CostFunction], path_cap: int | None):
+    """Path set, costs and marginal costs c + x*c', as :func:`_optimum` takes them."""
+    marginal = {eid: c.marginal() for eid, c in costs.items()}
+    return PathSet.build(net, cap=path_cap), _cost_list(net, costs), _cost_list(net, marginal)
+
+
+def _solve(ps: PathSet, cost_list: EdgeCosts, mu: float, tol: float = DEFAULT_TOL,
+           max_iter: int = MAX_ITER) -> EquilibriumSolution:
+    """Minimum-norm equilibrium at demand mu >= 0 on a built path set and costs:
+    exact if all are affine, else :func:`_newton` under ``tol`` and ``max_iter``."""
+    if mu == 0:
+        return _package(ps, cost_list, 0.0, np.zeros(ps.n_paths))
+    if _is_affine(cost_list):
+        f = _affine_flows(ps, cost_list, mu)
+    else:
+        f = _newton(ps, cost_list, mu, tol, max_iter)
+    return _package(ps, cost_list, mu, _min_norm_flows(ps, cost_list, mu, f))
+
+
+def _optimum(ps: PathSet, cost_list: EdgeCosts, marginal_list: EdgeCosts, mu: float,
+             tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> OptimumSolution:
+    """Social optimum: the equilibrium of the marginal-cost game, priced in
+    the original costs."""
+    eq = _solve(ps, marginal_list, mu, tol, max_iter)
+    return OptimumSolution(**{**vars(eq), "social_cost": _social(cost_list, eq.edge_loads)})
+
+
 def solve_equilibrium(net: Network, costs: dict[str, CostFunction], mu: float,
                       tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER,
                       path_cap: int | None = None) -> EquilibriumSolution:
-    """Wardrop equilibrium at demand mu >= 0.
+    """Minimum-norm Wardrop equilibrium at a finite demand mu >= 0.
 
-    Newton steps on the active-set kernel (see :func:`_newton`) run from the
-    cheapest free-flow path until the relative duality gap is at most
-    ``tol``, at most ``max_iter`` of them; the minimum-norm equilibrium on
-    the loads found is returned. Raises :class:`NonConvergence` when the gap
-    cannot be certified.
+    Exact when every cost is affine. Otherwise Newton steps on the
+    active-set kernel (see :func:`_newton`) run from the cheapest free-flow
+    path until the relative duality gap is at most ``tol``, at most
+    ``max_iter`` of them, and raise :class:`NonConvergence` when the gap
+    cannot be certified; ``tol`` and ``max_iter`` apply to that case only.
     """
-    if mu < 0:
-        raise ValueError(f"demand must be nonnegative, got {mu}")
-    ps = PathSet.build(net, cap=path_cap)
-    cost_list = _cost_list(net, costs)
-    if mu == 0:
-        return _package(ps, cost_list, 0.0, np.zeros(ps.n_paths))
-
-    f = _newton(ps, cost_list, mu, tol, max_iter)
-    f = _min_norm_flows(ps, cost_list, mu, f)
-    return _package(ps, cost_list, mu, f)
+    _check_demand(mu)
+    return _solve(PathSet.build(net, cap=path_cap), _cost_list(net, costs), mu, tol, max_iter)
 
 
 def solve_optimum(net: Network, costs: dict[str, CostFunction], mu: float,
                   tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER,
                   path_cap: int | None = None) -> OptimumSolution:
-    """Social optimum at demand mu, via equilibrium of the marginal-cost game."""
-    marginal = {eid: c.marginal() for eid, c in costs.items()}
-    eq = solve_equilibrium(net, marginal, mu, tol=tol, max_iter=max_iter,
-                           path_cap=path_cap)
-    social = _social(_cost_list(net, costs), eq.edge_loads)
-    return OptimumSolution(**{**vars(eq), "social_cost": social})
+    """Social optimum at demand mu, via equilibrium of the marginal-cost game:
+    exact when every cost is affine (so are the marginals), otherwise as in
+    :func:`solve_equilibrium`."""
+    _check_demand(mu)
+    return _optimum(*_builds(net, costs, path_cap), mu, tol, max_iter)
 
 
 def _simplex_qp(H: np.ndarray, g: np.ndarray, C: np.ndarray, r: np.ndarray,
@@ -416,26 +440,16 @@ def _simplex_qp(H: np.ndarray, g: np.ndarray, C: np.ndarray, r: np.ndarray,
     raise SupportSearchExhausted(f"active-set search took over {max_pivots} pivots")
 
 
-def solve_affine_exact(net: Network, costs: dict[str, CostFunction], mu: float,
-                       path_cap: int | None = None) -> EquilibriumSolution:
-    """Exact equilibrium for all-affine costs.
+def _affine_flows(ps: PathSet, cost_list: EdgeCosts, mu: float) -> np.ndarray:
+    """Equilibrium path flows at demand mu > 0 for all-affine costs.
 
     The potential is the quadratic 1/2 f'Af + d'f in path flows, minimized
-    over the demand simplex by a primal active-set method that solves the
+    over the demand simplex by the active-set kernel, which solves the
     equal-cost linear system of each candidate support directly. The answer
     is accepted when used paths share one cost, no unused path is cheaper
     and no flow is negative; otherwise :class:`SupportSearchExhausted` is
     raised, which signals numerical degeneracy.
     """
-    if mu < 0:
-        raise ValueError(f"demand must be nonnegative, got {mu}")
-    cost_list = _cost_list(net, costs)
-    if not _is_affine(cost_list):
-        raise ValueError("solve_affine_exact requires every cost to be affine")
-    ps = PathSet.build(net, cap=path_cap)
-    if mu == 0:
-        return _package(ps, cost_list, 0.0, np.zeros(ps.n_paths))
-
     A, d = _path_quadratic(ps.incidence, cost_list)
     f0 = np.zeros(ps.n_paths)
     f0[np.argmin(d)] = mu  # start on the cheapest path at zero load
@@ -451,18 +465,18 @@ def solve_affine_exact(net: Network, costs: dict[str, CostFunction], mu: float,
     if np.abs(c_path[f > 0] - lam).max() > cost_tol or c_path.min() < lam - cost_tol:
         raise SupportSearchExhausted(
             f"active-set solution fails the equal-cost test at demand {mu}")
-    f = _min_norm_flows(ps, cost_list, mu, f)
-    return _package(ps, cost_list, mu, f)
+    return f
 
 
-def _affine_optimum(net: Network, costs: dict[str, CostFunction], mu: float,
-                    path_cap: int | None = None) -> OptimumSolution:
-    """Exact social optimum for all-affine costs: :func:`solve_affine_exact`
-    on the marginal-cost game, itself affine, priced in the original costs."""
-    marginal = {e.id: costs[e.id].marginal() for e in net.edges}
-    eq = solve_affine_exact(net, marginal, mu, path_cap=path_cap)
-    social = _social(_cost_list(net, costs), eq.edge_loads)
-    return OptimumSolution(**{**vars(eq), "social_cost": social})
+def solve_affine_exact(net: Network, costs: dict[str, CostFunction], mu: float,
+                       path_cap: int | None = None) -> EquilibriumSolution:
+    """Exact equilibrium for all-affine costs (see :func:`_affine_flows`):
+    :func:`solve_equilibrium` with a ``ValueError`` for any other cost."""
+    _check_demand(mu)
+    cost_list = _cost_list(net, costs)
+    if not _is_affine(cost_list):
+        raise ValueError("solve_affine_exact requires every cost to be affine")
+    return _solve(PathSet.build(net, cap=path_cap), cost_list, mu)
 
 
 # -- verification and regularity ------------------------------------------------
@@ -640,8 +654,7 @@ def sp_equilibrium(dec: SPTree, costs: dict[str, CostFunction],
     children split it at the first root of their nondecreasing cost
     difference. Edge ids in the solution follow sorted leaf order.
     """
-    if mu < 0:
-        raise ValueError(f"demand must be nonnegative, got {mu}")
+    _check_demand(mu)
     from .network import sp_terminals
 
     edge_ids = tuple(sorted(sp_terminals(dec)))

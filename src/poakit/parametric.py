@@ -247,8 +247,8 @@ def trace_affine(net: Network, costs: dict[str, CostFunction], mu_max: float,
     across the whole segment. With ``grow`` set, ``mu_max`` is doubled until
     it lies beyond the last event, and the trace is complete.
     """
-    if mu_max <= 0:
-        raise ValueError(f"mu_max must be positive, got {mu_max}")
+    if not (math.isfinite(mu_max) and mu_max > 0):
+        raise ValueError(f"mu_max must be finite and positive, got {mu_max}")
     cost_list = _cost_list(net, costs)
     if not _is_affine(cost_list):
         raise ValueError("trace_affine requires every cost to be affine")

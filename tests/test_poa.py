@@ -2,14 +2,18 @@
 
 import hashlib
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from poakit import cli
 from poakit.costs import Affine
+from poakit.equilibrium import solve_affine_exact, solve_equilibrium, solve_optimum
 from poakit.errors import ClassificationConflict, GridExceedsBreakpointMax
-from poakit.network import Network, Edge, load_network
+from poakit.network import Network, Edge, PathSet, load_network
+from poakit.parametric import trace_affine
 from poakit.poa import (
     CSV_HEADER,
     PoAPiece,
@@ -331,3 +335,94 @@ def test_random_networks_stay_in_affine_bounds():
         for mu in (0.4, 1.3, 3.7):
             pt = compute_poa(net, costs, mu)
             assert 1.0 - 1e-9 <= pt.poa <= 4.0 / 3.0 + 1e-6
+
+
+# -- one solver choice, one build per call ------------------------------------------
+
+
+AFFINE_FIXTURES = ("fig1", "nested2", "nested3", "braess_direct")
+
+# with a zero Newton budget any iterative solve would raise
+AFFINE_ENTRY_POINTS = {
+    "solve_equilibrium": lambda net, costs: solve_equilibrium(net, costs, 4.5, max_iter=0),
+    "solve_optimum": lambda net, costs: solve_optimum(net, costs, 4.5, max_iter=0),
+    "compute_poa": lambda net, costs: compute_poa(net, costs, 4.5),
+    "find_poa_max": lambda net, costs: find_poa_max(net, costs),
+    "sweep_poa": lambda net, costs: sweep_poa(net, costs, 0.5, 12.0, 6, adaptive=True),
+}
+
+
+@pytest.mark.parametrize("entry", AFFINE_ENTRY_POINTS)
+@pytest.mark.parametrize("name", AFFINE_FIXTURES)
+def test_affine_entry_points_run_without_newton_iterations(name, entry, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("iterative solver called on an affine instance")
+
+    monkeypatch.setattr("poakit.equilibrium._newton", refuse)
+    net, costs = tracked(name)
+    AFFINE_ENTRY_POINTS[entry](net, costs)
+
+
+@pytest.mark.parametrize("name", AFFINE_FIXTURES)
+def test_affine_solvers_are_the_exact_solve(name):
+    net, costs = tracked(name)
+    marginal = {eid: c.marginal() for eid, c in costs.items()}
+    for mu in (0.7, 5.9):
+        for sol, exact in ((solve_equilibrium(net, costs, mu), solve_affine_exact(net, costs, mu)),
+                           (solve_optimum(net, costs, mu), solve_affine_exact(net, marginal, mu))):
+            assert np.array_equal(sol.path_flows, exact.path_flows)
+            assert np.array_equal(sol.edge_loads, exact.edge_loads)
+            assert sol.cost == exact.cost
+            assert sol.active_edges == exact.active_edges
+
+
+def test_each_call_builds_its_path_set_once(monkeypatch, tmp_path):
+    built = []
+    build = PathSet.build.__func__
+
+    def counting(cls, net, cap=None):
+        built.append(net)
+        return build(cls, net, cap)
+
+    monkeypatch.setattr(PathSet, "build", classmethod(counting))
+
+    def builds(call):
+        built.clear()
+        call()
+        return len(built)
+
+    net, costs, curve = nested2_curve()
+    quad_net, quad_costs = tracked("parallel_quad")
+    assert builds(lambda: compute_poa(net, costs, 6.0)) == 1
+    assert builds(lambda: compute_poa(quad_net, quad_costs, 2.0)) == 1
+    assert builds(lambda: find_poa_max(net, costs, curve=curve)) == 1
+    assert builds(lambda: sweep_poa(net, costs, 0.5, 25.0, 9)) == 1
+    assert builds(lambda: sweep_poa(net, costs, 0.5, 25.0, 9, adaptive=True)) == 1
+    assert builds(lambda: sweep_poa(quad_net, quad_costs, 0.5, 4.0, 5)) == 1
+    # one build for the trace, one for the direct solves at the candidates
+    out = str(tmp_path / "analyze.json")
+    path = os.path.join(FIXTURES, "nested3.json")
+    assert builds(lambda: cli.main(["analyze", "--network", path, "--output", out])) <= 2
+
+
+NAN, INF = float("nan"), float("inf")
+
+DEMAND_ENTRY_POINTS = {
+    "solve_equilibrium": lambda net, costs, v: solve_equilibrium(net, costs, v),
+    "solve_optimum": lambda net, costs, v: solve_optimum(net, costs, v),
+    "solve_affine_exact": lambda net, costs, v: solve_affine_exact(net, costs, v),
+    "compute_poa": lambda net, costs, v: compute_poa(net, costs, v),
+    "trace_affine": lambda net, costs, v: trace_affine(net, costs, v),
+    "classify_segments": lambda net, costs, v: classify_segments(net, costs, v),
+    "find_poa_max": lambda net, costs, v: find_poa_max(net, costs, v),
+    "sweep_poa mu_lo": lambda net, costs, v: sweep_poa(net, costs, v, 2.0, 3),
+    "sweep_poa mu_hi": lambda net, costs, v: sweep_poa(net, costs, 0.5, v, 3),
+}
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=str)
+@pytest.mark.parametrize("entry", DEMAND_ENTRY_POINTS)
+def test_non_finite_demand_rejected(entry, value):
+    net, costs = pigou_instance()
+    with pytest.raises(ValueError, match=re.escape(str(value))):
+        DEMAND_ENTRY_POINTS[entry](net, costs, value)
