@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -89,19 +88,6 @@ _POSITIVE = _number(float, 0.0, above=True)
 _NONNEGATIVE = _number(float, 0.0)
 
 
-def _path_cap() -> int | None:
-    raw = os.environ.get("POA_MAX_PATHS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"POA_MAX_PATHS must be an integer, got {raw!r}") from None
-    if cap <= 0:
-        raise ValueError(f"POA_MAX_PATHS must be positive, got {cap}")
-    return cap
-
-
 def _read_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -168,9 +154,8 @@ def _solution_from_doc(doc: dict) -> EquilibriumSolution:
 
 def cmd_solve(args) -> int:
     net, costs = load_network(args.network)
-    cap = _path_cap()
-    sol = solve_equilibrium(net, costs, args.demand, args.tol, args.max_iter, path_cap=cap)
-    opt = solve_optimum(net, costs, args.demand, args.tol, args.max_iter, path_cap=cap)
+    sol = solve_equilibrium(net, costs, args.demand, args.tol, args.max_iter)
+    opt = solve_optimum(net, costs, args.demand, args.tol, args.max_iter)
     doc = _solution_doc(sol, "equilibrium")
     doc["poa"] = poa_ratio(sol.social_cost, opt.social_cost, args.equal_tol)
     doc["meta"] = _meta("solve", args, {
@@ -181,7 +166,7 @@ def cmd_solve(args) -> int:
 
 def cmd_optimum(args) -> int:
     net, costs = load_network(args.network)
-    sol = solve_optimum(net, costs, args.demand, args.tol, args.max_iter, path_cap=_path_cap())
+    sol = solve_optimum(net, costs, args.demand, args.tol, args.max_iter)
     doc = _solution_doc(sol, "optimum")
     doc["meta"] = _meta("optimum", args, {
         "tol": args.tol, "max_iter": args.max_iter})
@@ -191,7 +176,7 @@ def cmd_optimum(args) -> int:
 
 def cmd_trace(args) -> int:
     net, costs = load_network(args.network)
-    trace = trace_affine(net, costs, args.max_demand, path_cap=_path_cap())
+    trace = trace_affine(net, costs, args.max_demand)
     doc = {"trace": trace_to_json(trace), "meta": _meta("trace", args, {})}
     _emit(_json_text(doc), args.output)
     return EXIT_OK
@@ -199,11 +184,10 @@ def cmd_trace(args) -> int:
 
 def cmd_breakpoints(args) -> int:
     net, costs = load_network(args.network)
-    cap = _path_cap()
     if args.max_demand is None:
-        trace = trace_to_completion(net, costs, path_cap=cap)
+        trace = trace_to_completion(net, costs)
     else:
-        trace = trace_affine(net, costs, args.max_demand, path_cap=cap)
+        trace = trace_affine(net, costs, args.max_demand)
     def rows(bps):
         return [{"mu": b.mu, "active_before": sorted(b.active_before),
                  "active_after": sorted(b.active_after)} for b in bps]
@@ -221,7 +205,7 @@ def cmd_breakpoints(args) -> int:
 def cmd_sweep(args) -> int:
     net, costs = load_network(args.network)
     rows = sweep_poa(net, costs, args.mu_from, args.to, args.samples,
-                     adaptive=args.adaptive, path_cap=_path_cap())
+                     adaptive=args.adaptive)
     if args.format == "csv":
         if not np.isfinite([(r.lam, r.sc_eq, r.sc_opt, r.poa) for r in rows]).all():
             raise ValueError(_NON_FINITE)
@@ -239,10 +223,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_analyze(args) -> int:
     net, costs = load_network(args.network)
-    cap = _path_cap()
-    curve = classify_segments(net, costs, args.max_demand, path_cap=cap)
-    mx = find_poa_max(net, costs, n_grid=args.grid, grid_slack=args.grid_slack,
-                      path_cap=cap, curve=curve)
+    curve = classify_segments(net, costs, args.max_demand)
+    mx = find_poa_max(net, costs, n_grid=args.grid, grid_slack=args.grid_slack, curve=curve)
     doc = {
         "pieces": [{
             "mu_lo": p.mu_lo, "mu_hi": p.mu_hi, "shape": p.shape,
@@ -268,32 +250,22 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     net, costs = load_network(args.network)
-    cap = _path_cap()
     given = [x is not None for x in (args.demand, args.solution, args.trace)]
     if sum(given) != 1:
         raise ValueError("exactly one of --demand, --solution, --trace is required")
-    checks: list[tuple[float, object]] = []
     if args.trace is not None:
         doc = _read_json(args.trace)
         trace = trace_from_json(doc.get("trace", doc))
-        for seg in trace.segments:
-            for mu in np.linspace(seg.mu_lo, seg.mu_hi,
-                                  args.samples_per_segment + 2)[1:-1]:
-                sol = segment_solution(net, costs, seg, float(mu), path_cap=cap)
-                checks.append((float(mu), verify_wardrop(net, costs, sol, tol=args.tol,
-                                                         path_cap=cap)))
+        sols = [segment_solution(net, costs, seg, float(mu)) for seg in trace.segments
+                for mu in np.linspace(seg.mu_lo, seg.mu_hi, args.samples_per_segment + 2)[1:-1]]
     elif args.solution is not None:
-        sol = _solution_from_doc(_read_json(args.solution))
-        checks.append((sol.demand, verify_wardrop(net, costs, sol, tol=args.tol,
-                                                  path_cap=cap)))
+        sols = [_solution_from_doc(_read_json(args.solution))]
     else:
-        sol = solve_equilibrium(net, costs, args.demand, path_cap=cap)
-        checks.append((args.demand, verify_wardrop(net, costs, sol, tol=args.tol,
-                                                   path_cap=cap)))
-    violations = [f"mu={mu:.12g}: {v}"
-                  for mu, rep in checks for v in rep.violations]
+        sols = [solve_equilibrium(net, costs, args.demand)]
+    violations = [f"mu={sol.demand:.12g}: {v}" for sol in sols
+                  for v in verify_wardrop(net, costs, sol, tol=args.tol).violations]
     doc = {
-        "checked": len(checks),
+        "checked": len(sols),
         "ok": not violations,
         "violations": violations,
         "meta": _meta("verify", args, {
@@ -391,7 +363,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow surfaces as a non-finite result, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except json.JSONDecodeError as exc:
         print(f"poakit: error: malformed JSON: {exc.msg} at line {exc.lineno} "
               f"column {exc.colno}", file=sys.stderr)

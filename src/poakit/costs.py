@@ -260,11 +260,13 @@ class EdgeCosts(CostFunction):
     Built from a mapping of edge id to cost. Affine (a*x + b, stored as
     [b, a]) and polynomial costs fill one zero-padded coefficient matrix;
     ``evaluate``, ``derivative`` and ``primitive`` are Horner passes over it
-    and over its derivative and primitive matrices. The affine primitive
-    keeps its closed form 0.5*a*x*x + b*x, which Horner would round
+    and over its derivative and primitive matrices. An :class:`Affine`
+    primitive keeps its closed form 0.5*a*x*x + b*x, which Horner would round
     differently. Piecewise-linear costs and their marginals are called one
-    edge at a time. A load vector is checked once per call. ``a`` and ``b``
-    are the slope and intercept columns, meaningful where ``affine`` is set.
+    edge at a time. A load vector is checked once per call. ``affine`` and
+    ``constant`` mark the costs of degree at most 1 and 0, read off their
+    coefficients (pwl costs are neither); ``a`` and ``b`` are the slope and
+    intercept columns, meaningful where ``affine`` is set.
     """
 
     def __init__(self, costs: Mapping[str, CostFunction]):
@@ -282,7 +284,10 @@ class EdgeCosts(CostFunction):
         self._der = coef[1:] * k[:-1]
         self._prim = np.zeros((width + 1, len(rows)))
         np.divide(coef, k, out=self._prim[1:])
-        self.affine = np.array([isinstance(c, Affine) for c in costs.values()], dtype=bool)
+        polynomial = np.array([len(row) > 0 for row in rows], dtype=bool)
+        self.affine = polynomial & ~coef[2:].any(axis=0)
+        self.constant = polynomial & ~coef[1:].any(axis=0)
+        self._closed = np.array([isinstance(c, Affine) for c in costs.values()], dtype=bool)
         self.b, self.a = coef[0], coef[1]
         self._half_a = 0.5 * self.a
         self._other = [(j, c) for j, c in enumerate(costs.values())
@@ -306,7 +311,7 @@ class EdgeCosts(CostFunction):
 
     def primitive(self, x):
         x = self._loads(x)
-        out = np.where(self.affine, self._half_a * x * x + self.b * x, _horner(self._prim, x))
+        out = np.where(self._closed, self._half_a * x * x + self.b * x, _horner(self._prim, x))
         for j, c in self._other:
             out[j] = c.primitive(x[j])
         return out

@@ -262,17 +262,21 @@ def _min_norm_flows(ps: PathSet, cost_list: EdgeCosts, mu: float, f: np.ndarray)
     """Select the minimum-norm path-flow vector among equilibria.
 
     For all-affine costs the full equilibrium set {A f' = A f, d.f' = d.f}
-    is searched; otherwise the loads are held fixed, which preserves every
-    edge cost and therefore equilibrium. Both systems have dependent rows,
-    so they are reduced once to an orthonormal basis B of their row space
-    and the search runs on B f' = B f.
+    is searched. Otherwise the loads of load-dependent edges are held, which
+    keeps every edge cost; flow may move between constant edges, and a last
+    row (only when one exists) holds their total cost so that none moves
+    onto a dearer path. Both systems have dependent rows, so they are
+    reduced once to an orthonormal basis B of their row space and the
+    search runs on B f' = B f.
     """
     Z, n = ps.incidence, ps.n_paths
     if _is_affine(cost_list):
         A, d = _path_quadratic(Z, cost_list)
         C = np.vstack([np.ones((1, n)), A, d[None, :]])
     else:
-        C = np.vstack([np.ones((1, n)), Z])
+        const = cost_list.constant
+        held = [(cost_list.b * const) @ Z] if const.any() else []
+        C = np.vstack([np.ones((1, n)), Z[~const], *held])
     _, sv, Vt = np.linalg.svd(C, full_matrices=False)
     B = Vt[:int((sv > 1e-10 * sv[0]).sum())]
     if len(B) == n:
@@ -322,10 +326,10 @@ def _check_demand(mu: float) -> None:
         raise ValueError(f"demand must be finite and nonnegative, got {mu}")
 
 
-def _builds(net: Network, costs: dict[str, CostFunction], path_cap: int | None):
+def _builds(net: Network, costs: dict[str, CostFunction]):
     """Path set, costs and marginal costs c + x*c', as :func:`_optimum` takes them."""
     marginal = {eid: c.marginal() for eid, c in costs.items()}
-    return PathSet.build(net, cap=path_cap), _cost_list(net, costs), _cost_list(net, marginal)
+    return PathSet.build(net), _cost_list(net, costs), _cost_list(net, marginal)
 
 
 def _solve(ps: PathSet, cost_list: EdgeCosts, mu: float, tol: float = DEFAULT_TOL,
@@ -350,8 +354,7 @@ def _optimum(ps: PathSet, cost_list: EdgeCosts, marginal_list: EdgeCosts, mu: fl
 
 
 def solve_equilibrium(net: Network, costs: dict[str, CostFunction], mu: float,
-                      tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER,
-                      path_cap: int | None = None) -> EquilibriumSolution:
+                      tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> EquilibriumSolution:
     """Minimum-norm Wardrop equilibrium at a finite demand mu >= 0.
 
     Exact when every cost is affine. Otherwise Newton steps on the
@@ -361,17 +364,16 @@ def solve_equilibrium(net: Network, costs: dict[str, CostFunction], mu: float,
     cannot be certified; ``tol`` and ``max_iter`` apply to that case only.
     """
     _check_demand(mu)
-    return _solve(PathSet.build(net, cap=path_cap), _cost_list(net, costs), mu, tol, max_iter)
+    return _solve(PathSet.build(net), _cost_list(net, costs), mu, tol, max_iter)
 
 
 def solve_optimum(net: Network, costs: dict[str, CostFunction], mu: float,
-                  tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER,
-                  path_cap: int | None = None) -> OptimumSolution:
+                  tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> OptimumSolution:
     """Social optimum at demand mu, via equilibrium of the marginal-cost game:
     exact when every cost is affine (so are the marginals), otherwise as in
     :func:`solve_equilibrium`."""
     _check_demand(mu)
-    return _optimum(*_builds(net, costs, path_cap), mu, tol, max_iter)
+    return _optimum(*_builds(net, costs), mu, tol, max_iter)
 
 
 def _simplex_qp(H: np.ndarray, g: np.ndarray, C: np.ndarray, r: np.ndarray,
@@ -468,15 +470,15 @@ def _affine_flows(ps: PathSet, cost_list: EdgeCosts, mu: float) -> np.ndarray:
     return f
 
 
-def solve_affine_exact(net: Network, costs: dict[str, CostFunction], mu: float,
-                       path_cap: int | None = None) -> EquilibriumSolution:
+def solve_affine_exact(net: Network, costs: dict[str, CostFunction],
+                       mu: float) -> EquilibriumSolution:
     """Exact equilibrium for all-affine costs (see :func:`_affine_flows`):
     :func:`solve_equilibrium` with a ``ValueError`` for any other cost."""
     _check_demand(mu)
     cost_list = _cost_list(net, costs)
     if not _is_affine(cost_list):
         raise ValueError("solve_affine_exact requires every cost to be affine")
-    return _solve(PathSet.build(net, cap=path_cap), cost_list, mu)
+    return _solve(PathSet.build(net), cost_list, mu)
 
 
 # -- verification and regularity ------------------------------------------------
@@ -496,14 +498,13 @@ class WardropReport:
 
 
 def verify_wardrop(net: Network, costs: dict[str, CostFunction],
-                   sol: EquilibriumSolution, tol: float = 1e-8,
-                   path_cap: int | None = None) -> WardropReport:
+                   sol: EquilibriumSolution, tol: float = 1e-8) -> WardropReport:
     """Check the equilibrium conditions of a solution, report-only.
 
     Used paths must sit within tol of the minimum path cost; no path may be
     cheaper than the reported common cost; total cost must equal mu*lambda.
     """
-    ps = PathSet.build(net, cap=path_cap)
+    ps = PathSet.build(net)
     flow_by_path = dict(zip(sol.paths, np.asarray(sol.path_flows, dtype=float)))
     f = np.array([flow_by_path.get(p, 0.0) for p in ps.paths])
     cost_list = _cost_list(net, costs)
@@ -541,14 +542,14 @@ class RegularityReport:
     witnesses: tuple[str, ...]  # active edges carrying (numerically) zero load
 
 
-def check_regularity(sol: EquilibriumSolution, eps_flow: float = 1e-7) -> RegularityReport:
+def check_regularity(sol: EquilibriumSolution) -> RegularityReport:
     """A demand is regular when every active edge carries positive load.
 
     ``sol`` must be the minimum-norm equilibrium (as returned by the
-    solvers); witnesses are the active edges with load <= eps_flow.
+    solvers); witnesses are the active edges with load <= 1e-7.
     """
     load = dict(zip(sol.edge_ids, np.asarray(sol.edge_loads, dtype=float)))
-    witnesses = tuple(sorted(e for e in sol.active_edges if load[e] <= eps_flow))
+    witnesses = tuple(sorted(e for e in sol.active_edges if load[e] <= 1e-7))
     return RegularityReport(regular=not witnesses, witnesses=witnesses)
 
 

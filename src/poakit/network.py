@@ -4,6 +4,8 @@ A :class:`Network` is a multigraph of directed edges between named vertices,
 with a single origin and destination. Routing happens on simple paths;
 :func:`enumerate_paths` lists them in lexicographic edge-id order and
 :class:`PathSet` caches the edge-path incidence matrix used by the solvers.
+Every enumeration is capped, at ``POA_MAX_PATHS`` when that environment
+variable is set, else at ``DEFAULT_PATH_CAP``; only this module reads it.
 
 :func:`decompose_series_parallel` reduces the network to a binary
 series/parallel composition tree when one exists.
@@ -12,6 +14,7 @@ series/parallel composition tree when one exists.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,13 +83,23 @@ class Network:
         return sorted((e for e in self.edges if e.tail == vertex), key=lambda e: e.id)
 
 
-def enumerate_paths(net: Network, cap: int = DEFAULT_PATH_CAP) -> list[tuple[str, ...]]:
+def enumerate_paths(net: Network, cap: int | None = None) -> list[tuple[str, ...]]:
     """All simple origin-destination paths as tuples of edge ids.
 
     Paths come out in lexicographic order of their edge-id sequences. Raises
     :class:`NoPath` when none exists and :class:`PathExplosion` when more
-    than ``cap`` paths would be produced.
+    than ``cap`` paths would be produced. Without ``cap`` the limit is
+    ``POA_MAX_PATHS`` when set (a positive integer, else ``ValueError``),
+    otherwise ``DEFAULT_PATH_CAP``.
     """
+    if cap is None:
+        raw = os.environ.get("POA_MAX_PATHS", str(DEFAULT_PATH_CAP))
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ValueError(f"POA_MAX_PATHS must be an integer, got {raw!r}") from None
+        if cap <= 0:
+            raise ValueError(f"POA_MAX_PATHS must be positive, got {cap}")
     out = {v: net.out_edges(v) for v in net.vertices}
     paths: list[tuple[str, ...]] = []
     trail: list[str] = []
@@ -136,8 +149,8 @@ class PathSet:
     incidence: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
-    def build(cls, net: Network, cap: int | None = None) -> "PathSet":
-        paths = tuple(enumerate_paths(net, cap=DEFAULT_PATH_CAP if cap is None else cap))
+    def build(cls, net: Network) -> "PathSet":
+        paths = tuple(enumerate_paths(net))
         return cls(net=net, paths=paths, incidence=incidence(paths, net.edge_ids))
 
     @property

@@ -127,6 +127,18 @@ def _social_coefficients(A, d, w, z) -> tuple[float, float, float]:
     return alpha, beta, gamma
 
 
+def _signed_coefficients(A, d, w, z, mu_lo: float, mu_hi: float) -> tuple[float, float, float]:
+    """:func:`_social_coefficients` of the segment (mu_lo, mu_hi]; alpha or beta
+    below 0, or gamma above it, by SIGN_TOL relative raises :class:`SignViolation`."""
+    alpha, beta, gamma = _social_coefficients(A, d, w, z)
+    scale = max(1.0, abs(alpha), abs(beta), abs(gamma))
+    if alpha < -SIGN_TOL * scale or beta < -SIGN_TOL * scale or gamma > SIGN_TOL * scale:
+        raise SignViolation(
+            f"segment ({mu_lo:.6g}, {mu_hi:.6g}] has alpha={alpha:.3e}, "
+            f"beta={beta:.3e}, gamma={gamma:.3e}")
+    return alpha, beta, gamma
+
+
 def segment_social_costs(seg: TraceSegment, costs: dict[str, CostFunction]):
     """Social-cost coefficients of a segment: (alpha, beta, gamma).
 
@@ -138,13 +150,7 @@ def segment_social_costs(seg: TraceSegment, costs: dict[str, CostFunction]):
     edge_ids = sorted({e for p in seg.paths for e in p})
     A, d = _path_quadratic(incidence(seg.paths, edge_ids),
                            EdgeCosts({e: costs[e] for e in edge_ids}))
-    alpha, beta, gamma = _social_coefficients(A, d, seg.w, seg.z)
-    scale = max(1.0, abs(alpha), abs(beta), abs(gamma))
-    if alpha < -SIGN_TOL * scale or beta < -SIGN_TOL * scale or gamma > SIGN_TOL * scale:
-        raise SignViolation(
-            f"segment ({seg.mu_lo:.6g}, {seg.mu_hi:.6g}] has alpha={alpha:.3e}, "
-            f"beta={beta:.3e}, gamma={gamma:.3e}")
-    return alpha, beta, gamma
+    return _signed_coefficients(A, d, seg.w, seg.z, seg.mu_lo, seg.mu_hi)
 
 
 # -- the tracer ----------------------------------------------------------------
@@ -235,7 +241,7 @@ def _pivot(A, d, mu_limit: float):
 
 
 def trace_affine(net: Network, costs: dict[str, CostFunction], mu_max: float,
-                 path_cap: int | None = None, *, grow: bool = False) -> AffineTrace:
+                 *, grow: bool = False) -> AffineTrace:
     """Trace the exact equilibrium structure over demands (0, mu_max].
 
     One pivoting pass from demand 0 (see :func:`_pivot`) yields the exact
@@ -244,15 +250,16 @@ def trace_affine(net: Network, costs: dict[str, CostFunction], mu_max: float,
     there) and stay inside one segment; the others are the breakpoints, each
     belonging to the segment on its left. Each segment reports the chord
     between the minimum-norm equilibria at its two ends, an equilibrium
-    across the whole segment. With ``grow`` set, ``mu_max`` is doubled until
-    it lies beyond the last event, and the trace is complete.
+    across the whole segment, and its sign-checked social-cost coefficients.
+    With ``grow`` set, ``mu_max`` is doubled until it lies beyond the last
+    event, and the trace is complete.
     """
     if not (math.isfinite(mu_max) and mu_max > 0):
         raise ValueError(f"mu_max must be finite and positive, got {mu_max}")
     cost_list = _cost_list(net, costs)
     if not _is_affine(cost_list):
         raise ValueError("trace_affine requires every cost to be affine")
-    ps = PathSet.build(net, cap=path_cap)
+    ps = PathSet.build(net)
     A, d = _path_quadratic(ps.incidence, cost_list)
     pieces, complete = _pivot(A, d, math.inf if grow else mu_max)
     while grow and pieces[-1][0] >= mu_max * (1.0 - LIMIT_TOL):
@@ -282,7 +289,7 @@ def trace_affine(net: Network, costs: dict[str, CostFunction], mu_max: float,
         f_hi = _min_norm_flows(ps, cost_list, hi, np.maximum(hi * w_end + z_end, 0.0))
         w = (f_hi - f_lo) / (hi - lo)
         z = f_lo - lo * w
-        alpha, beta, gamma = _social_coefficients(A, d, w, z)
+        alpha, beta, gamma = _signed_coefficients(A, d, w, z, lo, hi)
         segments.append(TraceSegment(
             mu_lo=lo, mu_hi=hi, paths=ps.paths, w=w, z=z,
             alpha=alpha, beta=beta, gamma=gamma, active_edges=act))
@@ -296,16 +303,14 @@ def trace_affine(net: Network, costs: dict[str, CostFunction], mu_max: float,
 
 
 def trace_to_completion(net: Network, costs: dict[str, CostFunction],
-                        mu_start: float = 8.0,
-                        path_cap: int | None = None) -> AffineTrace:
+                        mu_start: float = 8.0) -> AffineTrace:
     """Trace until no event remains; ``mu_max`` is the smallest
     mu_start * 2**k beyond the last event."""
-    return trace_affine(net, costs, mu_start, path_cap=path_cap, grow=True)
+    return trace_affine(net, costs, mu_start, grow=True)
 
 
 def segment_solution(net: Network, costs: dict[str, CostFunction],
-                     seg: TraceSegment, mu: float,
-                     path_cap: int | None = None) -> EquilibriumSolution:
+                     seg: TraceSegment, mu: float) -> EquilibriumSolution:
     """Equilibrium at ``mu`` from a segment's flow line, matched to paths by key.
 
     The line is an equilibrium only on the segment's own demand interval
@@ -313,7 +318,7 @@ def segment_solution(net: Network, costs: dict[str, CostFunction],
     roundoff dust in the flows is clipped, anything more negative surfaces
     as a cost-evaluation error.
     """
-    ps = PathSet.build(net, cap=path_cap)
+    ps = PathSet.build(net)
     by_path = dict(zip(seg.paths, np.asarray(seg.flows(mu), dtype=float)))
     f = np.array([by_path.get(p, 0.0) for p in ps.paths])
     dust = 1e-9 * max(1.0, mu)

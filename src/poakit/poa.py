@@ -74,25 +74,24 @@ def poa_ratio(sc_eq: float, sc_opt: float, tol: float = DECLARE_ONE_TOL) -> floa
     return sc_eq / sc_opt
 
 
-def _point(builds, mu: float, tol: float = DECLARE_ONE_TOL) -> PoAPoint:
+def _point(builds, mu: float) -> PoAPoint:
     ps, cost_list, marginal_list = builds
     eq = _solve(ps, cost_list, mu)
     sc_opt = _optimum(ps, cost_list, marginal_list, mu).social_cost
     return PoAPoint(mu=mu, lam=eq.cost, sc_eq=eq.social_cost, sc_opt=sc_opt,
-                    poa=poa_ratio(eq.social_cost, sc_opt, tol), active_edges=eq.active_edges)
+                    poa=poa_ratio(eq.social_cost, sc_opt), active_edges=eq.active_edges)
 
 
-def compute_poa(net: Network, costs: dict[str, CostFunction], mu: float,
-                tol: float = DECLARE_ONE_TOL,
-                path_cap: int | None = None) -> PoAPoint:
+def compute_poa(net: Network, costs: dict[str, CostFunction], mu: float) -> PoAPoint:
     """Price of anarchy at a single demand.
 
     One path set and cost build serves the equilibrium and the optimum (the
     equilibrium of the marginal-cost game), each solved once, exactly when
-    every cost is affine. The ratio follows :func:`poa_ratio`.
+    every cost is affine. The ratio follows :func:`poa_ratio` at its
+    default tolerance.
     """
     _check_demand(mu)
-    return _point(_builds(net, costs, path_cap), mu, tol)
+    return _point(_builds(net, costs), mu)
 
 
 # -- curve pieces -----------------------------------------------------------------
@@ -216,8 +215,7 @@ def _valley_root(c0, c1, c2, roots):
 
 def classify_segments(net: Network, costs: dict[str, CostFunction],
                       mu_max: float | None = None,
-                      trace: AffineTrace | None = None,
-                      path_cap: int | None = None) -> PoACurve:
+                      trace: AffineTrace | None = None) -> PoACurve:
     """Piecewise description of the ratio curve on (0, mu_max], classified.
 
     Needs the equilibrium structure out to 2*mu_max so every denominator
@@ -227,13 +225,13 @@ def classify_segments(net: Network, costs: dict[str, CostFunction],
     """
     if mu_max is None:
         if trace is None or not trace.complete:
-            trace = trace_to_completion(net, costs, path_cap=path_cap)
+            trace = trace_to_completion(net, costs)
         last = trace.breakpoint_demands[-1] if trace.breakpoints else 1.0
         mu_max = 2.0 * last + 1.0
     if not (math.isfinite(mu_max) and mu_max > 0):
         raise ValueError(f"mu_max must be finite and positive, got {mu_max}")
     if trace is None or (trace.mu_max < 2.0 * mu_max and not trace.complete):
-        trace = trace_affine(net, costs, 2.0 * mu_max, path_cap=path_cap)
+        trace = trace_affine(net, costs, 2.0 * mu_max)
     eq_bps = tuple(b for b in trace.breakpoint_demands if b <= mu_max)
     opt_bps = tuple(b / 2.0 for b in trace.breakpoint_demands if b / 2.0 <= mu_max)
     merged: list[float] = []
@@ -270,7 +268,6 @@ class PoAMaximum:
 def find_poa_max(net: Network, costs: dict[str, CostFunction],
                  mu_max: float | None = None, n_grid: int = 1000,
                  grid_slack: float = 1e-7,
-                 path_cap: int | None = None,
                  curve: PoACurve | None = None) -> PoAMaximum:
     """Global maximum of the ratio curve, anchored at breakpoints.
 
@@ -281,13 +278,13 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
     inconsistent and :class:`GridExceedsBreakpointMax` is raised.
     """
     if curve is None:
-        curve = classify_segments(net, costs, mu_max, path_cap=path_cap)
+        curve = classify_segments(net, costs, mu_max)
     mu_max = curve.mu_max
     eq_set = set(curve.eq_breakpoints)
     candidates = [(mu, True) for mu in curve.merged_breakpoints if mu <= mu_max]
     candidates.append((mu_max, False))
     best_mu, best_val, best_bp = None, -np.inf, False
-    builds = _builds(net, costs, path_cap)
+    builds = _builds(net, costs)
     for mu, is_bp in candidates:
         val = _point(builds, mu).poa
         better = val > best_val + 1e-12
@@ -327,8 +324,7 @@ def _row(builds, mu: float) -> SweepRow:
 
 
 def sweep_poa(net: Network, costs: dict[str, CostFunction], mu_lo: float,
-              mu_hi: float, n_samples: int, adaptive: bool = False,
-              path_cap: int | None = None) -> tuple[SweepRow, ...]:
+              mu_hi: float, n_samples: int, adaptive: bool = False) -> tuple[SweepRow, ...]:
     """Tabulate the ratio over a demand range.
 
     With ``adaptive`` set, midpoints are inserted wherever neighboring rows
@@ -340,7 +336,7 @@ def sweep_poa(net: Network, costs: dict[str, CostFunction], mu_lo: float,
         raise ValueError(f"need 0 <= mu_lo < mu_hi < inf, got [{mu_lo}, {mu_hi}]")
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    builds = _builds(net, costs, path_cap)
+    builds = _builds(net, costs)
     rows = [_row(builds, mu) for mu in np.linspace(mu_lo, mu_hi, n_samples)]
     if adaptive:
         min_gap = (mu_hi - mu_lo) / 1e4

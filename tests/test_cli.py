@@ -2,17 +2,22 @@
 
 import json
 import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from poakit import TraceFailure, cli, load_network
+from poakit import TraceFailure, cli, load_network, parametric
+from poakit.network import network_from_json
 
 from oracles import newton_optimum
 
-FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+FIXTURES = os.path.join(ROOT, "fixtures")
 
 
 def fixture(name):
@@ -266,6 +271,39 @@ class TestExitCodes:
             assert out == ""
             assert "non-finite" in err
 
+    def test_overflow_is_reported_once_in_process(self, capsys):
+        # the suite turns warnings into errors, so a numpy overflow warning
+        # would raise here instead of reaching the non-finite check
+        assert cli.main(["solve", "--network", fixture("fig1"), "--demand", "1e200"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "poakit: error: the result holds a non-finite number (inf or NaN)\n"
+
+    @pytest.mark.parametrize("argv", [("trace", "--max-demand", "10"), ("breakpoints",),
+                                      ("analyze",)], ids=lambda argv: argv[0])
+    def test_broken_sign_contract_exits_three(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(parametric, "_social_coefficients", lambda A, d, w, z: (1.0, -1.0, 0.0))
+        command, *rest = argv
+        assert cli.main([command, "--network", fixture("fig1"), *rest]) == 3
+        assert "beta=-1.000e+00" in capsys.readouterr().err
+
+    def test_poly_costs_of_degree_one_give_the_affine_documents(self, tmp_path):
+        with open(fixture("braess_direct"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for e in doc["edges"]:
+            e["cost"] = {"type": "poly", "coeffs": [e["cost"]["b"], e["cost"]["a"]]}
+        poly = tmp_path / "braess_poly.json"
+        poly.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (["trace", "--max-demand", "10"], ["analyze"]):
+            docs = []
+            for network in (fixture("braess_direct"), str(poly)):
+                out = tmp_path / "out.json"
+                assert cli.main([argv[0], "--network", network, "--output", str(out),
+                                 *argv[1:]]) == 0, (argv, network)
+                docs.append(json.loads(out.read_text(encoding="utf-8")))
+                del docs[-1]["meta"]
+            assert docs[0] == docs[1], argv[0]
+
     def test_unknown_flag_is_input_error(self):
         code, _, _ = run_cli("solve", "--network", fixture("fig1"),
                              "--demand", "1", "--bogus")
@@ -350,3 +388,32 @@ class TestExitCodes:
                              "--demand", "1",
                              env_extra={"POA_MAX_PATHS": "64"})
         assert code == 0
+
+
+def test_readme_examples_run(tmp_path):
+    """README's Python block, network document and command lines run as
+    written, from a directory holding a copy of the fixtures."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```(\w+)\n(.*?)```", fh.read(), re.S)
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    env = dict(os.environ)
+    src = os.path.abspath(os.path.join(ROOT, "src"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(argv):
+        return subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path,
+                              timeout=300)
+
+    python = [body for lang, body in blocks if lang == "python"]
+    assert len(python) == 1
+    proc = run([sys.executable, "-c", python[0]])
+    assert proc.returncode == 0, proc.stderr
+    for lang, body in blocks:
+        if lang == "json":
+            network_from_json(json.loads(body))
+    lines = [line for lang, body in blocks if lang == "sh"
+             for line in body.splitlines() if line.startswith("poakit ")]
+    assert len(lines) == 7
+    for line in lines:
+        proc = run([sys.executable, "-m", "poakit.cli", *shlex.split(line)[1:]])
+        assert proc.returncode == 0, (line, proc.stderr)

@@ -177,11 +177,12 @@ def _bpr(t0, capacity):
 
 MIXED = {"aff": Affine(1.5, 0.25), "flat": Affine(0.0, 7.0), "quad": Polynomial((1, 0, 1)),
          "const": Polynomial((3.0,)), "bpr": _bpr(2.7, 1.3), "cubic": Polynomial((0.5, 2.0, 0.0, 1.25)),
-         "pwl": PiecewiseLinear((0, 2, 2.1), (1, 1, 5)), "pwl1": PiecewiseLinear((0.5,), (2.0,))}
+         "pwl": PiecewiseLinear((0, 2, 2.1), (1, 1, 5)), "pwl1": PiecewiseLinear((0.5,), (2.0,)),
+         "lin": Polynomial((0.5, 2.0))}
 
 
 @pytest.mark.parametrize("costs", [
-    {k: MIXED[k] for k in ("aff", "flat", "quad", "const", "bpr", "cubic")},
+    {k: MIXED[k] for k in ("aff", "flat", "quad", "const", "bpr", "cubic", "lin")},
     {k: MIXED[k] for k in ("pwl", "pwl1")},
     MIXED,
     {k: c.marginal() for k, c in MIXED.items()},
@@ -200,10 +201,12 @@ def test_edge_costs_match_per_edge_methods_bit_for_bit(costs, seed):
 
 
 def test_edge_costs_share_the_affine_columns():
+    # the shape comes from the coefficients: a poly cost of degree <= 1 is affine
     ec = EdgeCosts(MIXED)
-    assert ec.affine.tolist() == [True, True] + [False] * 6
-    assert ec.a[:2].tolist() == [1.5, 0.0]
-    assert ec.b[:2].tolist() == [0.25, 7.0]
+    assert ec.affine.tolist() == [True, True, False, True, False, False, False, False, True]
+    assert ec.constant.tolist() == [False, True, False, True] + [False] * 5
+    assert ec.a[ec.affine].tolist() == [1.5, 0.0, 0.0, 2.0]
+    assert ec.b[ec.affine].tolist() == [0.25, 7.0, 3.0, 0.5]
 
 
 def test_edge_costs_reject_a_negative_load_by_edge():

@@ -139,6 +139,40 @@ def test_min_norm_is_deterministic():
     assert a.path_flows.tolist() == b.path_flows.tolist()
 
 
+def parallel_links(*costs):
+    """Parallel O-D edges e0, e1, ... with the given costs."""
+    net = Network(("O", "D"), tuple(Edge(f"e{k}", "O", "D") for k in range(len(costs))), "O", "D")
+    return net, {f"e{k}": c for k, c in enumerate(costs)}
+
+
+def test_poly_costs_of_degree_one_solve_as_affine():
+    # braess_direct's costs rewritten as poly [b, a]: the same exact solve and selection
+    net, costs = fixture("braess_direct")
+    poly = {eid: Polynomial((c.b, c.a)) for eid, c in costs.items()}
+    for mu in (0.7, 5.9, 10.0):
+        for solve in (solve_equilibrium, solve_optimum):
+            want, got = solve(net, costs, mu), solve(net, poly, mu)
+            assert got.path_flows.tolist() == want.path_flows.tolist(), (solve.__name__, mu)
+            assert got.edge_loads.tolist() == want.edge_loads.tolist()
+
+
+def test_min_norm_selection_spreads_flow_over_constant_edges():
+    # only the quadratic edge's load is shared by every equilibrium; the
+    # constant edges split the rest evenly under the minimum-norm rule
+    net, costs = parallel_links(Affine(0, 2), Affine(0, 2), Polynomial((0, 0, 1)))
+    sol = solve_equilibrium(net, costs, 5.0)
+    root2 = math.sqrt(2.0)
+    assert sol.path_flows == pytest.approx([(5 - root2) / 2, (5 - root2) / 2, root2], abs=1e-9)
+    assert sol.cost == pytest.approx(2.0, abs=1e-12)
+
+
+def test_constant_and_linear_poly_costs_are_affine():
+    net, costs = parallel_links(Polynomial((2.0,)), Polynomial((2.0,)), Polynomial((0.0, 1.0)))
+    for solve in (solve_equilibrium, solve_affine_exact):
+        assert solve(net, costs, 5.0).path_flows == pytest.approx([1.5, 1.5, 2.0], abs=1e-12)
+    assert poakit.trace_affine(net, costs, 10.0).breakpoint_demands == (2.0,)
+
+
 # -- the active-set kernel ----------------------------------------------------------
 
 

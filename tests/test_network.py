@@ -1,6 +1,7 @@
 """Network validation, path enumeration, series-parallel decomposition, JSON."""
 
 import json
+import os
 
 import pytest
 
@@ -17,8 +18,19 @@ from poakit import (
     SPSeries,
     decompose_series_parallel,
     dump_network,
+    classify_segments,
+    compute_poa,
     enumerate_paths,
+    find_poa_max,
     load_network,
+    segment_solution,
+    solve_affine_exact,
+    solve_equilibrium,
+    solve_optimum,
+    sweep_poa,
+    trace_affine,
+    trace_to_completion,
+    verify_wardrop,
 )
 from poakit.network import network_from_json, network_to_json, sp_terminals
 
@@ -90,6 +102,42 @@ def test_path_cap_enforced():
     assert len(enumerate_paths(net, cap=64)) == 64
     with pytest.raises(PathExplosion):
         enumerate_paths(net, cap=63)
+
+
+def test_every_entry_point_honours_the_environment_cap(monkeypatch):
+    net, costs = load_network(os.path.join(os.path.dirname(__file__), os.pardir,
+                                           "fixtures", "fig1.json"))
+    sol = solve_equilibrium(net, costs, 5.0)
+    seg = trace_affine(net, costs, 10.0).segments[0]
+    monkeypatch.setenv("POA_MAX_PATHS", "2")
+    calls = {
+        "solve_equilibrium": lambda: solve_equilibrium(net, costs, 5.0),
+        "solve_optimum": lambda: solve_optimum(net, costs, 5.0),
+        "solve_affine_exact": lambda: solve_affine_exact(net, costs, 5.0),
+        "verify_wardrop": lambda: verify_wardrop(net, costs, sol),
+        "trace_affine": lambda: trace_affine(net, costs, 10.0),
+        "trace_to_completion": lambda: trace_to_completion(net, costs),
+        "segment_solution": lambda: segment_solution(net, costs, seg, 0.5),
+        "compute_poa": lambda: compute_poa(net, costs, 5.0),
+        "classify_segments": lambda: classify_segments(net, costs),
+        "find_poa_max": lambda: find_poa_max(net, costs),
+        "sweep_poa": lambda: sweep_poa(net, costs, 0.5, 5.0, 3),
+    }
+    for name, call in calls.items():
+        with pytest.raises(PathExplosion, match="more than 2 "):
+            call()
+    # an explicit cap still wins over the environment
+    assert len(enumerate_paths(net, cap=64)) > 2
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("banana", "POA_MAX_PATHS must be an integer, got 'banana'"),
+    ("0", "POA_MAX_PATHS must be positive, got 0"),
+], ids=["banana", "zero"])
+def test_environment_cap_must_be_a_positive_integer(monkeypatch, raw, message):
+    monkeypatch.setenv("POA_MAX_PATHS", raw)
+    with pytest.raises(ValueError, match=message):
+        PathSet.build(wheatstone())
 
 
 def test_incidence_matrix_shape_and_loads():

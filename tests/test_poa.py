@@ -380,9 +380,9 @@ def test_each_call_builds_its_path_set_once(monkeypatch, tmp_path):
     built = []
     build = PathSet.build.__func__
 
-    def counting(cls, net, cap=None):
+    def counting(cls, net):
         built.append(net)
-        return build(cls, net, cap)
+        return build(cls, net)
 
     monkeypatch.setattr(PathSet, "build", classmethod(counting))
 
