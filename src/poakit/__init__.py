@@ -3,6 +3,7 @@
 from .costs import Affine, CostFunction, PiecewiseLinear, Polynomial, cost_from_json, cost_to_json
 from .errors import (
     BisectionFailure,
+    CertificateFailure,
     ClassificationConflict,
     GridExceedsBreakpointMax,
     NegativeLoad,

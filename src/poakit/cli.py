@@ -1,7 +1,8 @@
 """Command-line front end: load a network file, solve, trace, sweep, analyze.
 
 Exit codes: 0 success, 1 input error, 2 solver failure, 3 contract
-violation (sign contracts, classification conflicts, failed verification).
+violation (sign contracts, classification conflicts, failed verification,
+trace reads that fail their equilibrium grade).
 Outputs are deterministic: identical inputs give byte-identical bytes.
 """
 
@@ -24,6 +25,7 @@ from .equilibrium import (
 )
 from .errors import (
     BisectionFailure,
+    CertificateFailure,
     ClassificationConflict,
     GridExceedsBreakpointMax,
     NegativeLoad,
@@ -381,7 +383,7 @@ def main(argv=None) -> int:
         print(f"poakit: error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (SignViolation, ClassificationConflict, GridExceedsBreakpointMax,
-            NegativeLoad, ZeroDivisionError) as exc:
+            CertificateFailure, NegativeLoad, ZeroDivisionError) as exc:
         print(f"poakit: error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 

@@ -220,7 +220,11 @@ def _newton(ps: PathSet, cost_list, mu: float, tol: float, max_iter: int) -> np.
     def evaluate(f):
         x = Z @ f
         c_path = cost_list.evaluate(x) @ Z
-        return x, c_path, _beckmann(cost_list, x), float(c_path @ f - mu * c_path.min())
+        value, gap = _beckmann(cost_list, x), float(c_path @ f - mu * c_path.min())
+        if not (math.isfinite(value) and math.isfinite(gap)):
+            raise ValueError(f"the costs at demand {mu!r} overflow to a non-finite "
+                             "potential or duality gap")
+        return x, c_path, value, gap
 
     def failure(why):
         return NonConvergence(f"relative duality gap {gap_rel:.3e} above tol {tol:.1e} "
@@ -489,6 +493,7 @@ class WardropReport:
     """Per-path slacks of the equilibrium conditions plus the cost identity."""
 
     lam: float
+    edge_loads: np.ndarray  # of the flows graded
     path_costs: np.ndarray
     slacks: np.ndarray  # c_p - lam per path
     violations: tuple[str, ...]
@@ -497,43 +502,58 @@ class WardropReport:
     ok: bool
 
 
-def verify_wardrop(net: Network, costs: dict[str, CostFunction],
-                   sol: EquilibriumSolution, tol: float = 1e-8) -> WardropReport:
-    """Check the equilibrium conditions of a solution, report-only.
+def _grade(ps: PathSet, cost_list: EdgeCosts, f: np.ndarray, demand: float,
+           tol: float = 1e-8) -> WardropReport:
+    """Grade path flows ``f`` on a built path set as an equilibrium at ``demand``.
 
-    Used paths must sit within tol of the minimum path cost; no path may be
-    cheaper than the reported common cost; total cost must equal mu*lambda.
+    No flow may sit below zero by more than the dust 1e-9*max(1, demand),
+    and negative flows are graded as zero; flows must sum to the demand,
+    used paths must sit within tol of the minimum path cost, and total cost
+    must equal mu*lambda. One cost evaluation, no solve.
     """
-    ps = PathSet.build(net)
-    flow_by_path = dict(zip(sol.paths, np.asarray(sol.path_flows, dtype=float)))
-    f = np.array([flow_by_path.get(p, 0.0) for p in ps.paths])
-    cost_list = _cost_list(net, costs)
+    violations: list[str] = []
+    if f.min(initial=0.0) < 0:
+        violations += [f"path {'|'.join(ps.paths[p])} has negative flow {f[p]:.12g}"
+                       for p in np.flatnonzero(f < -1e-9 * max(1.0, demand))]
+        f = np.maximum(f, 0.0)
     x = ps.incidence @ f
-    c_path = cost_list.evaluate(x) @ ps.incidence
+    c_edge = cost_list.evaluate(x)
+    c_path = c_edge @ ps.incidence
     lam = float(c_path.min()) if len(c_path) else 0.0
     slacks = c_path - lam
     mu = float(f.sum())
-    scale = max(1.0, lam)
 
-    violations: list[str] = []
-    if abs(mu - sol.demand) > tol * max(1.0, sol.demand):
+    if abs(mu - demand) > tol * max(1.0, demand):
         violations.append(
-            f"path flows sum to {mu:.12g}, demand is {sol.demand:.12g}")
-    for p, path in enumerate(ps.paths):
-        if f[p] > tol * max(1.0, mu) and slacks[p] > tol * scale:
-            violations.append(
-                f"used path {'|'.join(path)} costs {c_path[p]:.12g}, "
-                f"common cost is {lam:.12g}")
-    social = _social(cost_list, x)
+            f"path flows sum to {mu:.12g}, demand is {demand:.12g}")
+    dear = (f > tol * max(1.0, mu)) & (slacks > tol * max(1.0, lam))
+    if dear.any():
+        violations += [f"used path {'|'.join(ps.paths[p])} costs {c_path[p]:.12g}, "
+                       f"common cost is {lam:.12g}" for p in np.flatnonzero(dear)]
+    social = float(sum((x * c_edge).tolist()))  # _social on the costs in hand
     identity_err = abs(social - mu * lam)
     if identity_err > tol * max(1.0, social):
         violations.append(
             f"total cost {social:.12g} differs from mu*lambda {mu * lam:.12g}")
     return WardropReport(
-        lam=lam, path_costs=c_path, slacks=slacks,
+        lam=lam, edge_loads=x, path_costs=c_path, slacks=slacks,
         violations=tuple(violations), social_cost=social,
         social_identity_error=identity_err, ok=not violations,
     )
+
+
+def verify_wardrop(net: Network, costs: dict[str, CostFunction],
+                   sol: EquilibriumSolution, tol: float = 1e-8) -> WardropReport:
+    """Check the equilibrium conditions of a solution, report-only.
+
+    No path flow may be negative beyond roundoff dust; used paths must sit
+    within tol of the minimum path cost; no path may be cheaper than the
+    reported common cost; total cost must equal mu*lambda (see :func:`_grade`).
+    """
+    ps = PathSet.build(net)
+    flow_by_path = dict(zip(sol.paths, np.asarray(sol.path_flows, dtype=float)))
+    f = np.array([flow_by_path.get(p, 0.0) for p in ps.paths])
+    return _grade(ps, _cost_list(net, costs), f, sol.demand, tol)
 
 
 @dataclass(frozen=True)

@@ -49,3 +49,7 @@ class ClassificationConflict(PoakitError):
 
 class GridExceedsBreakpointMax(PoakitError):
     """A sampled PoA grid exceeds the breakpoint maximum beyond tolerance."""
+
+
+class CertificateFailure(PoakitError):
+    """Flows read off an equilibrium trace fail their Wardrop grade."""

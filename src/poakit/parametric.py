@@ -259,7 +259,11 @@ def trace_affine(net: Network, costs: dict[str, CostFunction], mu_max: float,
     cost_list = _cost_list(net, costs)
     if not _is_affine(cost_list):
         raise ValueError("trace_affine requires every cost to be affine")
-    ps = PathSet.build(net)
+    return _trace(PathSet.build(net), cost_list, mu_max, grow=grow)
+
+
+def _trace(ps: PathSet, cost_list: EdgeCosts, mu_max: float, *, grow: bool) -> AffineTrace:
+    """:func:`trace_affine` on a built path set and all-affine costs."""
     A, d = _path_quadratic(ps.incidence, cost_list)
     pieces, complete = _pivot(A, d, math.inf if grow else mu_max)
     while grow and pieces[-1][0] >= mu_max * (1.0 - LIMIT_TOL):

@@ -8,6 +8,14 @@ optimum at mu is half the equilibrium at 2*mu). Between consecutive merged
 breakpoints the ratio is a fixed rational function, so each piece can be
 classified as constant, increasing, decreasing, or a valley; a maximum never
 sits strictly inside a piece, which pins the global maximum to a breakpoint.
+
+On affine costs the maximum search and the sweep solve nothing per demand:
+they read the equilibrium flows at mu and at 2*mu off one trace. Each read
+is graded before use, the equilibrium in the original costs and the
+optimum in the marginal-cost game, so a mis-traced segment raises
+:class:`CertificateFailure` instead of passing as an answer. A single
+demand (:func:`compute_poa`) is solved directly, which costs less than a
+trace out to 2*mu.
 """
 
 from __future__ import annotations
@@ -19,10 +27,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .costs import CostFunction
-from .errors import ClassificationConflict, GridExceedsBreakpointMax
+from .errors import CertificateFailure, ClassificationConflict, GridExceedsBreakpointMax
 from .network import Network
-from .equilibrium import _builds, _check_demand, _optimum, _solve
-from .parametric import AffineTrace, trace_affine, trace_to_completion
+from .equilibrium import (
+    _active_edge_set,
+    _builds,
+    _check_demand,
+    _grade,
+    _is_affine,
+    _optimum,
+    _social,
+    _solve,
+)
+from .parametric import AffineTrace, _trace, trace_affine, trace_to_completion
 
 __all__ = [
     "PoAPoint",
@@ -82,6 +99,33 @@ def _point(builds, mu: float) -> PoAPoint:
                     poa=poa_ratio(eq.social_cost, sc_opt), active_edges=eq.active_edges)
 
 
+def _certified(ps, cost_list, f: np.ndarray, mu: float, game: str):
+    """Wardrop grade of flows read off a trace; a failed one raises
+    :class:`CertificateFailure` naming the demand and the game."""
+    report = _grade(ps, cost_list, f, mu)
+    if not report.ok:
+        raise CertificateFailure(f"trace flows fail the {game} grade at mu={mu!r}: "
+                                 + "; ".join(report.violations))
+    return report
+
+
+def _trace_point(builds, trace: AffineTrace, mu: float) -> PoAPoint:
+    """Point at demand mu > 0 read off an affine trace covering 2*mu.
+
+    The equilibrium is the segment line at mu and the optimum half the line
+    at 2*mu, graded in the original and the marginal-cost game. The active
+    set follows the solves' rule on the graded path costs.
+    """
+    ps, cost_list, marginal_list = builds
+    eq = _certified(ps, cost_list, trace.segment_at(mu).flows(mu), mu, "equilibrium")
+    opt = _certified(ps, marginal_list, 0.5 * trace.segment_at(2.0 * mu).flows(2.0 * mu),
+                     mu, "marginal-cost")
+    sc_opt = _social(cost_list, opt.edge_loads)
+    return PoAPoint(mu=mu, lam=eq.lam, sc_eq=eq.social_cost, sc_opt=sc_opt,
+                    poa=poa_ratio(eq.social_cost, sc_opt),
+                    active_edges=_active_edge_set(ps, eq.path_costs, eq.lam))
+
+
 def compute_poa(net: Network, costs: dict[str, CostFunction], mu: float) -> PoAPoint:
     """Price of anarchy at a single demand.
 
@@ -124,11 +168,15 @@ class PoAPiece:
 
 @dataclass(frozen=True)
 class PoACurve:
+    """Classified pieces on (0, mu_max] and the trace they were read from,
+    which covers (0, 2*mu_max]."""
+
     pieces: tuple[PoAPiece, ...]
     eq_breakpoints: tuple[float, ...]
     opt_breakpoints: tuple[float, ...]
     merged_breakpoints: tuple[float, ...]
     mu_max: float
+    trace: AffineTrace
 
     def piece_at(self, mu: float) -> PoAPiece:
         if mu <= 0:
@@ -221,7 +269,9 @@ def classify_segments(net: Network, costs: dict[str, CostFunction],
     Needs the equilibrium structure out to 2*mu_max so every denominator
     segment is available; pass ``trace`` to reuse one, otherwise it is
     traced here. The default ``mu_max`` is 2*(last breakpoint) + 1, read off
-    a complete trace, which covers every breakpoint on both sides.
+    a complete trace, which covers every breakpoint on both sides. The
+    curve keeps the trace it read, for :func:`find_poa_max` to read its
+    candidates off.
     """
     if mu_max is None:
         if trace is None or not trace.complete:
@@ -250,7 +300,7 @@ def classify_segments(net: Network, costs: dict[str, CostFunction],
             den_const=den.gamma, den_lin=den.alpha, den_quad=den.beta)))
     return PoACurve(pieces=tuple(pieces), eq_breakpoints=eq_bps,
                     opt_breakpoints=opt_bps, merged_breakpoints=tuple(merged),
-                    mu_max=mu_max)
+                    mu_max=mu_max, trace=trace)
 
 
 # -- global maximum ----------------------------------------------------------------
@@ -271,11 +321,13 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
                  curve: PoACurve | None = None) -> PoAMaximum:
     """Global maximum of the ratio curve, anchored at breakpoints.
 
-    Every merged breakpoint and the right endpoint are evaluated by direct
-    solves, all on one path set and cost build. A dense grid over the curve
-    formulas then cross-checks that no interior demand beats the anchored
-    maximum; if one does by more than ``grid_slack`` the piece structure is
-    inconsistent and :class:`GridExceedsBreakpointMax` is raised.
+    Every merged breakpoint and the right endpoint are read off the curve's
+    trace and graded in both games (see :func:`_trace_point`), on one path
+    set and cost build; a failed grade raises :class:`CertificateFailure`.
+    A dense grid over the curve formulas then cross-checks that no interior
+    demand beats the anchored maximum; if one does by more than
+    ``grid_slack`` the piece structure is inconsistent and
+    :class:`GridExceedsBreakpointMax` is raised.
     """
     if curve is None:
         curve = classify_segments(net, costs, mu_max)
@@ -286,14 +338,24 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
     best_mu, best_val, best_bp = None, -np.inf, False
     builds = _builds(net, costs)
     for mu, is_bp in candidates:
-        val = _point(builds, mu).poa
+        val = _trace_point(builds, curve.trace, mu).poa
         better = val > best_val + 1e-12
         tie = abs(val - best_val) <= 1e-12
         prefer = (is_bp and mu in eq_set) and not best_bp
         if better or (tie and prefer):
             best_mu, best_val, best_bp = mu, val, is_bp and mu in eq_set
+    # curve.value at every grid demand in one pass, in the same operation order
     grid = np.linspace(mu_max / n_grid, mu_max, n_grid)
-    grid_vals = np.array([curve.value(mu) for mu in grid])
+    pieces = curve.pieces
+    k = np.minimum(np.searchsorted([p.mu_hi for p in pieces], grid, side="left"),
+                   len(pieces) - 1)
+    a, b, g, dd, e = np.array([(p.num_lin, p.num_quad, p.den_const, p.den_lin, p.den_quad)
+                               for p in pieces]).T[:, k]
+    den = g + dd * grid + e * grid * grid
+    if (den <= 0).any():
+        i = int(np.argmax(den <= 0))
+        pieces[k[i]].value(grid[i])  # raises ZeroDivisionError, naming the piece
+    grid_vals = (a * grid + b * grid * grid) / den
     gi = int(np.argmax(grid_vals))
     if grid_vals[gi] > best_val + grid_slack:
         raise GridExceedsBreakpointMax(
@@ -317,9 +379,8 @@ class SweepRow:
     active_set_hash: str
 
 
-def _row(builds, mu: float) -> SweepRow:
-    pt = _point(builds, mu)
-    return SweepRow(mu=mu, lam=pt.lam, sc_eq=pt.sc_eq, sc_opt=pt.sc_opt,
+def _row(pt: PoAPoint) -> SweepRow:
+    return SweepRow(mu=pt.mu, lam=pt.lam, sc_eq=pt.sc_eq, sc_opt=pt.sc_opt,
                     poa=pt.poa, active_set_hash=pt.active_hash)
 
 
@@ -330,14 +391,25 @@ def sweep_poa(net: Network, costs: dict[str, CostFunction], mu_lo: float,
     With ``adaptive`` set, midpoints are inserted wherever neighboring rows
     disagree on the active set, until the spacing falls below a 1e-4
     fraction of the range; this brackets every structural change without a
-    fine uniform grid. Every row is solved on one path set and cost build.
+    fine uniform grid. Every row uses one path set and cost build. On
+    all-affine costs one trace out to 2*mu_hi serves every row, each read
+    off it and graded as in :func:`find_poa_max` (a row at mu = 0 is the
+    zero flow); otherwise each row is solved.
     """
     if not (0 <= mu_lo < mu_hi < math.inf):
         raise ValueError(f"need 0 <= mu_lo < mu_hi < inf, got [{mu_lo}, {mu_hi}]")
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     builds = _builds(net, costs)
-    rows = [_row(builds, mu) for mu in np.linspace(mu_lo, mu_hi, n_samples)]
+    ps, cost_list, _ = builds
+    trace = _trace(ps, cost_list, 2.0 * mu_hi, grow=False) if _is_affine(cost_list) else None
+
+    def row(mu):  # a trace has no segment at mu = 0
+        if trace is None or mu == 0:
+            return _row(_point(builds, mu))
+        return _row(_trace_point(builds, trace, mu))
+
+    rows = [row(mu) for mu in np.linspace(mu_lo, mu_hi, n_samples).tolist()]
     if adaptive:
         min_gap = (mu_hi - mu_lo) / 1e4
         budget = 10_000
@@ -349,7 +421,7 @@ def sweep_poa(net: Network, costs: dict[str, CostFunction], mu_lo: float,
                 refined.append(left)
                 if (left.active_set_hash != right.active_set_hash
                         and right.mu - left.mu >= min_gap and budget > 0):
-                    refined.append(_row(builds, 0.5 * (left.mu + right.mu)))
+                    refined.append(row(0.5 * (left.mu + right.mu)))
                     budget -= 1
                     moved = True
             refined.append(rows[-1])

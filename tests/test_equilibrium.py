@@ -337,6 +337,20 @@ def test_verify_flags_perturbed_flow():
     assert rep.violations
 
 
+def test_verify_flags_negative_flow_beyond_dust():
+    net, costs = fixture("fig1")
+    sol = solve_equilibrium(net, costs, 0.5)  # one used path
+    used = int(np.argmax(sol.path_flows))
+    other = (used + 1) % len(sol.paths)
+    for shift, ok in ((1e-10, True), (1e-6, False)):  # the dust level is 1e-9
+        moved = sol.path_flows.copy()
+        moved[used] += shift
+        moved[other] -= shift
+        rep = verify_wardrop(net, costs, dataclasses.replace(sol, path_flows=moved))
+        assert rep.ok is ok, shift
+    assert rep.violations[0].startswith(f"path {'|'.join(sol.paths[other])} has negative flow")
+
+
 # -- regularity -------------------------------------------------------------------
 
 

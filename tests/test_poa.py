@@ -3,17 +3,18 @@
 import hashlib
 import os
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from poakit import cli
+from poakit import cli, equilibrium, parametric, poa
 from poakit.costs import Affine
-from poakit.equilibrium import solve_affine_exact, solve_equilibrium, solve_optimum
-from poakit.errors import ClassificationConflict, GridExceedsBreakpointMax
+from poakit.equilibrium import _builds, solve_affine_exact, solve_equilibrium, solve_optimum
+from poakit.errors import CertificateFailure, ClassificationConflict, GridExceedsBreakpointMax
 from poakit.network import Network, Edge, PathSet, load_network
-from poakit.parametric import trace_affine
+from poakit.parametric import trace_affine, trace_to_completion
 from poakit.poa import (
     CSV_HEADER,
     PoAPiece,
@@ -24,6 +25,7 @@ from poakit.poa import (
     sweep_poa,
     write_sweep_csv,
     _classify,
+    _trace_point,
 )
 
 from netgen import random_affine_network
@@ -275,6 +277,22 @@ class TestMaximum:
         with pytest.raises(GridExceedsBreakpointMax):
             find_poa_max(net, costs, mu_max=3.0, grid_slack=-1.0)
 
+    @pytest.mark.parametrize("name", ("fig1", "nested2", "nested3", "braess_direct"))
+    def test_grid_is_the_pointwise_curve(self, name):
+        net, costs = tracked(name)
+        curve = classify_segments(net, costs)
+        mx = find_poa_max(net, costs, curve=curve)
+        grid = np.linspace(curve.mu_max / 1000, curve.mu_max, 1000)
+        values = [curve.value(mu) for mu in grid]
+        gi = int(np.argmax(values))
+        assert (mx.grid_mu, mx.grid_value) == (grid[gi], values[gi])
+
+    def test_grid_guards_nonpositive_optimum_cost(self):
+        net = Network(vertices=("O", "D"), edges=(Edge("e", "O", "D"),),
+                      origin="O", destination="D")
+        with pytest.raises(ZeroDivisionError, match="optimum cost nonpositive"):
+            find_poa_max(net, {"e": Affine(0.0, 0.0)})
+
 
 class TestSweep:
     def test_rows_match_curve(self):
@@ -399,7 +417,7 @@ def test_each_call_builds_its_path_set_once(monkeypatch, tmp_path):
     assert builds(lambda: sweep_poa(net, costs, 0.5, 25.0, 9)) == 1
     assert builds(lambda: sweep_poa(net, costs, 0.5, 25.0, 9, adaptive=True)) == 1
     assert builds(lambda: sweep_poa(quad_net, quad_costs, 0.5, 4.0, 5)) == 1
-    # one build for the trace, one for the direct solves at the candidates
+    # one build for the trace, one for grading the candidates read off it
     out = str(tmp_path / "analyze.json")
     path = os.path.join(FIXTURES, "nested3.json")
     assert builds(lambda: cli.main(["analyze", "--network", path, "--output", out])) <= 2
@@ -426,3 +444,114 @@ def test_non_finite_demand_rejected(entry, value):
     net, costs = pigou_instance()
     with pytest.raises(ValueError, match=re.escape(str(value))):
         DEMAND_ENTRY_POINTS[entry](net, costs, value)
+
+
+# -- values read off the trace, graded -----------------------------------------------
+
+
+def corrupted(trace, k):
+    """``trace`` with a quarter of segment k's flow rate moved off its busiest path."""
+    seg = trace.segments[k]
+    w = seg.w.copy()
+    used = int(np.argmax(w))
+    w[used] -= 0.25
+    w[(used + 1) % len(w)] += 0.25
+    segments = list(trace.segments)
+    segments[k] = replace(seg, w=w)
+    return replace(trace, segments=tuple(segments))
+
+
+class TestCertificates:
+    def test_find_poa_max_grades_its_reads(self):
+        net, costs = tracked("fig1")
+        curve = classify_segments(net, costs)
+        first = curve.merged_breakpoints[0]  # read on the first segment
+        with pytest.raises(CertificateFailure,
+                           match=rf"equilibrium grade at mu={re.escape(repr(first))}: used path"):
+            find_poa_max(net, costs, curve=replace(curve, trace=corrupted(curve.trace, 0)))
+
+    def test_analyze_exits_three_on_a_failed_grade(self, monkeypatch, capsys):
+        monkeypatch.setattr(poa, "trace_to_completion",
+                            lambda net, costs: corrupted(trace_to_completion(net, costs), 0))
+        path = os.path.join(FIXTURES, "fig1.json")
+        assert cli.main(["analyze", "--network", path]) == 3
+        assert "equilibrium grade at mu=" in capsys.readouterr().err
+
+    # the last segment of fig1's trace to 13 starts at 7, so it serves the
+    # optimum of every row below and the equilibrium of none
+    @pytest.mark.parametrize("k, lo, hi, game", [(0, 0.5, 4.0, "equilibrium"),
+                                                 (-1, 4.5, 6.5, "marginal-cost")])
+    def test_affine_sweep_grades_its_reads(self, k, lo, hi, game, monkeypatch):
+        real = parametric._trace
+        monkeypatch.setattr(poa, "_trace", lambda *args, **kwargs: corrupted(real(*args, **kwargs), k))
+        net, costs = tracked("fig1")
+        with pytest.raises(CertificateFailure, match=rf"{game} grade at mu={lo!r}: used path"):
+            sweep_poa(net, costs, lo, hi, 3)
+
+
+def test_trace_reads_make_no_solves(monkeypatch):
+    net, costs, curve = nested2_curve()
+    calls = {"_solve": 0, "_optimum": 0, "_grade": 0}
+
+    def counting(name):
+        original = getattr(poa, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a minimum-norm selection ran outside the tracer")
+
+    for name in calls:
+        monkeypatch.setattr(poa, name, counting(name))
+    # every solve at a positive demand ends in this selection
+    monkeypatch.setattr(equilibrium, "_min_norm_flows", refuse)
+    with monkeypatch.context() as m:
+        m.setattr(parametric, "_min_norm_flows", refuse)  # no trace is made either
+        mx = find_poa_max(net, costs, curve=curve)
+    n_candidates = len(curve.merged_breakpoints) + 1
+    assert calls == {"_solve": 0, "_optimum": 0, "_grade": 2 * n_candidates}
+    assert mx.mu == pytest.approx(6.0, abs=1e-9)
+
+    for lo, zero_rows in ((0.5, 0), (0.0, 1)):
+        calls.update(dict.fromkeys(calls, 0))
+        rows = sweep_poa(net, costs, lo, 25.0, 9, adaptive=True)
+        assert calls == {"_solve": zero_rows, "_optimum": zero_rows,
+                         "_grade": 2 * (len(rows) - zero_rows)}
+
+
+def assert_same_point(read, read_hash, solved, where):
+    # 1e-12 relative, widened by 1/mu below mu = 1: the direct solve's flows
+    # carry absolute errors near 1e-15, so at mu 1.3e-3 on random-13 its
+    # sc_eq is 1e-12 off mu*lambda, where the trace read matches it
+    widen = 1.0 / min(1.0, solved.mu) if solved.mu > 0 else 1.0
+    for field in ("poa", "sc_eq", "sc_opt", "lam"):
+        a, b = getattr(read, field), getattr(solved, field)
+        assert abs(a - b) <= 1e-12 * widen * max(abs(a), abs(b)), (where, field, a, b)
+    assert read_hash == solved.active_hash, where
+
+
+@pytest.mark.parametrize("name", [*AFFINE_FIXTURES, *(f"random-{k}" for k in range(20))])
+def test_trace_reads_match_direct_solves(name):
+    # the paper's scaling law as an oracle: the optimum at mu, read as half the
+    # equilibrium at 2*mu, against the optimum solved directly at mu
+    if name.startswith("random"):
+        net, costs = random_affine_network(np.random.default_rng((2019, int(name[7:]))))
+    else:
+        net, costs = tracked(name)
+    curve = classify_segments(net, costs)
+    builds = _builds(net, costs)
+    demands = list(curve.merged_breakpoints)
+    demands += [0.5 * (p.mu_lo + p.mu_hi) for p in curve.pieces]
+    for mu in demands:
+        read = _trace_point(builds, curve.trace, mu)
+        assert_same_point(read, read.active_hash, compute_poa(net, costs, mu), f"{name} at {mu!r}")
+    sweeps = [(0.0, curve.mu_max, 17, False), (0.0, curve.mu_max, 17, True)]
+    if name == "fig1":
+        sweeps.append((0.0, 8.0, 9, False))  # rows on the breakpoints 1, 2, 3, 4 and 7
+    for lo, hi, n, adaptive in sweeps:
+        for row in sweep_poa(net, costs, lo, hi, n, adaptive=adaptive):
+            assert_same_point(row, row.active_set_hash, compute_poa(net, costs, row.mu),
+                              f"{name} row {row.mu!r}")
