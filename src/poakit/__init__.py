@@ -9,6 +9,7 @@ from .errors import (
     NegativeLoad,
     NoPath,
     NonConvergence,
+    NonpositiveOptimum,
     NotSP,
     PathExplosion,
     PoakitError,

@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 1 input error, 2 solver failure, 3 contract
 violation (sign contracts, classification conflicts, failed verification,
-trace reads that fail their equilibrium grade).
+trace reads that fail their equilibrium grade, a nonpositive optimum cost).
 Outputs are deterministic: identical inputs give byte-identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,6 +32,7 @@ from .errors import (
     NegativeLoad,
     NoPath,
     NonConvergence,
+    NonpositiveOptimum,
     NotSP,
     PathExplosion,
     SignViolation,
@@ -280,6 +282,7 @@ def cmd_verify(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="poakit",
                  description="Equilibrium and efficiency analysis for "
@@ -383,7 +386,7 @@ def main(argv=None) -> int:
         print(f"poakit: error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (SignViolation, ClassificationConflict, GridExceedsBreakpointMax,
-            CertificateFailure, NegativeLoad, ZeroDivisionError) as exc:
+            CertificateFailure, NegativeLoad, NonpositiveOptimum) as exc:
         print(f"poakit: error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 

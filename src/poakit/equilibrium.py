@@ -12,8 +12,8 @@ Solvers:
 - :func:`solve_optimum`      the same on marginal costs, priced in the
   original costs.
 - :func:`solve_affine_exact` the same, for all-affine costs only.
-- :func:`sp_equilibrium`     recursive solver on a series-parallel
-  decomposition, splitting parallel joins by a monotone root search.
+- :func:`sp_equilibrium`     :func:`solve_equilibrium` on the network a
+  series-parallel composition tree describes.
 
 All solvers return the minimum-Euclidean-norm path-flow equilibrium so that
 outputs are deterministic even when equilibria are non-unique.
@@ -40,7 +40,7 @@ import numpy as np
 
 from .costs import CostFunction, EdgeCosts
 from .errors import BisectionFailure, NonConvergence, SupportSearchExhausted
-from .network import Network, PathSet, SPLeaf, SPParallel, SPSeries, SPTree
+from .network import Edge, Network, PathSet, SPLeaf, SPSeries, SPTree
 
 __all__ = [
     "EquilibriumSolution",
@@ -321,7 +321,7 @@ def _package(ps: PathSet, cost_list: EdgeCosts, mu: float,
         active_edges=_active_edge_set(ps, c_path, lam),
         beckmann_value=value,
         duality_gap=max(gap, 0.0),
-        social_cost=_social(cost_list, x),
+        social_cost=float(sum((x * c_edge).tolist())),  # _social on the costs in hand
     )
 
 
@@ -573,137 +573,24 @@ def check_regularity(sol: EquilibriumSolution) -> RegularityReport:
     return RegularityReport(regular=not witnesses, witnesses=witnesses)
 
 
-# -- series-parallel recursion ---------------------------------------------------
-
-
-def _sp_cost(tree: SPTree, costs: dict[str, CostFunction], x: float) -> float:
-    """Equilibrium cost of the subnetwork at throughput x."""
-    if isinstance(tree, SPLeaf):
-        return float(costs[tree.edge_id].evaluate(x))
-    if isinstance(tree, SPSeries):
-        return _sp_cost(tree.first, costs, x) + _sp_cost(tree.second, costs, x)
-    if x <= 0:
-        return min(_sp_cost(tree.first, costs, 0.0),
-                   _sp_cost(tree.second, costs, 0.0))
-    g = _sp_split(tree, costs, x)
-    if g <= 0:
-        return _sp_cost(tree.second, costs, x)
-    if g >= x:
-        return _sp_cost(tree.first, costs, x)
-    return min(_sp_cost(tree.first, costs, g), _sp_cost(tree.second, costs, x - g))
-
-
-def _sp_split(tree: SPParallel, costs: dict[str, CostFunction], x: float) -> float:
-    """Load on the first branch: the smallest y where branch costs cross.
-
-    phi(y) = cost1(y) - cost2(x - y) is nondecreasing; the split is
-    inf{y in [0, x]: phi(y) >= 0}, or x when phi stays negative.
-    """
-    if x <= 0:
-        return 0.0
-
-    def phi(y):
-        return (_sp_cost(tree.first, costs, y)
-                - _sp_cost(tree.second, costs, x - y))
-
-    phi_lo, phi_hi = phi(0.0), phi(x)
-    if math.isnan(phi_lo) or math.isnan(phi_hi) or phi_lo > phi_hi + 1e-9 * max(1.0, abs(phi_hi)):
-        raise BisectionFailure(
-            f"branch cost curves not bracketable at throughput {x}")
-    if phi_lo >= 0:
-        return 0.0
-    if phi_hi < 0:
-        return float(x)
-    return _first_root(phi, 0.0, phi_lo, float(x), phi_hi, 1e-13 * max(1.0, x))
-
-
-def _sp_flows(tree: SPTree, costs: dict[str, CostFunction], x: float):
-    """Used paths (edge-id tuples) and their flows for the subnetwork."""
-    if x <= 0:
-        return [], []
-    if isinstance(tree, SPLeaf):
-        return [(tree.edge_id,)], [x]
-    if isinstance(tree, SPParallel):
-        g = _sp_split(tree, costs, x)
-        p1, f1 = _sp_flows(tree.first, costs, g)
-        p2, f2 = _sp_flows(tree.second, costs, x - g)
-        return p1 + p2, f1 + f2
-    # series: pair the two decompositions greedily (northwest corner)
-    p1, f1 = _sp_flows(tree.first, costs, x)
-    p2, f2 = _sp_flows(tree.second, costs, x)
-    paths, flows = [], []
-    i = j = 0
-    r1, r2 = list(f1), list(f2)
-    while i < len(p1) and j < len(p2):
-        m = min(r1[i], r2[j])
-        if m > 0:
-            paths.append(p1[i] + p2[j])
-            flows.append(m)
-        r1[i] -= m
-        r2[j] -= m
-        if r1[i] <= 1e-15 * max(1.0, x):
-            i += 1
-        if j < len(p2) and r2[j] <= 1e-15 * max(1.0, x):
-            j += 1
-    return paths, flows
-
-
-def _sp_active(tree: SPTree, costs: dict[str, CostFunction], x: float,
-               out: set[str]) -> None:
-    """Edges on minimum-cost routes through an active subnetwork at load x."""
-    if isinstance(tree, SPLeaf):
-        out.add(tree.edge_id)
-        return
-    if isinstance(tree, SPSeries):
-        _sp_active(tree.first, costs, x, out)
-        _sp_active(tree.second, costs, x, out)
-        return
-    g = _sp_split(tree, costs, x)
-    lam = _sp_cost(tree, costs, x)
-    tol = EPS_ACTIVE_REL * max(1.0, abs(lam))
-    if g > 0 or _sp_cost(tree.first, costs, 0.0) <= lam + tol:
-        _sp_active(tree.first, costs, g, out)
-    if x - g > 0 or _sp_cost(tree.second, costs, 0.0) <= lam + tol:
-        _sp_active(tree.second, costs, x - g, out)
+# -- series-parallel networks -----------------------------------------------------
 
 
 def sp_equilibrium(dec: SPTree, costs: dict[str, CostFunction],
                    mu: float) -> EquilibriumSolution:
-    """Equilibrium of a series-parallel network via its composition tree.
+    """Equilibrium of the series-parallel network a composition tree describes:
+    :func:`solve_equilibrium` on a network from ``s`` to ``t`` with one fresh
+    vertex per series node and one edge per leaf, added in sorted leaf order,
+    which the solution's ``edge_ids`` follow."""
+    vertices = ["s", "t"]
 
-    Series children carry the full throughput and add their costs; parallel
-    children split it at the first root of their nondecreasing cost
-    difference. Edge ids in the solution follow sorted leaf order.
-    """
-    _check_demand(mu)
-    from .network import sp_terminals
+    def place(tree: SPTree, tail: str, head: str) -> list[Edge]:
+        if isinstance(tree, SPLeaf):
+            return [Edge(tree.edge_id, tail, head)]
+        if isinstance(tree, SPSeries):
+            vertices.append(mid := f"v{len(vertices)}")
+            return place(tree.first, tail, mid) + place(tree.second, mid, head)
+        return place(tree.first, tail, head) + place(tree.second, tail, head)
 
-    edge_ids = tuple(sorted(sp_terminals(dec)))
-    index = {e: i for i, e in enumerate(edge_ids)}
-    cost_list = EdgeCosts({e: costs[e] for e in edge_ids})
-
-    paths, flows = _sp_flows(dec, costs, mu)
-    f = np.array(flows) if flows else np.zeros(0)
-    loads = np.zeros(len(edge_ids))
-    for p, fp in zip(paths, flows):
-        for e in p:
-            loads[index[e]] += fp
-    c_edge = cost_list.evaluate(loads)
-    lam = _sp_cost(dec, costs, mu)
-    social = _social(cost_list, loads)
-    active: set[str] = set()
-    _sp_active(dec, costs, mu, active)
-
-    return EquilibriumSolution(
-        demand=mu,
-        edge_ids=edge_ids,
-        paths=tuple(tuple(p) for p in paths),
-        path_flows=f,
-        edge_loads=loads,
-        edge_costs=c_edge,
-        cost=float(lam),
-        active_edges=frozenset(active),
-        beckmann_value=_beckmann(cost_list, loads),
-        duality_gap=max(float(social - mu * lam), 0.0),
-        social_cost=social,
-    )
+    edges = tuple(sorted(place(dec, "s", "t"), key=lambda e: e.id))
+    return solve_equilibrium(Network(tuple(vertices), edges, "s", "t"), costs, mu)

@@ -47,6 +47,10 @@ class ClassificationConflict(PoakitError):
     """A PoA piece's derivative numerator changes sign from + to -."""
 
 
+class NonpositiveOptimum(PoakitError):
+    """A PoA piece's optimum cost, its ratio's denominator, is not positive."""
+
+
 class GridExceedsBreakpointMax(PoakitError):
     """A sampled PoA grid exceeds the breakpoint maximum beyond tolerance."""
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .costs import CostFunction
-from .errors import CertificateFailure, ClassificationConflict, GridExceedsBreakpointMax
+from .errors import (CertificateFailure, ClassificationConflict, GridExceedsBreakpointMax,
+                     NonpositiveOptimum)
 from .network import Network
 from .equilibrium import (
     _active_edge_set,
@@ -144,7 +145,9 @@ def compute_poa(net: Network, costs: dict[str, CostFunction], mu: float) -> PoAP
 @dataclass(frozen=True)
 class PoAPiece:
     """The ratio on (mu_lo, mu_hi]: (num_lin*mu + num_quad*mu^2) divided by
-    (den_const + den_lin*mu + den_quad*mu^2), with its monotonicity shape."""
+    (den_const + den_lin*mu + den_quad*mu^2), with its monotonicity shape.
+    :meth:`value` raises :class:`NonpositiveOptimum` where the denominator,
+    the optimum cost, is not positive."""
 
     mu_lo: float
     mu_hi: float
@@ -160,7 +163,7 @@ class PoAPiece:
         num = self.num_lin * mu + self.num_quad * mu * mu
         den = self.den_const + self.den_lin * mu + self.den_quad * mu * mu
         if den <= 0:
-            raise ZeroDivisionError(
+            raise NonpositiveOptimum(
                 f"optimum cost nonpositive at mu={mu} on piece "
                 f"({self.mu_lo:.6g}, {self.mu_hi:.6g}]")
         return num / den
@@ -327,7 +330,8 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
     A dense grid over the curve formulas then cross-checks that no interior
     demand beats the anchored maximum; if one does by more than
     ``grid_slack`` the piece structure is inconsistent and
-    :class:`GridExceedsBreakpointMax` is raised.
+    :class:`GridExceedsBreakpointMax` is raised; a grid demand whose optimum
+    cost is not positive raises :class:`NonpositiveOptimum`.
     """
     if curve is None:
         curve = classify_segments(net, costs, mu_max)
@@ -354,7 +358,7 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
     den = g + dd * grid + e * grid * grid
     if (den <= 0).any():
         i = int(np.argmax(den <= 0))
-        pieces[k[i]].value(grid[i])  # raises ZeroDivisionError, naming the piece
+        pieces[k[i]].value(grid[i])  # raises NonpositiveOptimum, naming the piece
     grid_vals = (a * grid + b * grid * grid) / den
     gi = int(np.argmax(grid_vals))
     if grid_vals[gi] > best_val + grid_slack:

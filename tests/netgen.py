@@ -1,7 +1,8 @@
 """Random instance generators shared by the test modules.
 
 Layered DAGs for general affine instances; random composition trees turned
-into networks for the series-parallel solver.
+into networks for the series-parallel tests, which solve them with
+``sp_equilibrium`` and the ``oracles.sp_recursion`` reference.
 """
 
 from __future__ import annotations

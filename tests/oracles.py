@@ -5,20 +5,29 @@ Both oracles minimize over an integer lattice on the path-flow simplex
 exploitation of structure, so solver bugs cannot leak in. Grid size is
 resolution**-(paths-1), hence the hard cap at 4 paths.
 
-The Newton routes at the end run the iterative solver on any costs, affine
-ones included, which the library solvers would solve exactly; the tests
+The Newton routes run the iterative solver on any costs, affine ones
+included, which the library solvers would solve exactly; the tests
 cross-check the exact solve against them.
+
+:func:`sp_recursion` solves a series-parallel network on its composition
+tree, with no path set: series children carry the full throughput and add
+their costs, parallel children split it at the first root of their
+nondecreasing cost difference. The library solves the realized network on
+its paths instead, so the two share no solver code but the root search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from poakit import CostFunction, Network, PathSet
+from poakit import BisectionFailure, CostFunction, Network, PathSet
 from poakit.equilibrium import (DEFAULT_TOL, MAX_ITER, EquilibriumSolution, OptimumSolution,
-                                _cost_list, _min_norm_flows, _newton, _package, _social)
+                                _cost_list, _first_root, _min_norm_flows, _newton, _package,
+                                _social)
+from poakit.network import SPLeaf, SPParallel, SPSeries, SPTree, sp_terminals
 
 
 class TooManyPaths(Exception):
@@ -113,3 +122,70 @@ def newton_optimum(net: Network, costs: dict[str, CostFunction], mu: float) -> O
     eq = newton_equilibrium(net, {eid: c.marginal() for eid, c in costs.items()}, mu)
     social = _social(_cost_list(net, costs), eq.edge_loads)
     return OptimumSolution(**{**vars(eq), "social_cost": social})
+
+
+# -- series-parallel recursion ---------------------------------------------------
+
+
+def _sp_cost(tree: SPTree, costs: dict[str, CostFunction], x: float) -> float:
+    """Equilibrium cost of the subnetwork at throughput x."""
+    if isinstance(tree, SPLeaf):
+        return float(costs[tree.edge_id].evaluate(x))
+    if isinstance(tree, SPSeries):
+        return _sp_cost(tree.first, costs, x) + _sp_cost(tree.second, costs, x)
+    if x <= 0:
+        return min(_sp_cost(tree.first, costs, 0.0),
+                   _sp_cost(tree.second, costs, 0.0))
+    g = _sp_split(tree, costs, x)
+    if g <= 0:
+        return _sp_cost(tree.second, costs, x)
+    if g >= x:
+        return _sp_cost(tree.first, costs, x)
+    return min(_sp_cost(tree.first, costs, g), _sp_cost(tree.second, costs, x - g))
+
+
+def _sp_split(tree: SPParallel, costs: dict[str, CostFunction], x: float) -> float:
+    """Load on the first branch: the smallest y where branch costs cross.
+
+    phi(y) = cost1(y) - cost2(x - y) is nondecreasing; the split is
+    inf{y in [0, x]: phi(y) >= 0}, or x when phi stays negative.
+    """
+    if x <= 0:
+        return 0.0
+
+    def phi(y):
+        return (_sp_cost(tree.first, costs, y)
+                - _sp_cost(tree.second, costs, x - y))
+
+    phi_lo, phi_hi = phi(0.0), phi(x)
+    if math.isnan(phi_lo) or math.isnan(phi_hi) or phi_lo > phi_hi + 1e-9 * max(1.0, abs(phi_hi)):
+        raise BisectionFailure(
+            f"branch cost curves not bracketable at throughput {x}")
+    if phi_lo >= 0:
+        return 0.0
+    if phi_hi < 0:
+        return float(x)
+    return _first_root(phi, 0.0, phi_lo, float(x), phi_hi, 1e-13 * max(1.0, x))
+
+
+def _sp_loads(tree: SPTree, costs: dict[str, CostFunction], x: float,
+              out: dict[str, float]) -> None:
+    """Edge loads of the subnetwork at throughput x, written into ``out``."""
+    if isinstance(tree, SPLeaf):
+        out[tree.edge_id] = x
+    elif isinstance(tree, SPSeries):
+        _sp_loads(tree.first, costs, x, out)
+        _sp_loads(tree.second, costs, x, out)
+    else:
+        g = _sp_split(tree, costs, x)
+        _sp_loads(tree.first, costs, g, out)
+        _sp_loads(tree.second, costs, x - g, out)
+
+
+def sp_recursion(tree: SPTree, costs: dict[str, CostFunction],
+                 mu: float) -> tuple[float, np.ndarray]:
+    """Equilibrium cost and edge loads, in sorted leaf order, of the
+    series-parallel network ``tree`` describes, at demand mu."""
+    loads: dict[str, float] = {}
+    _sp_loads(tree, costs, mu, loads)
+    return _sp_cost(tree, costs, mu), np.array([loads[e] for e in sorted(sp_terminals(tree))])

@@ -341,12 +341,22 @@ class TestExitCodes:
         assert "no equilibrium direction" in capsys.readouterr().err
 
     def test_programming_error_is_not_a_solver_failure(self, monkeypatch):
-        def bug(*args, **kwargs):
-            raise RuntimeError("bug")
+        for error in (RuntimeError, ZeroDivisionError):
+            def bug(*args, **kwargs):
+                raise error("bug")
 
-        monkeypatch.setattr(cli, "trace_to_completion", bug)
-        with pytest.raises(RuntimeError, match="bug"):
-            cli.main(["breakpoints", "--network", fixture("fig1")])
+            monkeypatch.setattr(cli, "trace_to_completion", bug)
+            with pytest.raises(error, match="bug"):
+                cli.main(["breakpoints", "--network", fixture("fig1")])
+
+    def test_nonpositive_optimum_cost_exits_three(self, tmp_path, capsys):
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({
+            "vertices": ["O", "D"], "origin": "O", "destination": "D",
+            "edges": [{"id": "e", "tail": "O", "head": "D",
+                       "cost": {"type": "affine", "a": 0.0, "b": 0.0}}]}), encoding="utf-8")
+        assert cli.main(["analyze", "--network", str(zero)]) == 3
+        assert "optimum cost nonpositive" in capsys.readouterr().err
 
     def test_verify_violations_exit_three(self, tmp_path):
         sol = tmp_path / "sol.json"

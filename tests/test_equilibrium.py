@@ -30,7 +30,7 @@ from poakit.equilibrium import (
 from poakit.network import decompose_series_parallel
 
 from netgen import layered_affine_network, random_affine_network, random_sp_network
-from oracles import newton_equilibrium
+from oracles import newton_equilibrium, sp_recursion
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -448,7 +448,7 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-# -- series-parallel recursion -----------------------------------------------------
+# -- series-parallel networks ------------------------------------------------------
 
 
 def test_sp_parallel_splits():
@@ -480,22 +480,44 @@ def test_sp_series_adds_costs():
     assert sol.path_flows == pytest.approx([2.0])
 
 
+def test_sp_returns_the_minimum_norm_flows():
+    # two parallel pairs in series: every path is an equilibrium route, and
+    # the minimum-norm flows spread the demand over all four
+    net = Network(("O", "m", "D"), (Edge("a", "O", "m"), Edge("b", "O", "m"),
+                                     Edge("c", "m", "D"), Edge("d", "m", "D")), "O", "D")
+    dec = decompose_series_parallel(net)
+    costs = {e: Affine(1, 0) for e in "abcd"}
+    paths = (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"))
+    sol = sp_equilibrium(dec, costs, 2.0)
+    assert sol.paths == paths
+    assert sol.path_flows == pytest.approx([0.5] * 4, abs=1e-12)
+    np.testing.assert_array_equal(sol.path_flows, solve_equilibrium(net, costs, 2.0).path_flows)
+    empty = sp_equilibrium(dec, costs, 0.0)
+    assert empty.paths == paths
+    assert empty.path_flows.tolist() == [0.0] * 4
+
+
 def test_sp_matches_general_solver():
+    # sp_recursion solves on the composition tree, sp_equilibrium on paths
     rng = np.random.default_rng(20240817)
     for _ in range(6):
-        net, costs, tree = random_sp_network(rng, max_leaves=6)
-        for mu in (0.8, 2.7):
-            sp = sp_equilibrium(tree, costs, mu)
-            general = solve_equilibrium(net, costs, mu)
-            assert sp.cost == pytest.approx(general.cost, abs=1e-7)
-            loads = dict(zip(sp.edge_ids, sp.edge_loads))
-            general_loads = dict(zip(general.edge_ids, general.edge_loads))
-            # compare Beckmann values: loads may differ across equilibria,
-            # the potential may not
-            assert sp.beckmann_value == pytest.approx(
-                general.beckmann_value, rel=1e-8, abs=1e-8)
-            rep = verify_wardrop(net, costs, sp)
-            assert rep.ok, rep.violations
+        net, affine, tree = random_sp_network(rng, max_leaves=6)
+        quartic = {e: Polynomial((c.b, 0.0, 0.0, 0.0, c.a)) for e, c in affine.items()}
+        for costs in (affine, quartic):
+            for mu in (0.8, 2.7):
+                sp = sp_equilibrium(tree, costs, mu)
+                general = solve_equilibrium(net, costs, mu)
+                assert (sp.edge_ids, sp.paths) == (general.edge_ids, general.paths)
+                np.testing.assert_array_equal(sp.path_flows, general.path_flows)
+                lam, loads = sp_recursion(tree, costs, mu)
+                assert sp.cost == pytest.approx(lam, rel=1e-9)
+                assert sp.edge_loads == pytest.approx(loads, abs=1e-6)
+                # compare Beckmann values: loads may differ across equilibria,
+                # the potential may not
+                beckmann = sum(float(costs[e].primitive(x)) for e, x in zip(sp.edge_ids, loads))
+                assert sp.beckmann_value == pytest.approx(beckmann, rel=1e-8, abs=1e-8)
+                rep = verify_wardrop(net, costs, sp)
+                assert rep.ok, rep.violations
 
 
 # -- randomized cross-checks --------------------------------------------------------

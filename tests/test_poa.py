@@ -12,7 +12,8 @@ import pytest
 from poakit import cli, equilibrium, parametric, poa
 from poakit.costs import Affine
 from poakit.equilibrium import _builds, solve_affine_exact, solve_equilibrium, solve_optimum
-from poakit.errors import CertificateFailure, ClassificationConflict, GridExceedsBreakpointMax
+from poakit.errors import (CertificateFailure, ClassificationConflict, GridExceedsBreakpointMax,
+                           NonpositiveOptimum)
 from poakit.network import Network, Edge, PathSet, load_network
 from poakit.parametric import trace_affine, trace_to_completion
 from poakit.poa import (
@@ -233,7 +234,7 @@ class TestCurvePieces:
     def test_piece_value_guards_nonpositive_denominator(self):
         zero = PoAPiece(mu_lo=0.0, mu_hi=1.0, num_lin=1.0, num_quad=0.0,
                         den_const=0.0, den_lin=0.0, den_quad=0.0)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(NonpositiveOptimum):
             zero.value(0.5)
 
     def test_mu_max_validation(self):
@@ -290,7 +291,7 @@ class TestMaximum:
     def test_grid_guards_nonpositive_optimum_cost(self):
         net = Network(vertices=("O", "D"), edges=(Edge("e", "O", "D"),),
                       origin="O", destination="D")
-        with pytest.raises(ZeroDivisionError, match="optimum cost nonpositive"):
+        with pytest.raises(NonpositiveOptimum, match="optimum cost nonpositive"):
             find_poa_max(net, {"e": Affine(0.0, 0.0)})
 
 
