@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 input error, 2 solver failure, 3 contract
 violation (sign contracts, classification conflicts, failed verification,
-trace reads that fail their equilibrium grade, a nonpositive optimum cost).
+flows that fail their equilibrium grade, a nonpositive optimum cost).
 Outputs are deterministic: identical inputs give byte-identical bytes.
 """
 

@@ -51,7 +51,11 @@ def _check_load(x) -> np.ndarray | float:
 
 def _finite(kind: str, name: str, values) -> tuple[float, ...]:
     """Coerce a cost field to floats, rejecting NaN and infinities."""
-    out = tuple(float(v) for v in values)
+    try:
+        out = tuple(float(v) for v in values)
+    except OverflowError:
+        raise ValueError(f"{kind} cost field {name!r} must be finite, got an integer "
+                         "past the float range") from None
     if not all(math.isfinite(v) for v in out):
         raise ValueError(f"{kind} cost field {name!r} must be finite, got {list(out)}")
     return out
@@ -335,16 +339,31 @@ def cost_to_json(cost: CostFunction) -> dict:
     raise ValueError(f"cost {cost!r} has no JSON encoding")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _field(doc: dict, name: str, array: bool = False):
+    """Field ``name`` of a cost document: a JSON number (int or float, not
+    bool), or with ``array`` a JSON array of numbers, as a tuple."""
+    value = doc[name]
+    if not ((isinstance(value, list) and all(map(_is_number, value))) if array
+            else _is_number(value)):
+        want = "an array of numbers" if array else "a number"
+        raise ValueError(f"{doc['type']} cost field {name!r} must be {want}, got {value!r}")
+    return tuple(value) if array else value
+
+
 def cost_from_json(doc: dict) -> CostFunction:
-    """Decode a cost function from its JSON dict."""
+    """Decode a cost function from its JSON dict; a field of the wrong JSON
+    type raises ``ValueError`` naming it."""
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError(f"cost document must be a dict with a 'type' key, got {doc!r}")
     kind = doc["type"]
     if kind == "affine":
-        return Affine(float(doc["a"]), float(doc["b"]))
+        return Affine(_field(doc, "a"), _field(doc, "b"))
     if kind == "poly":
-        return Polynomial(tuple(float(c) for c in doc["coeffs"]))
+        return Polynomial(_field(doc, "coeffs", array=True))
     if kind == "pwl":
-        return PiecewiseLinear(tuple(float(v) for v in doc["x"]),
-                               tuple(float(v) for v in doc["y"]))
+        return PiecewiseLinear(_field(doc, "x", array=True), _field(doc, "y", array=True))
     raise ValueError(f"unknown cost type {kind!r}")

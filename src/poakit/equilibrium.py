@@ -15,8 +15,11 @@ Solvers:
 - :func:`sp_equilibrium`     :func:`solve_equilibrium` on the network a
   series-parallel composition tree describes.
 
-All solvers return the minimum-Euclidean-norm path-flow equilibrium so that
-outputs are deterministic even when equilibria are non-unique.
+All solvers return the minimum-Euclidean-norm path-flow equilibrium, so
+printed path flows are deterministic even when equilibria are non-unique.
+The selection runs only for flows that get printed: PoA values are read
+off the flows of :func:`_flows` as the solve leaves them (see
+:mod:`poakit.poa`), since no cost depends on the choice of equilibrium.
 
 One primal active-set kernel, :func:`_simplex_qp`, solves every quadratic
 program here: min 1/2 x'Hx + g'x subject to Cx = r and x >= 0. With C = 1'
@@ -28,7 +31,7 @@ equations that fix the equilibrium set, it is the minimum-norm selection.
 Every solve reads its costs through one :class:`~poakit.costs.EdgeCosts` in
 edge order: each load vector is evaluated, integrated or differentiated in
 one call, not edge by edge. Each public call builds it and the path set
-once for :func:`_solve`, the one place that picks the exact solve or Newton.
+once for :func:`_flows`, the one place that picks the exact solve or Newton.
 """
 
 from __future__ import annotations
@@ -331,30 +334,29 @@ def _check_demand(mu: float) -> None:
 
 
 def _builds(net: Network, costs: dict[str, CostFunction]):
-    """Path set, costs and marginal costs c + x*c', as :func:`_optimum` takes them."""
+    """Path set, costs and marginal costs c + x*c', the optimum's game."""
     marginal = {eid: c.marginal() for eid, c in costs.items()}
     return PathSet.build(net), _cost_list(net, costs), _cost_list(net, marginal)
 
 
-def _solve(ps: PathSet, cost_list: EdgeCosts, mu: float, tol: float = DEFAULT_TOL,
-           max_iter: int = MAX_ITER) -> EquilibriumSolution:
-    """Minimum-norm equilibrium at demand mu >= 0 on a built path set and costs:
+def _flows(ps: PathSet, cost_list: EdgeCosts, mu: float, tol: float = DEFAULT_TOL,
+           max_iter: int = MAX_ITER) -> np.ndarray:
+    """Equilibrium path flows at demand mu >= 0 on a built path set and costs:
     exact if all are affine, else :func:`_newton` under ``tol`` and ``max_iter``."""
     if mu == 0:
-        return _package(ps, cost_list, 0.0, np.zeros(ps.n_paths))
+        return np.zeros(ps.n_paths)
     if _is_affine(cost_list):
-        f = _affine_flows(ps, cost_list, mu)
-    else:
-        f = _newton(ps, cost_list, mu, tol, max_iter)
+        return _affine_flows(ps, cost_list, mu)
+    return _newton(ps, cost_list, mu, tol, max_iter)
+
+
+def _solve(ps: PathSet, cost_list: EdgeCosts, mu: float, tol: float = DEFAULT_TOL,
+           max_iter: int = MAX_ITER) -> EquilibriumSolution:
+    """The flows of :func:`_flows`, minimum-norm selected and packaged."""
+    f = _flows(ps, cost_list, mu, tol, max_iter)
+    if mu == 0:
+        return _package(ps, cost_list, 0.0, f)
     return _package(ps, cost_list, mu, _min_norm_flows(ps, cost_list, mu, f))
-
-
-def _optimum(ps: PathSet, cost_list: EdgeCosts, marginal_list: EdgeCosts, mu: float,
-             tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> OptimumSolution:
-    """Social optimum: the equilibrium of the marginal-cost game, priced in
-    the original costs."""
-    eq = _solve(ps, marginal_list, mu, tol, max_iter)
-    return OptimumSolution(**{**vars(eq), "social_cost": _social(cost_list, eq.edge_loads)})
 
 
 def solve_equilibrium(net: Network, costs: dict[str, CostFunction], mu: float,
@@ -373,11 +375,13 @@ def solve_equilibrium(net: Network, costs: dict[str, CostFunction], mu: float,
 
 def solve_optimum(net: Network, costs: dict[str, CostFunction], mu: float,
                   tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> OptimumSolution:
-    """Social optimum at demand mu, via equilibrium of the marginal-cost game:
-    exact when every cost is affine (so are the marginals), otherwise as in
-    :func:`solve_equilibrium`."""
+    """Social optimum at demand mu: the equilibrium of the marginal-cost game,
+    priced in the original costs; exact when every cost is affine (so are the
+    marginals), otherwise as in :func:`solve_equilibrium`."""
     _check_demand(mu)
-    return _optimum(*_builds(net, costs), mu, tol, max_iter)
+    ps, cost_list, marginal_list = _builds(net, costs)
+    eq = _solve(ps, marginal_list, mu, tol, max_iter)
+    return OptimumSolution(**{**vars(eq), "social_cost": _social(cost_list, eq.edge_loads)})
 
 
 def _simplex_qp(H: np.ndarray, g: np.ndarray, C: np.ndarray, r: np.ndarray,

@@ -56,4 +56,4 @@ class GridExceedsBreakpointMax(PoakitError):
 
 
 class CertificateFailure(PoakitError):
-    """Flows read off an equilibrium trace fail their Wardrop grade."""
+    """Path flows, solved or read off a trace, fail their Wardrop grade."""

@@ -264,6 +264,8 @@ def decompose_series_parallel(net: Network) -> SPTree:
 def network_from_json(doc: dict) -> tuple[Network, dict[str, CostFunction]]:
     """Build a network and its edge costs from a JSON document."""
     try:
+        if not isinstance(doc["vertices"], list):
+            raise ValueError(f"field 'vertices' must be an array, got {doc['vertices']!r}")
         edges = tuple(Edge(id=str(e["id"]), tail=str(e["tail"]), head=str(e["head"]))
                       for e in doc["edges"])
         net = Network(

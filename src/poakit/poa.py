@@ -9,13 +9,13 @@ breakpoints the ratio is a fixed rational function, so each piece can be
 classified as constant, increasing, decreasing, or a valley; a maximum never
 sits strictly inside a piece, which pins the global maximum to a breakpoint.
 
-On affine costs the maximum search and the sweep solve nothing per demand:
-they read the equilibrium flows at mu and at 2*mu off one trace. Each read
-is graded before use, the equilibrium in the original costs and the
-optimum in the marginal-cost game, so a mis-traced segment raises
-:class:`CertificateFailure` instead of passing as an answer. A single
-demand (:func:`compute_poa`) is solved directly, which costs less than a
-trace out to 2*mu.
+Every value is read off path flows graded before use (:func:`_point`): the
+equilibrium in the original costs, the optimum in the marginal-cost game,
+so a wrong solve or a mis-traced segment raises :class:`CertificateFailure`
+instead of passing as an answer. Both costs, lambda and the active edges
+are the same at every equilibrium, so no selection among equilibria runs.
+:func:`compute_poa` and non-affine sweep rows solve both games; on affine
+costs the maximum search and the sweep read mu and 2*mu off one trace.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from .equilibrium import (
     _active_edge_set,
     _builds,
     _check_demand,
+    _flows,
     _grade,
     _is_affine,
-    _optimum,
     _social,
-    _solve,
 )
 from .parametric import AffineTrace, _trace, trace_affine, trace_to_completion
 
@@ -92,39 +91,28 @@ def poa_ratio(sc_eq: float, sc_opt: float, tol: float = DECLARE_ONE_TOL) -> floa
     return sc_eq / sc_opt
 
 
-def _point(builds, mu: float) -> PoAPoint:
+def _point(builds, mu: float, f_eq: np.ndarray, f_opt: np.ndarray) -> PoAPoint:
+    """Point at demand mu from equilibrium and optimum path flows, graded in
+    the original and the marginal-cost game; a failed grade raises
+    :class:`CertificateFailure` naming the demand and the game. lambda, sc_eq
+    and the active set come from the first grade, sc_opt from the loads of
+    the second: all four are the same at every equilibrium."""
     ps, cost_list, marginal_list = builds
-    eq = _solve(ps, cost_list, mu)
-    sc_opt = _optimum(ps, cost_list, marginal_list, mu).social_cost
-    return PoAPoint(mu=mu, lam=eq.cost, sc_eq=eq.social_cost, sc_opt=sc_opt,
-                    poa=poa_ratio(eq.social_cost, sc_opt), active_edges=eq.active_edges)
-
-
-def _certified(ps, cost_list, f: np.ndarray, mu: float, game: str):
-    """Wardrop grade of flows read off a trace; a failed one raises
-    :class:`CertificateFailure` naming the demand and the game."""
-    report = _grade(ps, cost_list, f, mu)
-    if not report.ok:
-        raise CertificateFailure(f"trace flows fail the {game} grade at mu={mu!r}: "
-                                 + "; ".join(report.violations))
-    return report
-
-
-def _trace_point(builds, trace: AffineTrace, mu: float) -> PoAPoint:
-    """Point at demand mu > 0 read off an affine trace covering 2*mu.
-
-    The equilibrium is the segment line at mu and the optimum half the line
-    at 2*mu, graded in the original and the marginal-cost game. The active
-    set follows the solves' rule on the graded path costs.
-    """
-    ps, cost_list, marginal_list = builds
-    eq = _certified(ps, cost_list, trace.segment_at(mu).flows(mu), mu, "equilibrium")
-    opt = _certified(ps, marginal_list, 0.5 * trace.segment_at(2.0 * mu).flows(2.0 * mu),
-                     mu, "marginal-cost")
+    eq, opt = _grade(ps, cost_list, f_eq, mu), _grade(ps, marginal_list, f_opt, mu)
+    for game, report in (("equilibrium", eq), ("marginal-cost", opt)):
+        if not report.ok:
+            raise CertificateFailure(f"flows fail the {game} grade at mu={mu!r}: "
+                                     + "; ".join(report.violations))
     sc_opt = _social(cost_list, opt.edge_loads)
     return PoAPoint(mu=mu, lam=eq.lam, sc_eq=eq.social_cost, sc_opt=sc_opt,
                     poa=poa_ratio(eq.social_cost, sc_opt),
                     active_edges=_active_edge_set(ps, eq.path_costs, eq.lam))
+
+
+def _trace_flows(trace: AffineTrace, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Equilibrium and optimum flows at mu > 0 read off an affine trace
+    covering 2*mu: the segment line at mu and half the line at 2*mu."""
+    return trace.segment_at(mu).flows(mu), 0.5 * trace.segment_at(2.0 * mu).flows(2.0 * mu)
 
 
 def compute_poa(net: Network, costs: dict[str, CostFunction], mu: float) -> PoAPoint:
@@ -132,11 +120,13 @@ def compute_poa(net: Network, costs: dict[str, CostFunction], mu: float) -> PoAP
 
     One path set and cost build serves the equilibrium and the optimum (the
     equilibrium of the marginal-cost game), each solved once, exactly when
-    every cost is affine. The ratio follows :func:`poa_ratio` at its
-    default tolerance.
+    every cost is affine. Both solves' flows are graded as they are (see
+    :func:`_point`), with no selection among equilibria. The ratio follows
+    :func:`poa_ratio` at its default tolerance.
     """
     _check_demand(mu)
-    return _point(_builds(net, costs), mu)
+    ps, cost_list, marginal_list = builds = _builds(net, costs)
+    return _point(builds, mu, _flows(ps, cost_list, mu), _flows(ps, marginal_list, mu))
 
 
 # -- curve pieces -----------------------------------------------------------------
@@ -325,7 +315,7 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
     """Global maximum of the ratio curve, anchored at breakpoints.
 
     Every merged breakpoint and the right endpoint are read off the curve's
-    trace and graded in both games (see :func:`_trace_point`), on one path
+    trace and graded in both games (see :func:`_point`), on one path
     set and cost build; a failed grade raises :class:`CertificateFailure`.
     A dense grid over the curve formulas then cross-checks that no interior
     demand beats the anchored maximum; if one does by more than
@@ -342,7 +332,7 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
     best_mu, best_val, best_bp = None, -np.inf, False
     builds = _builds(net, costs)
     for mu, is_bp in candidates:
-        val = _trace_point(builds, curve.trace, mu).poa
+        val = _point(builds, mu, *_trace_flows(curve.trace, mu)).poa
         better = val > best_val + 1e-12
         tie = abs(val - best_val) <= 1e-12
         prefer = (is_bp and mu in eq_set) and not best_bp
@@ -397,21 +387,24 @@ def sweep_poa(net: Network, costs: dict[str, CostFunction], mu_lo: float,
     fraction of the range; this brackets every structural change without a
     fine uniform grid. Every row uses one path set and cost build. On
     all-affine costs one trace out to 2*mu_hi serves every row, each read
-    off it and graded as in :func:`find_poa_max` (a row at mu = 0 is the
-    zero flow); otherwise each row is solved.
+    off it as in :func:`find_poa_max` (a row at mu = 0 is the zero flow);
+    otherwise each row is solved as in :func:`compute_poa`. Every row's
+    flows are graded (see :func:`_point`).
     """
     if not (0 <= mu_lo < mu_hi < math.inf):
         raise ValueError(f"need 0 <= mu_lo < mu_hi < inf, got [{mu_lo}, {mu_hi}]")
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     builds = _builds(net, costs)
-    ps, cost_list, _ = builds
+    ps, cost_list, marginal_list = builds
     trace = _trace(ps, cost_list, 2.0 * mu_hi, grow=False) if _is_affine(cost_list) else None
 
     def row(mu):  # a trace has no segment at mu = 0
         if trace is None or mu == 0:
-            return _row(_point(builds, mu))
-        return _row(_trace_point(builds, trace, mu))
+            flows = _flows(ps, cost_list, mu), _flows(ps, marginal_list, mu)
+        else:
+            flows = _trace_flows(trace, mu)
+        return _row(_point(builds, mu, *flows))
 
     rows = [row(mu) for mu in np.linspace(mu_lo, mu_hi, n_samples).tolist()]
     if adaptive:

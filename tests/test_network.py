@@ -32,6 +32,7 @@ from poakit import (
     trace_to_completion,
     verify_wardrop,
 )
+from poakit import cli
 from poakit.network import network_from_json, network_to_json, sp_terminals
 
 
@@ -215,10 +216,26 @@ def test_utf8_round_trip(tmp_path):
 
 def test_non_finite_cost_names_edge_and_field(tmp_path):
     path = tmp_path / "nan.json"
-    path.write_text(
-        '{"vertices": ["O", "D"], "origin": "O", "destination": "D", "edges": ['
-        '{"id": "good", "tail": "O", "head": "D", "cost": {"type": "affine", "a": 1, "b": 0}},'
-        '{"id": "bad", "tail": "O", "head": "D", "cost": {"type": "affine", "a": NaN, "b": 0}}]}',
-        encoding="utf-8")
-    with pytest.raises(ValueError, match="edge 'bad'.*'a'"):
+    # each bad field below once loaded, coerced by float() or iterated as a string
+    for bad, field in (('{"type": "affine", "a": NaN, "b": 0}', "a"),
+                       ('{"type": "poly", "coeffs": "12"}', "coeffs"),
+                       ('{"type": "poly", "coeffs": {"1": 2}}', "coeffs"),
+                       ('{"type": "poly", "coeffs": [1, "2"]}', "coeffs"),
+                       ('{"type": "affine", "a": "2", "b": 1}', "a"),
+                       ('{"type": "affine", "a": 2, "b": true}', "b"),
+                       ('{"type": "affine", "a": 1, "b": 1' + "0" * 400 + "}", "b"),
+                       ('{"type": "pwl", "x": "01", "y": [1, 2]}', "x"),
+                       ('{"type": "pwl", "x": [0, 1], "y": null}', "y")):
+        path.write_text(
+            '{"vertices": ["O", "D"], "origin": "O", "destination": "D", "edges": ['
+            '{"id": "good", "tail": "O", "head": "D", "cost": {"type": "affine", "a": 1, "b": 0}},'
+            f'{{"id": "bad", "tail": "O", "head": "D", "cost": {bad}}}]}}',
+            encoding="utf-8")
+        with pytest.raises(ValueError, match=f"edge 'bad'.*'{field}'"):
+            load_network(str(path))
+    path.write_text('{"vertices": "OD", "origin": "O", "destination": "D", "edges": ['
+                    '{"id": "e", "tail": "O", "head": "D", "cost": {"type": "affine", "a": 1, "b": 0}}]}',
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="field 'vertices' must be an array"):
         load_network(str(path))
+    assert cli.main(["solve", "--network", str(path), "--demand", "1"]) == 1  # input error

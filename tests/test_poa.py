@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from poakit import cli, equilibrium, parametric, poa
-from poakit.costs import Affine
+from poakit.costs import Affine, Polynomial
 from poakit.equilibrium import _builds, solve_affine_exact, solve_equilibrium, solve_optimum
 from poakit.errors import (CertificateFailure, ClassificationConflict, GridExceedsBreakpointMax,
                            NonpositiveOptimum)
@@ -26,16 +26,29 @@ from poakit.poa import (
     sweep_poa,
     write_sweep_csv,
     _classify,
-    _trace_point,
+    _point,
+    _trace_flows,
+    poa_ratio,
 )
 
-from netgen import random_affine_network
+from netgen import layered_affine_network, random_affine_network
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
 def tracked(name):
     return load_network(os.path.join(FIXTURES, f"{name}.json"))
+
+
+def quartic(costs):
+    """b + a*x^4 in place of each affine a*x + b."""
+    return {eid: Polynomial((c.b, 0.0, 0.0, 0.0, c.a)) for eid, c in costs.items()}
+
+
+def bpr_dag():
+    # degree-4 costs, the BPR shape, on an 18-path layered DAG
+    net, costs = layered_affine_network(np.random.default_rng(0), widths=(3, 3, 2))
+    return net, quartic(costs)
 
 
 def pigou_instance():
@@ -492,7 +505,7 @@ class TestCertificates:
 
 def test_trace_reads_make_no_solves(monkeypatch):
     net, costs, curve = nested2_curve()
-    calls = {"_solve": 0, "_optimum": 0, "_grade": 0}
+    calls = {"_flows": 0, "_grade": 0}
 
     def counting(name):
         original = getattr(poa, name)
@@ -507,20 +520,29 @@ def test_trace_reads_make_no_solves(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(poa, name, counting(name))
-    # every solve at a positive demand ends in this selection
+    # PoA values need no selection among equilibria, solved or traced
     monkeypatch.setattr(equilibrium, "_min_norm_flows", refuse)
     with monkeypatch.context() as m:
         m.setattr(parametric, "_min_norm_flows", refuse)  # no trace is made either
         mx = find_poa_max(net, costs, curve=curve)
     n_candidates = len(curve.merged_breakpoints) + 1
-    assert calls == {"_solve": 0, "_optimum": 0, "_grade": 2 * n_candidates}
+    assert calls == {"_flows": 0, "_grade": 2 * n_candidates}
     assert mx.mu == pytest.approx(6.0, abs=1e-9)
 
     for lo, zero_rows in ((0.5, 0), (0.0, 1)):
         calls.update(dict.fromkeys(calls, 0))
         rows = sweep_poa(net, costs, lo, 25.0, 9, adaptive=True)
-        assert calls == {"_solve": zero_rows, "_optimum": zero_rows,
-                         "_grade": 2 * (len(rows) - zero_rows)}
+        assert calls == {"_flows": 2 * zero_rows, "_grade": 2 * len(rows)}
+
+    # solved flows are graded as they are, on Newton and on the exact solve
+    for net, costs in (tracked("parallel_quad"), bpr_dag(), tracked("fig1")):
+        calls.update(dict.fromkeys(calls, 0))
+        compute_poa(net, costs, 2.5)
+        assert calls == {"_flows": 2, "_grade": 2}
+    for net, costs in (tracked("parallel_quad"), bpr_dag()):
+        calls.update(dict.fromkeys(calls, 0))
+        rows = sweep_poa(net, costs, 0.0, 6.0, 7)
+        assert calls == {"_flows": 2 * len(rows), "_grade": 2 * len(rows)}
 
 
 def assert_same_point(read, read_hash, solved, where):
@@ -547,7 +569,7 @@ def test_trace_reads_match_direct_solves(name):
     demands = list(curve.merged_breakpoints)
     demands += [0.5 * (p.mu_lo + p.mu_hi) for p in curve.pieces]
     for mu in demands:
-        read = _trace_point(builds, curve.trace, mu)
+        read = _point(builds, mu, *_trace_flows(curve.trace, mu))
         assert_same_point(read, read.active_hash, compute_poa(net, costs, mu), f"{name} at {mu!r}")
     sweeps = [(0.0, curve.mu_max, 17, False), (0.0, curve.mu_max, 17, True)]
     if name == "fig1":
@@ -556,3 +578,62 @@ def test_trace_reads_match_direct_solves(name):
         for row in sweep_poa(net, costs, lo, hi, n, adaptive=adaptive):
             assert_same_point(row, row.active_set_hash, compute_poa(net, costs, row.mu),
                               f"{name} row {row.mu!r}")
+
+
+def nonaffine_case(name):
+    if name == "tied-constants":
+        # two constant edges at one price: the solver leaves their flow on the
+        # first, the selection splits it evenly
+        net = Network(("O", "m", "D"), (Edge("c1", "O", "m"), Edge("c2", "O", "m"),
+                                        Edge("q", "m", "D"), Edge("direct", "O", "D")), "O", "D")
+        return net, {"c1": Polynomial((1.0,)), "c2": Polynomial((1.0,)),
+                     "q": Polynomial((0.5, 0.0, 0.0, 0.0, 0.2)),
+                     "direct": Polynomial((2.0, 0.0, 0.3))}
+    if name.startswith("quartic"):
+        net, costs = random_affine_network(np.random.default_rng((14, int(name[8:]))))
+        return net, quartic(costs)
+    return tracked(name)
+
+
+@pytest.mark.parametrize("name", ["parallel_quad", "wheatstone_pwl", "tied-constants",
+                                  *(f"quartic-{k}" for k in range(4))])
+def test_poa_values_need_no_selection(name):
+    # compute_poa grades the solver's flows as they are, while the public
+    # solvers select the minimum-norm equilibrium; lambda, both total costs
+    # and the active edge set are the same at every equilibrium
+    net, costs = nonaffine_case(name)
+    # wheatstone_pwl's optimum stalls or reads above the equilibrium on 4.06-6.0
+    demands = (0.3, 1.0, 2.5, 3.9, 6.5, 8.0, 11.0) if name == "wheatstone_pwl" \
+        else (0.0, 0.3, 1.0, 2.5, 5.0, 9.0)
+    for mu in demands:
+        pt = compute_poa(net, costs, mu)
+        eq, opt = solve_equilibrium(net, costs, mu), solve_optimum(net, costs, mu)
+        want = {"lam": eq.cost, "sc_eq": eq.social_cost, "sc_opt": opt.social_cost,
+                "poa": poa_ratio(eq.social_cost, opt.social_cost)}
+        for field, b in want.items():
+            a = getattr(pt, field)
+            assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (name, mu, field, a, b)
+        assert pt.active_hash == active_set_hash(eq.active_edges), (name, mu)
+
+
+def test_solved_flows_are_graded(monkeypatch, capsys):
+    # a wrong solve: a quarter of the busiest path's flow moved onto the
+    # dearest other path
+    real = poa._flows
+
+    def wrong(ps, cost_list, mu, *args):
+        f = real(ps, cost_list, mu, *args).copy()
+        costs = cost_list.evaluate(ps.incidence @ f) @ ps.incidence
+        p = int(np.argmax(f))
+        q = max((i for i in range(ps.n_paths) if i != p), key=lambda i: costs[i])
+        f[p], f[q] = 0.75 * f[p], f[q] + 0.25 * f[p]
+        return f
+
+    monkeypatch.setattr(poa, "_flows", wrong)
+    net, costs = tracked("parallel_quad")
+    with pytest.raises(CertificateFailure, match=r"equilibrium grade at mu=2\.0: used path"):
+        compute_poa(net, costs, 2.0)
+    path = os.path.join(FIXTURES, "parallel_quad.json")
+    assert cli.main(["sweep", "--network", path, "--from", "0", "--to", "8",
+                     "--samples", "9"]) == 3
+    assert "equilibrium grade at mu=1.0" in capsys.readouterr().err
