@@ -20,6 +20,7 @@ from .equilibrium import (
     DEFAULT_TOL,
     MAX_ITER,
     EquilibriumSolution,
+    _cost_list,
     solve_equilibrium,
     solve_optimum,
     verify_wardrop,
@@ -39,13 +40,14 @@ from .errors import (
     SupportSearchExhausted,
     TraceFailure,
 )
-from .network import load_network
+from .network import PathSet, load_network
 from .parametric import (
+    MU_START,
+    _trace,
     optimum_breakpoints,
     segment_solution,
     trace_affine,
     trace_from_json,
-    trace_to_completion,
     trace_to_json,
 )
 from .poa import (
@@ -188,10 +190,11 @@ def cmd_trace(args) -> int:
 
 def cmd_breakpoints(args) -> int:
     net, costs = load_network(args.network)
-    if args.max_demand is None:
-        trace = trace_to_completion(net, costs)
-    else:
-        trace = trace_affine(net, costs, args.max_demand)
+    # breakpoints do not depend on the choice among equilibria: nothing is selected
+    grow = args.max_demand is None
+    trace = _trace(PathSet.build(net), _cost_list(net, costs),
+                   MU_START if grow else args.max_demand, grow=grow)
+
     def rows(bps):
         return [{"mu": b.mu, "active_before": sorted(b.active_before),
                  "active_after": sorted(b.active_after)} for b in bps]

@@ -44,7 +44,7 @@ def _check_load(x) -> np.ndarray | float:
             raise NegativeLoad(f"cost evaluated at negative load {float(x)!r}")
         return float(x)
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise NegativeLoad(f"cost evaluated at negative load {arr.min()!r}")
     return arr if arr.ndim else float(arr)
 
@@ -250,9 +250,13 @@ class _PiecewiseMarginal(CostFunction):
 
 def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Polynomials at x by Horner's rule, one per column of ``coef`` (row k:
-    the degree-k coefficients), in the steps of ``polynomial.polyval``."""
-    out = coef[-1].copy()
-    for row in coef[-2::-1]:
+    the degree-k coefficients), in the steps of ``polynomial.polyval``; x holds
+    one load per column, or is a stack of such rows."""
+    if len(coef) == 1:
+        return np.broadcast_to(coef[0], x.shape).copy()
+    out = coef[-1] * x
+    out += coef[-2]
+    for row in coef[-3::-1]:
         out *= x
         out += row
     return out
@@ -267,7 +271,8 @@ class EdgeCosts(CostFunction):
     and over its derivative and primitive matrices. An :class:`Affine`
     primitive keeps its closed form 0.5*a*x*x + b*x, which Horner would round
     differently. Piecewise-linear costs and their marginals are called one
-    edge at a time. A load vector is checked once per call. ``affine`` and
+    edge at a time. Each method takes a load vector in edge order, or a stack
+    of them, one per row, and checks it once per call. ``affine`` and
     ``constant`` mark the costs of degree at most 1 and 0, read off their
     coefficients (pwl costs are neither); ``a`` and ``b`` are the slope and
     intercept columns, meaningful where ``affine`` is set.
@@ -302,29 +307,35 @@ class EdgeCosts(CostFunction):
         negative = x < 0
         if negative.any():
             j = int(negative.argmax())
-            raise NegativeLoad(f"cost of edge {self.ids[j]!r} evaluated at "
-                               f"negative load {float(x[j])!r}")
+            raise NegativeLoad(f"cost of edge {self.ids[j % x.shape[-1]]!r} evaluated at "
+                               f"negative load {float(x.flat[j])!r}")
         return x
 
     def evaluate(self, x):
         x = self._loads(x)
         out = _horner(self._coef, x)
-        for j, c in self._other:
-            out[j] = c.evaluate(x[j])
+        if self._other:
+            x_edge, out_edge = x.T, out.T  # edge j is column j of a stack
+            for j, c in self._other:
+                out_edge[j] = c.evaluate(x_edge[j])
         return out
 
     def primitive(self, x):
         x = self._loads(x)
         out = np.where(self._closed, self._half_a * x * x + self.b * x, _horner(self._prim, x))
-        for j, c in self._other:
-            out[j] = c.primitive(x[j])
+        if self._other:
+            x_edge, out_edge = x.T, out.T
+            for j, c in self._other:
+                out_edge[j] = c.primitive(x_edge[j])
         return out
 
     def derivative(self, x):
         x = self._loads(x)
         out = _horner(self._der, x)
-        for j, c in self._other:
-            out[j] = c.derivative(x[j])
+        if self._other:
+            x_edge, out_edge = x.T, out.T
+            for j, c in self._other:
+                out_edge[j] = c.derivative(x_edge[j])
         return out
 
 

@@ -8,7 +8,8 @@ Solvers:
 
 - :func:`solve_equilibrium`  exact on all-affine costs, else projected
   Newton steps on the potential (one kernel call each on its second-order
-  model); then a minimum-norm selection among equilibrium path flows.
+  model); then a minimum-norm selection among equilibrium path flows, over
+  the paths tied at the common cost.
 - :func:`solve_optimum`      the same on marginal costs, priced in the
   original costs.
 - :func:`solve_affine_exact` the same, for all-affine costs only.
@@ -17,16 +18,19 @@ Solvers:
 
 All solvers return the minimum-Euclidean-norm path-flow equilibrium, so
 printed path flows are deterministic even when equilibria are non-unique.
-The selection runs only for flows that get printed: PoA values are read
-off the flows of :func:`_flows` as the solve leaves them (see
-:mod:`poakit.poa`), since no cost depends on the choice of equilibrium.
+The selection runs only for path flows that get printed: PoA values, the
+affine analytics and the breakpoints are read off the flows of
+:func:`_flows` or of the tracer as they are (see :mod:`poakit.poa`), since
+no cost depends on the choice of equilibrium. :func:`_grade` certifies a
+whole stack of flow vectors with one cost evaluation.
 
 One primal active-set kernel, :func:`_simplex_qp`, solves every quadratic
 program here: min 1/2 x'Hx + g'x subject to Cx = r and x >= 0. With C = 1'
 it is the exact affine solve (H, g the path quadratic), each Newton step
 (H, g the potential's second-order model) and the tracer's direction
 problem past an event; with H = I, g = 0 and C an orthonormal basis of the
-equations that fix the equilibrium set, it is the minimum-norm selection.
+equations that fix the equilibrium set on the tied paths, it is the
+minimum-norm selection.
 
 Every solve reads its costs through one :class:`~poakit.costs.EdgeCosts` in
 edge order: each load vector is evaluated, integrated or differentiated in
@@ -117,6 +121,11 @@ def _social(cost_list: EdgeCosts, loads: np.ndarray) -> float:
     return float(sum((loads * cost_list.evaluate(loads)).tolist()))
 
 
+def _sums(rows: np.ndarray) -> list[float]:
+    """Each row of a matrix summed as :func:`_social` sums its terms."""
+    return [sum(row) for row in rows.tolist()]
+
+
 def _wardrop_residual(path_costs: np.ndarray, flows: np.ndarray, mu: float) -> float:
     """Worst violation of the equilibrium conditions, in cost units."""
     lam = float(path_costs.min())
@@ -126,15 +135,15 @@ def _wardrop_residual(path_costs: np.ndarray, flows: np.ndarray, mu: float) -> f
     return float((path_costs[used] - lam).max())
 
 
+def _tied(path_costs: np.ndarray, lam: float) -> np.ndarray:
+    """Mask of the paths at the common cost lam."""
+    return path_costs <= (lam * (1.0 + EPS_ACTIVE_REL) if lam > 0 else EPS_ACTIVE_ABS)
+
+
 def _active_edge_set(ps: PathSet, path_costs: np.ndarray, lam: float) -> frozenset[str]:
-    if lam > 0:
-        thresh = lam * (1.0 + EPS_ACTIVE_REL)
-    else:
-        thresh = EPS_ACTIVE_ABS
     active: set[str] = set()
-    for p, path in enumerate(ps.paths):
-        if path_costs[p] <= thresh:
-            active.update(path)
+    for p in _tied(path_costs, lam).nonzero()[0].tolist():
+        active.update(ps.paths[p])
     return frozenset(active)
 
 
@@ -268,34 +277,37 @@ def _path_quadratic(Z: np.ndarray, cost_list: EdgeCosts) -> tuple[np.ndarray, np
 def _min_norm_flows(ps: PathSet, cost_list: EdgeCosts, mu: float, f: np.ndarray) -> np.ndarray:
     """Select the minimum-norm path-flow vector among equilibria.
 
-    For all-affine costs the full equilibrium set {A f' = A f, d.f' = d.f}
-    is searched. Otherwise the loads of load-dependent edges are held, which
-    keeps every edge cost; flow may move between constant edges, and a last
-    row (only when one exists) holds their total cost so that none moves
-    onto a dearer path. Both systems have dependent rows, so they are
-    reduced once to an orthonormal basis B of their row space and the
-    search runs on B f' = B f.
+    Edge costs are the same at every equilibrium, so every equilibrium
+    routes flow only on the paths T tied at the common cost of ``f`` (and
+    on those ``f`` uses); the search runs over those columns alone. For
+    all-affine costs the whole equilibrium set on T, {A_TT f' = A_TT f,
+    d_T.f' = d_T.f}, is searched. Otherwise the loads of load-dependent
+    edges are held, which keeps every edge cost; flow may move between
+    constant edges, and a last row (only when one exists) holds their total
+    cost so that none moves onto a dearer path. Both systems have dependent
+    rows, so they are reduced once to an orthonormal basis B of their row
+    space and the search runs on B f' = B f. A search that exhausts the
+    kernel raises :class:`SupportSearchExhausted`.
     """
-    Z, n = ps.incidence, ps.n_paths
+    Z = ps.incidence
+    c_in = cost_list.evaluate(Z @ f) @ Z
+    T = (_tied(c_in, float(c_in.min())) | (f > 0)).nonzero()[0]
+    Z_T, f_T, n = Z[:, T], f[T], len(T)
     if _is_affine(cost_list):
-        A, d = _path_quadratic(Z, cost_list)
+        A, d = _path_quadratic(Z_T, cost_list)
         C = np.vstack([np.ones((1, n)), A, d[None, :]])
     else:
         const = cost_list.constant
-        held = [(cost_list.b * const) @ Z] if const.any() else []
-        C = np.vstack([np.ones((1, n)), Z[~const], *held])
+        held = [(cost_list.b * const) @ Z_T] if const.any() else []
+        C = np.vstack([np.ones((1, n)), Z_T[~const], *held])
     _, sv, Vt = np.linalg.svd(C, full_matrices=False)
     B = Vt[:int((sv > 1e-10 * sv[0]).sum())]
     if len(B) == n:
         return f  # the constraints pin the flows
-    try:
-        out, _ = _simplex_qp(np.eye(n), np.zeros(n), B, B @ f, f)
-    except SupportSearchExhausted:
-        return f  # the input is an equilibrium already
-    out = np.maximum(out, 0.0)
+    out = np.zeros(ps.n_paths)
+    out[T] = np.maximum(_simplex_qp(np.eye(n), np.zeros(n), B, B @ f_T, f_T)[0], 0.0)
     # never let the selection degrade the equilibrium itself
     c_out = cost_list.evaluate(Z @ out) @ Z
-    c_in = cost_list.evaluate(Z @ f) @ Z
     if _wardrop_residual(c_out, out, mu) <= _wardrop_residual(c_in, f, mu) + 1e-9:
         return out
     return f
@@ -412,18 +424,22 @@ def _simplex_qp(H: np.ndarray, g: np.ndarray, C: np.ndarray, r: np.ndarray,
     x[~S] = 0.0  # dust starts at its bound
     k = len(r)
     for _ in range(max_pivots):
-        idx = np.flatnonzero(S)
+        idx = S.nonzero()[0]
         m = len(idx)
+        C_S = C[:, idx]
         kkt = np.zeros((m + k, m + k))
-        kkt[:m, :m] = H[np.ix_(idx, idx)]
-        kkt[:m, m:] = -C[:, idx].T
-        kkt[m:, :m] = C[:, idx]
+        kkt[:m, :m] = H[idx[:, None], idx]
+        kkt[:m, m:] = -C_S.T
+        kkt[m:, :m] = C_S
         U, sv, Vt = np.linalg.svd(kkt)
         rank = int((sv > 1e-10 * sv[0]).sum())
-        grad = H @ x + g
-        null = Vt[rank:, :m]  # zero-curvature directions (p, 0)
-        slope = null @ grad[idx]
-        if slope.size and np.abs(slope).max() > 1e-12 * max(1.0, np.abs(grad[idx]).max()):
+        descends = False
+        if rank < m + k:  # only a singular system has zero-curvature directions
+            grad = (H @ x + g)[idx]
+            null = Vt[rank:, :m]  # zero-curvature directions (p, 0)
+            slope = null @ grad
+            descends = np.abs(slope).max() > 1e-12 * max(1.0, np.abs(grad).max())
+        if descends:
             p = -(null.T @ slope)  # descends linearly until a bound blocks
         else:
             rhs = np.concatenate([-g[idx], r])
@@ -432,7 +448,7 @@ def _simplex_qp(H: np.ndarray, g: np.ndarray, C: np.ndarray, r: np.ndarray,
             if full[bounded[idx]].min(initial=0.0) >= -flow_tol:
                 x[idx] = full
                 s = H @ x + g - C.T @ nu
-                entering = np.flatnonzero(~S & (s < -1e-11 * max(1.0, np.abs(nu).max())))
+                entering = (~S & (s < -1e-11 * max(1.0, np.abs(nu).max()))).nonzero()[0]
                 if not len(entering):
                     return x, nu
                 S[entering[0]] = True
@@ -506,44 +522,55 @@ class WardropReport:
     ok: bool
 
 
-def _grade(ps: PathSet, cost_list: EdgeCosts, f: np.ndarray, demand: float,
-           tol: float = 1e-8) -> WardropReport:
-    """Grade path flows ``f`` on a built path set as an equilibrium at ``demand``.
+def _grade(ps: PathSet, cost_list: EdgeCosts, flows: np.ndarray, demands,
+           tol: float = 1e-8) -> list[WardropReport]:
+    """Grade each row of ``flows`` on a built path set as an equilibrium at
+    the matching entry of ``demands``; one report per row.
 
     No flow may sit below zero by more than the dust 1e-9*max(1, demand),
     and negative flows are graded as zero; flows must sum to the demand,
     used paths must sit within tol of the minimum path cost, and total cost
-    must equal mu*lambda. One cost evaluation, no solve.
+    must equal mu*lambda. One cost evaluation on the stack of loads, no
+    solve. Each row's loads and path costs are the products Z @ f and c @ Z
+    of that row alone, so its numbers do not depend on the rows graded with
+    it.
     """
-    violations: list[str] = []
-    if f.min(initial=0.0) < 0:
-        violations += [f"path {'|'.join(ps.paths[p])} has negative flow {f[p]:.12g}"
-                       for p in np.flatnonzero(f < -1e-9 * max(1.0, demand))]
-        f = np.maximum(f, 0.0)
-    x = ps.incidence @ f
-    c_edge = cost_list.evaluate(x)
-    c_path = c_edge @ ps.incidence
-    lam = float(c_path.min()) if len(c_path) else 0.0
-    slacks = c_path - lam
-    mu = float(f.sum())
-
-    if abs(mu - demand) > tol * max(1.0, demand):
-        violations.append(
-            f"path flows sum to {mu:.12g}, demand is {demand:.12g}")
-    dear = (f > tol * max(1.0, mu)) & (slacks > tol * max(1.0, lam))
-    if dear.any():
-        violations += [f"used path {'|'.join(ps.paths[p])} costs {c_path[p]:.12g}, "
-                       f"common cost is {lam:.12g}" for p in np.flatnonzero(dear)]
-    social = float(sum((x * c_edge).tolist()))  # _social on the costs in hand
-    identity_err = abs(social - mu * lam)
-    if identity_err > tol * max(1.0, social):
-        violations.append(
-            f"total cost {social:.12g} differs from mu*lambda {mu * lam:.12g}")
-    return WardropReport(
-        lam=lam, edge_loads=x, path_costs=c_path, slacks=slacks,
-        violations=tuple(violations), social_cost=social,
-        social_identity_error=identity_err, ok=not violations,
-    )
+    Z = ps.incidence
+    lowest = flows.min(axis=1).tolist()
+    F = np.maximum(flows, 0.0) if min(lowest) < 0 else flows
+    # stacked matrix-vector products: each row rounds as Z @ f alone does,
+    # which one matrix-matrix product would not
+    X = (Z @ F[:, :, None])[:, :, 0]
+    C = cost_list.evaluate(X)
+    P = (C[:, None, :] @ Z)[:, 0, :]
+    lam = P.min(axis=1)
+    slacks = P - lam[:, None]
+    mu = F.sum(axis=1)
+    dear = ((F > (tol * np.maximum(1.0, mu))[:, None])
+            & (slacks > (tol * np.maximum(1.0, lam))[:, None]))
+    reports = []
+    for i, (demand, low, mu_i, lam_i, social, any_dear) in enumerate(zip(
+            demands, lowest, mu.tolist(), lam.tolist(), _sums(X * C), dear.any(axis=1).tolist())):
+        violations: list[str] = []
+        if low < 0:
+            f = flows[i]
+            violations += [f"path {'|'.join(ps.paths[p])} has negative flow {f[p]:.12g}"
+                           for p in (f < -1e-9 * max(1.0, demand)).nonzero()[0]]
+        if abs(mu_i - demand) > tol * max(1.0, demand):
+            violations.append(f"path flows sum to {mu_i:.12g}, demand is {demand:.12g}")
+        if any_dear:
+            violations += [f"used path {'|'.join(ps.paths[p])} costs {P[i, p]:.12g}, "
+                           f"common cost is {lam_i:.12g}" for p in dear[i].nonzero()[0]]
+        identity_err = abs(social - mu_i * lam_i)
+        if identity_err > tol * max(1.0, social):
+            violations.append(
+                f"total cost {social:.12g} differs from mu*lambda {mu_i * lam_i:.12g}")
+        reports.append(WardropReport(
+            lam=lam_i, edge_loads=X[i], path_costs=P[i], slacks=slacks[i],
+            violations=tuple(violations), social_cost=social,
+            social_identity_error=identity_err, ok=not violations,
+        ))
+    return reports
 
 
 def verify_wardrop(net: Network, costs: dict[str, CostFunction],
@@ -557,7 +584,7 @@ def verify_wardrop(net: Network, costs: dict[str, CostFunction],
     ps = PathSet.build(net)
     flow_by_path = dict(zip(sol.paths, np.asarray(sol.path_flows, dtype=float)))
     f = np.array([flow_by_path.get(p, 0.0) for p in ps.paths])
-    return _grade(ps, _cost_list(net, costs), f, sol.demand, tol)
+    return _grade(ps, _cost_list(net, costs), f[None, :], [sol.demand], tol)[0]
 
 
 @dataclass(frozen=True)

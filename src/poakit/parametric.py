@@ -11,6 +11,13 @@ comes from a small quadratic program on the paths tied at it. The demands
 where the active network changes are the breakpoints; the segment algebra
 feeds the efficiency analytics downstream.
 
+Each segment is the chord between two equilibria at its ends. The analytics
+and the breakpoints read :func:`_trace`, whose chords join the tracer's own
+equilibria: nothing they report depends on the choice among equilibria.
+Only the public :func:`trace_affine` and :func:`trace_to_completion`, whose
+path flows get printed, select the minimum-norm equilibrium at each segment
+end.
+
 Optimum-side structure comes for free: the social optimum at demand mu is
 half the equilibrium at demand 2*mu, so optimum breakpoints are equilibrium
 breakpoints halved and each segment carries the constant ``gamma`` of the
@@ -52,6 +59,8 @@ __all__ = [
 
 SIGN_TOL = 1e-9
 MAX_EVENTS = 1000
+# first range of a trace grown to completion
+MU_START = 8.0
 # an event within this fraction of mu_max is taken to lie at mu_max, so that
 # roundoff in its root cannot leave a segment of near-zero length at the end
 LIMIT_TOL = 1e-9
@@ -156,42 +165,34 @@ def segment_social_costs(seg: TraceSegment, costs: dict[str, CostFunction]):
 # -- the tracer ----------------------------------------------------------------
 
 
-def _forward_events(w, z, A, d, mu_ref: float, active_paths) -> list[float]:
+def _forward_events(w, z, A, d, mu_ref: float, tied: np.ndarray) -> list[float]:
     """Demands > mu_ref where the line stops being an equilibrium.
 
     Two affine event families: a used path's flow reaching zero, and a path
-    outside ``active_paths`` whose cost falls to the common cost.
+    outside ``tied`` (indices) whose cost falls to the common cost.
     """
-    events: list[float] = []
     # flow hits zero
-    for p in range(len(w)):
-        if w[p] < -1e-13:
-            root = -z[p] / w[p]
-            if root > mu_ref:
-                events.append(float(root))
+    falling = w < -1e-13
+    roots = [-z[falling] / w[falling]]
     # cost gap of a non-optimal path hits zero
     cost_slope = A @ w
     cost_icept = A @ z + d
     lam_slope = float(w @ cost_slope)
     lam_icept = float(w @ cost_icept)
-    for p in range(len(w)):
-        if p in active_paths:
-            continue
-        gs = cost_slope[p] - lam_slope
-        gi = cost_icept[p] - lam_icept
-        if gs < -1e-13:
-            root = -gi / gs
-            if root > mu_ref:
-                events.append(float(root))
-    return sorted(events)
+    gap_slope = cost_slope - lam_slope
+    closing = gap_slope < -1e-13
+    closing[tied] = False
+    roots.append(-(cost_icept[closing] - lam_icept) / gap_slope[closing])
+    events = np.concatenate(roots)
+    return sorted(events[events > mu_ref].tolist())
 
 
-def _optimal_paths(A, d, w, z, mu: float) -> set[int]:
-    """Paths whose cost sits at the common cost at demand mu on the line."""
+def _optimal_paths(A, d, w, z, mu: float) -> np.ndarray:
+    """Indices of the paths whose cost sits at the common cost at demand mu
+    on the line."""
     c = A @ (mu * w + z) + d
     lam = float(c.min())
-    tol = 1e-9 * max(1.0, lam)
-    return {p for p in range(len(c)) if c[p] <= lam + tol}
+    return (c <= lam + 1e-9 * max(1.0, lam)).nonzero()[0]
 
 
 def _pivot(A, d, mu_limit: float):
@@ -222,7 +223,7 @@ def _pivot(A, d, mu_limit: float):
         start = np.zeros(m)
         start[np.argmax(flowing)] = 1.0  # the first flowing path, else the first
         try:
-            rate, _ = _simplex_qp(A[np.ix_(tie, tie)], np.zeros(m), np.ones((1, m)),
+            rate, _ = _simplex_qp(A[tie[:, None], tie], np.zeros(m), np.ones((1, m)),
                                   np.ones(1), start, free=flowing)
         except SupportSearchExhausted as exc:
             raise TraceFailure(f"no equilibrium direction past demand {lo}: {exc}") from exc
@@ -230,7 +231,7 @@ def _pivot(A, d, mu_limit: float):
         w[tie] = np.where(flowing, rate, np.maximum(rate, 0.0))
         z = f - lo * w
         pieces.append((lo, w, z))
-        events = _forward_events(w, z, A, d, lo, set(tie.tolist()))
+        events = _forward_events(w, z, A, d, lo, tie)
         if not events:
             return pieces, True
         if events[0] >= mu_limit * (1.0 - LIMIT_TOL):
@@ -256,14 +257,34 @@ def trace_affine(net: Network, costs: dict[str, CostFunction], mu_max: float,
     """
     if not (math.isfinite(mu_max) and mu_max > 0):
         raise ValueError(f"mu_max must be finite and positive, got {mu_max}")
-    cost_list = _cost_list(net, costs)
-    if not _is_affine(cost_list):
-        raise ValueError("trace_affine requires every cost to be affine")
-    return _trace(PathSet.build(net), cost_list, mu_max, grow=grow)
+    ps, cost_list = PathSet.build(net), _cost_list(net, costs)
+    A, d, ends, mu_max, complete = _ends(ps, cost_list, mu_max, grow)
+    ends = [(mu, _min_norm_flows(ps, cost_list, mu, f), act) for mu, f, act in ends]
+    return _chords(ps, A, d, ends, mu_max, complete)
 
 
 def _trace(ps: PathSet, cost_list: EdgeCosts, mu_max: float, *, grow: bool) -> AffineTrace:
-    """:func:`trace_affine` on a built path set and all-affine costs."""
+    """:func:`trace_affine` on a built path set, its segments the chords
+    between the tracer's own equilibria at their ends, with no selection."""
+    return _chords(ps, *_ends(ps, cost_list, mu_max, grow))
+
+
+def _ends(ps: PathSet, cost_list: EdgeCosts, mu_max: float, grow: bool):
+    """The tracer's equilibria at the right ends of the segments.
+
+    Returns ``(A, d, ends, mu_max, complete)``: the path quadratic, one
+    ``(mu, flows, active edges)`` per segment in demand order, the traced
+    range (doubled past the last event with ``grow``) and whether no event
+    follows it. Raises ``ValueError`` unless every cost is affine.
+
+    The last segment of a complete trace is also read past mu_max. Where
+    several of the tracer's lines make it up, a chord across them leaves
+    the equilibria there, so its end is taken on the ray from its first
+    equilibrium along the last line's rate: that rate is nonnegative, since
+    no event follows it, and moves the loads as the segment does.
+    """
+    if not _is_affine(cost_list):
+        raise ValueError("trace_affine requires every cost to be affine")
     A, d = _path_quadratic(ps.incidence, cost_list)
     pieces, complete = _pivot(A, d, math.inf if grow else mu_max)
     while grow and pieces[-1][0] >= mu_max * (1.0 - LIMIT_TOL):
@@ -272,7 +293,7 @@ def _trace(ps: PathSet, cost_list: EdgeCosts, mu_max: float, *, grow: bool) -> A
     def active(k: int) -> frozenset[str]:
         lo, w, z = pieces[k]
         hi = pieces[k + 1][0] if k + 1 < len(pieces) else mu_max
-        return frozenset(e for p in _optimal_paths(A, d, w, z, 0.5 * (lo + hi))
+        return frozenset(e for p in _optimal_paths(A, d, w, z, 0.5 * (lo + hi)).tolist()
                          for e in ps.paths[p])
 
     # group the pieces into segments of one active edge set
@@ -284,22 +305,33 @@ def _trace(ps: PathSet, cost_list: EdgeCosts, mu_max: float, *, grow: bool) -> A
         else:
             groups.append((k, act))
 
-    segments: list[TraceSegment] = []
-    breakpoints: list[Breakpoint] = []
-    lo, f_lo = 0.0, np.zeros(ps.n_paths)
+    ends = []
     for g, (last, act) in enumerate(groups):
         hi = pieces[last + 1][0] if g + 1 < len(groups) else mu_max
         _, w_end, z_end = pieces[last]
-        f_hi = _min_norm_flows(ps, cost_list, hi, np.maximum(hi * w_end + z_end, 0.0))
+        ends.append((hi, np.maximum(hi * w_end + z_end, 0.0), act))
+    first = groups[-2][0] + 1 if len(groups) > 1 else 0  # last segment's first line
+    if complete and first < len(pieces) - 1:
+        lo, f_lo = ends[-2][:2] if len(ends) > 1 else (0.0, np.zeros(ps.n_paths))
+        ends[-1] = (mu_max, np.maximum(f_lo + (mu_max - lo) * pieces[-1][1], 0.0), ends[-1][2])
+    return A, d, ends, mu_max, complete
+
+
+def _chords(ps: PathSet, A, d, ends, mu_max: float, complete: bool) -> AffineTrace:
+    """The trace whose segments join the zero flow at demand 0 and the
+    equilibria of :func:`_ends` in turn."""
+    segments: list[TraceSegment] = []
+    breakpoints: list[Breakpoint] = []
+    lo, f_lo = 0.0, np.zeros(ps.n_paths)
+    for g, (hi, f_hi, act) in enumerate(ends):
         w = (f_hi - f_lo) / (hi - lo)
         z = f_lo - lo * w
         alpha, beta, gamma = _signed_coefficients(A, d, w, z, lo, hi)
         segments.append(TraceSegment(
             mu_lo=lo, mu_hi=hi, paths=ps.paths, w=w, z=z,
             alpha=alpha, beta=beta, gamma=gamma, active_edges=act))
-        if g + 1 < len(groups):
-            breakpoints.append(Breakpoint(mu=hi, active_before=act,
-                                          active_after=groups[g + 1][1]))
+        if g + 1 < len(ends):
+            breakpoints.append(Breakpoint(mu=hi, active_before=act, active_after=ends[g + 1][2]))
         lo, f_lo = hi, f_hi
 
     return AffineTrace(segments=tuple(segments), breakpoints=tuple(breakpoints),
@@ -307,7 +339,7 @@ def _trace(ps: PathSet, cost_list: EdgeCosts, mu_max: float, *, grow: bool) -> A
 
 
 def trace_to_completion(net: Network, costs: dict[str, CostFunction],
-                        mu_start: float = 8.0) -> AffineTrace:
+                        mu_start: float = MU_START) -> AffineTrace:
     """Trace until no event remains; ``mu_max`` is the smallest
     mu_start * 2**k beyond the last event."""
     return trace_affine(net, costs, mu_start, grow=True)

@@ -9,20 +9,23 @@ breakpoints the ratio is a fixed rational function, so each piece can be
 classified as constant, increasing, decreasing, or a valley; a maximum never
 sits strictly inside a piece, which pins the global maximum to a breakpoint.
 
-Every value is read off path flows graded before use (:func:`_point`): the
-equilibrium in the original costs, the optimum in the marginal-cost game,
-so a wrong solve or a mis-traced segment raises :class:`CertificateFailure`
-instead of passing as an answer. Both costs, lambda and the active edges
-are the same at every equilibrium, so no selection among equilibria runs.
-:func:`compute_poa` and non-affine sweep rows solve both games; on affine
-costs the maximum search and the sweep read mu and 2*mu off one trace.
+Every value is read off path flows graded before use (:func:`_certify`):
+the equilibrium in the original costs, the optimum in the marginal-cost
+game, so a wrong solve or a mis-traced segment raises
+:class:`CertificateFailure` instead of passing as an answer. Both costs,
+lambda and the active edges are the same at every equilibrium, so no
+selection among equilibria runs here, in the solves or in the trace (see
+:func:`poakit.parametric._trace`). :func:`compute_poa` and non-affine sweep
+rows solve both games; on affine costs the curve, the maximum search and
+the sweep read mu and 2*mu off one trace on one path set and cost build,
+and the maximum search grades all its candidates in one stack per game.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,9 +40,9 @@ from .equilibrium import (
     _flows,
     _grade,
     _is_affine,
-    _social,
+    _sums,
 )
-from .parametric import AffineTrace, _trace, trace_affine, trace_to_completion
+from .parametric import MU_START, AffineTrace, _trace
 
 __all__ = [
     "PoAPoint",
@@ -91,22 +94,32 @@ def poa_ratio(sc_eq: float, sc_opt: float, tol: float = DECLARE_ONE_TOL) -> floa
     return sc_eq / sc_opt
 
 
-def _point(builds, mu: float, f_eq: np.ndarray, f_opt: np.ndarray) -> PoAPoint:
-    """Point at demand mu from equilibrium and optimum path flows, graded in
-    the original and the marginal-cost game; a failed grade raises
-    :class:`CertificateFailure` naming the demand and the game. lambda, sc_eq
-    and the active set come from the first grade, sc_opt from the loads of
-    the second: all four are the same at every equilibrium."""
+def _certify(builds, mus, f_eq: np.ndarray, f_opt: np.ndarray):
+    """Grade equilibrium and optimum path flows, one row per demand in
+    ``mus``, in the original and the marginal-cost game, one grade per game.
+    A failed grade raises :class:`CertificateFailure` naming the first
+    failing demand and its game. Returns the equilibrium reports and the
+    optimum total costs, priced in the original costs at the optimum loads:
+    all are the same at every equilibrium."""
     ps, cost_list, marginal_list = builds
-    eq, opt = _grade(ps, cost_list, f_eq, mu), _grade(ps, marginal_list, f_opt, mu)
-    for game, report in (("equilibrium", eq), ("marginal-cost", opt)):
-        if not report.ok:
-            raise CertificateFailure(f"flows fail the {game} grade at mu={mu!r}: "
-                                     + "; ".join(report.violations))
-    sc_opt = _social(cost_list, opt.edge_loads)
+    eq, opt = _grade(ps, cost_list, f_eq, mus), _grade(ps, marginal_list, f_opt, mus)
+    for mu, eq_report, opt_report in zip(mus, eq, opt):
+        for game, report in (("equilibrium", eq_report), ("marginal-cost", opt_report)):
+            if not report.ok:
+                raise CertificateFailure(f"flows fail the {game} grade at mu={mu!r}: "
+                                         + "; ".join(report.violations))
+    loads = np.array([report.edge_loads for report in opt])
+    return eq, _sums(loads * cost_list.evaluate(loads))
+
+
+def _point(builds, mu: float, f_eq: np.ndarray, f_opt: np.ndarray) -> PoAPoint:
+    """Point at demand mu from equilibrium and optimum path flows, certified
+    by :func:`_certify`; lambda, sc_eq and the active set come from the
+    equilibrium grade."""
+    (eq,), (sc_opt,) = _certify(builds, [mu], f_eq[None, :], f_opt[None, :])
     return PoAPoint(mu=mu, lam=eq.lam, sc_eq=eq.social_cost, sc_opt=sc_opt,
                     poa=poa_ratio(eq.social_cost, sc_opt),
-                    active_edges=_active_edge_set(ps, eq.path_costs, eq.lam))
+                    active_edges=_active_edge_set(builds[0], eq.path_costs, eq.lam))
 
 
 def _trace_flows(trace: AffineTrace, mu: float) -> tuple[np.ndarray, np.ndarray]:
@@ -161,8 +174,9 @@ class PoAPiece:
 
 @dataclass(frozen=True)
 class PoACurve:
-    """Classified pieces on (0, mu_max] and the trace they were read from,
-    which covers (0, 2*mu_max]."""
+    """Classified pieces on (0, mu_max], the trace they were read from,
+    which covers (0, 2*mu_max], and the path set, costs and marginal costs
+    it was traced on, which :func:`find_poa_max` grades on."""
 
     pieces: tuple[PoAPiece, ...]
     eq_breakpoints: tuple[float, ...]
@@ -170,6 +184,7 @@ class PoACurve:
     merged_breakpoints: tuple[float, ...]
     mu_max: float
     trace: AffineTrace
+    builds: tuple = field(repr=False, compare=False)
 
     def piece_at(self, mu: float) -> PoAPiece:
         if mu <= 0:
@@ -183,8 +198,11 @@ class PoACurve:
         return self.piece_at(mu).value(mu)
 
 
-def _classify(piece: PoAPiece) -> PoAPiece:
-    """Attach the monotonicity shape of the ratio on the piece.
+def _classify(mu_lo: float, mu_hi: float, num_lin: float, num_quad: float,
+              den_const: float, den_lin: float,
+              den_quad: float) -> tuple[str, float | None]:
+    """Monotonicity shape of the ratio on the piece with these fields of
+    :class:`PoAPiece`, and its valley demand (None unless a valley).
 
     The sign of the derivative matches q(mu) = c0 + c1*mu + c2*mu^2 with
     c0 = num_lin*den_const, c1 = 2*num_quad*den_const,
@@ -192,14 +210,13 @@ def _classify(piece: PoAPiece) -> PoAPiece:
     change would be an interior maximum, which the segment algebra rules
     out; seeing one raises :class:`ClassificationConflict`.
     """
-    a, b = piece.num_lin, piece.num_quad
-    g, dd, e = piece.den_const, piece.den_lin, piece.den_quad
+    a, b, g, dd, e = num_lin, num_quad, den_const, den_lin, den_quad
     c0, c1, c2 = a * g, 2.0 * b * g, b * dd - a * e
     # term magnitudes, for cancellation-aware zero tests
     s0 = abs(a) * abs(g)
     s1 = 2.0 * abs(b) * abs(g)
     s2 = abs(b) * abs(dd) + abs(a) * abs(e)
-    lo, hi = piece.mu_lo, piece.mu_hi
+    lo, hi = mu_lo, mu_hi
 
     def qmag(mu: float) -> float:
         return max(s0 + s1 * mu + s2 * mu * mu, 1e-300)
@@ -211,14 +228,14 @@ def _classify(piece: PoAPiece) -> PoAPiece:
         return 1 if q > 0 else -1
 
     if all(abs(c) <= 1e-12 * max(s, 1e-300) for c, s in ((c0, s0), (c1, s1), (c2, s2))):
-        return replace(piece, shape="constant", valley_mu=None)
+        return "constant", None
 
     # real roots of q strictly inside the piece
     roots = []
     if abs(c2) > 1e-14 * max(s2, 1e-300):
         disc = c1 * c1 - 4.0 * c2 * c0
         if disc > 0:
-            r = np.sqrt(disc)
+            r = math.sqrt(disc)
             roots = sorted(((-c1 - r) / (2.0 * c2), (-c1 + r) / (2.0 * c2)))
     elif abs(c1) > 1e-14 * max(s1, 1e-300):
         roots = [-c0 / c1]
@@ -236,13 +253,12 @@ def _classify(piece: PoAPiece) -> PoAPiece:
             raise ClassificationConflict(
                 f"interior maximum detected on ({lo:.6g}, {hi:.6g}]")
     if not signs:
-        return replace(piece, shape="constant", valley_mu=None)
+        return "constant", None
     if signs[0] < 0 and signs[-1] > 0:
-        valley = roots[0] if len(roots) == 1 else _valley_root(c0, c1, c2, roots)
-        return replace(piece, shape="valley", valley_mu=float(valley))
+        return "valley", roots[0] if len(roots) == 1 else _valley_root(c0, c1, c2, roots)
     if signs[-1] > 0:
-        return replace(piece, shape="increasing", valley_mu=None)
-    return replace(piece, shape="decreasing", valley_mu=None)
+        return "increasing", None
+    return "decreasing", None
 
 
 def _valley_root(c0, c1, c2, roots):
@@ -261,20 +277,24 @@ def classify_segments(net: Network, costs: dict[str, CostFunction],
 
     Needs the equilibrium structure out to 2*mu_max so every denominator
     segment is available; pass ``trace`` to reuse one, otherwise it is
-    traced here. The default ``mu_max`` is 2*(last breakpoint) + 1, read off
+    traced here, with no selection among equilibria, on one path set and
+    cost build. The default ``mu_max`` is 2*(last breakpoint) + 1, read off
     a complete trace, which covers every breakpoint on both sides. The
-    curve keeps the trace it read, for :func:`find_poa_max` to read its
-    candidates off.
+    curve keeps the trace it read and that build, for :func:`find_poa_max`
+    to read and grade its candidates. Costs that are not all affine raise
+    ``ValueError`` wherever a trace is needed.
     """
+    if mu_max is not None and not (math.isfinite(mu_max) and mu_max > 0):
+        raise ValueError(f"mu_max must be finite and positive, got {mu_max}")
+    builds = _builds(net, costs)
+    ps, cost_list, _ = builds
     if mu_max is None:
         if trace is None or not trace.complete:
-            trace = trace_to_completion(net, costs)
+            trace = _trace(ps, cost_list, MU_START, grow=True)
         last = trace.breakpoint_demands[-1] if trace.breakpoints else 1.0
         mu_max = 2.0 * last + 1.0
-    if not (math.isfinite(mu_max) and mu_max > 0):
-        raise ValueError(f"mu_max must be finite and positive, got {mu_max}")
     if trace is None or (trace.mu_max < 2.0 * mu_max and not trace.complete):
-        trace = trace_affine(net, costs, 2.0 * mu_max)
+        trace = _trace(ps, cost_list, 2.0 * mu_max, grow=False)
     eq_bps = tuple(b for b in trace.breakpoint_demands if b <= mu_max)
     opt_bps = tuple(b / 2.0 for b in trace.breakpoint_demands if b / 2.0 <= mu_max)
     merged: list[float] = []
@@ -287,13 +307,13 @@ def classify_segments(net: Network, costs: dict[str, CostFunction],
         mid = 0.5 * (lo + hi)
         num = trace.segment_at(mid)
         den = trace.segment_at(2.0 * mid)
-        pieces.append(_classify(PoAPiece(
-            mu_lo=lo, mu_hi=hi,
-            num_lin=num.alpha, num_quad=num.beta,
-            den_const=den.gamma, den_lin=den.alpha, den_quad=den.beta)))
+        coefficients = dict(mu_lo=lo, mu_hi=hi, num_lin=num.alpha, num_quad=num.beta,
+                            den_const=den.gamma, den_lin=den.alpha, den_quad=den.beta)
+        shape, valley_mu = _classify(**coefficients)
+        pieces.append(PoAPiece(**coefficients, shape=shape, valley_mu=valley_mu))
     return PoACurve(pieces=tuple(pieces), eq_breakpoints=eq_bps,
                     opt_breakpoints=opt_bps, merged_breakpoints=tuple(merged),
-                    mu_max=mu_max, trace=trace)
+                    mu_max=mu_max, trace=trace, builds=builds)
 
 
 # -- global maximum ----------------------------------------------------------------
@@ -315,8 +335,9 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
     """Global maximum of the ratio curve, anchored at breakpoints.
 
     Every merged breakpoint and the right endpoint are read off the curve's
-    trace and graded in both games (see :func:`_point`), on one path
-    set and cost build; a failed grade raises :class:`CertificateFailure`.
+    trace and graded in both games (see :func:`_certify`), all at once on
+    the curve's path set and cost build; a failed grade raises
+    :class:`CertificateFailure`.
     A dense grid over the curve formulas then cross-checks that no interior
     demand beats the anchored maximum; if one does by more than
     ``grid_slack`` the piece structure is inconsistent and
@@ -329,10 +350,12 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
     eq_set = set(curve.eq_breakpoints)
     candidates = [(mu, True) for mu in curve.merged_breakpoints if mu <= mu_max]
     candidates.append((mu_max, False))
+    mus = [mu for mu, _ in candidates]
+    f_eq, f_opt = zip(*(_trace_flows(curve.trace, mu) for mu in mus))
+    eq, sc_opt = _certify(curve.builds, mus, np.array(f_eq), np.array(f_opt))
     best_mu, best_val, best_bp = None, -np.inf, False
-    builds = _builds(net, costs)
-    for mu, is_bp in candidates:
-        val = _point(builds, mu, *_trace_flows(curve.trace, mu)).poa
+    for (mu, is_bp), eq_report, sc in zip(candidates, eq, sc_opt):
+        val = poa_ratio(eq_report.social_cost, sc)
         better = val > best_val + 1e-12
         tie = abs(val - best_val) <= 1e-12
         prefer = (is_bp and mu in eq_set) and not best_bp

@@ -1,7 +1,8 @@
 """Random instance generators shared by the test modules.
 
-Layered DAGs for general affine instances; random composition trees turned
-into networks for the series-parallel tests, which solve them with
+Layered DAGs for general affine instances, and relabelled copies of a
+network; random composition trees turned into networks for the
+series-parallel tests, which solve them with
 ``sp_equilibrium`` and the ``oracles.sp_recursion`` reference.
 """
 
@@ -50,6 +51,16 @@ def layered_affine_network(rng: np.random.Generator, widths=(3, 3, 3),
     costs = {e.id: Affine(float(rng.uniform(*a_range)), float(rng.uniform(*b_range)))
              for e in edges}
     return net, costs
+
+
+def relabel(net: Network, costs, rng: np.random.Generator):
+    """Isomorphic copy with fresh edge ids in a shuffled edge list. Paths are
+    enumerated in edge-id order, so the solvers see the paths reordered."""
+    ids = {e.id: f"r{k:03d}" for k, e in zip(rng.permutation(len(net.edges)), net.edges)}
+    edges = [Edge(ids[e.id], e.tail, e.head) for e in net.edges]
+    edges = tuple(edges[k] for k in rng.permutation(len(edges)))
+    return (Network(net.vertices, edges, net.origin, net.destination),
+            {ids[eid]: c for eid, c in costs.items()})
 
 
 def random_sp_tree(rng: np.random.Generator, n_leaves: int) -> SPTree:

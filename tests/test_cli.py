@@ -166,6 +166,24 @@ class TestCommands:
         assert len(doc["eq_breakpoints"]) == 14
         assert doc["max"]["value"] == pytest.approx(1.267327, abs=1e-6)
 
+    def test_analyze_and_breakpoints_select_nothing(self, tmp_path, monkeypatch, capsys):
+        # neither prints path flows, so neither needs a minimum-norm selection
+        def refuse(*args, **kwargs):
+            raise AssertionError("a minimum-norm selection ran")
+
+        monkeypatch.setattr("poakit.equilibrium._min_norm_flows", refuse)
+        monkeypatch.setattr(parametric, "_min_norm_flows", refuse)
+        out = tmp_path / "out.json"
+        for command in ("analyze", "breakpoints"):
+            assert cli.main([command, "--network", fixture("nested3"),
+                             "--output", str(out)]) == 0, capsys.readouterr().err
+        assert len(json.loads(out.read_text(encoding="utf-8"))["breakpoints"]) == 14
+
+    @pytest.mark.parametrize("name", ["parallel_quad", "wheatstone_pwl"])
+    def test_analyze_needs_affine_costs(self, name, capsys):
+        assert cli.main(["analyze", "--network", fixture(name)]) == 1
+        assert "trace_affine requires every cost to be affine" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["fig1", "nested2", "nested3", "braess_direct"])
     def test_affine_optimum_runs_without_newton_iterations(self, name, tmp_path, monkeypatch):
         net, costs = load_network(fixture(name))
@@ -336,7 +354,7 @@ class TestExitCodes:
         def stuck(*args, **kwargs):
             raise TraceFailure("no equilibrium direction")
 
-        monkeypatch.setattr(cli, "trace_to_completion", stuck)
+        monkeypatch.setattr(cli, "_trace", stuck)
         assert cli.main(["breakpoints", "--network", fixture("fig1")]) == 2
         assert "no equilibrium direction" in capsys.readouterr().err
 
@@ -345,7 +363,7 @@ class TestExitCodes:
             def bug(*args, **kwargs):
                 raise error("bug")
 
-            monkeypatch.setattr(cli, "trace_to_completion", bug)
+            monkeypatch.setattr(cli, "_trace", bug)
             with pytest.raises(error, match="bug"):
                 cli.main(["breakpoints", "--network", fixture("fig1")])
 

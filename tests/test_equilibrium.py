@@ -242,8 +242,9 @@ def test_kernel_pivot_cap(monkeypatch):
     monkeypatch.setattr(equilibrium, "PIVOTS_PER_VARIABLE", 0)
     with pytest.raises(SupportSearchExhausted, match="pivots"):
         _simplex_qp(A, d, np.ones((1, 4)), np.array([3.0]), np.array([3.0, 0, 0, 0]))
-    # the selection keeps its input, which is an equilibrium already
-    assert _min_norm_flows(ps, cost_list, 3.0, f) is f
+    # a capped selection raises rather than passing its input off as selected
+    with pytest.raises(SupportSearchExhausted, match="pivots"):
+        _min_norm_flows(ps, cost_list, 3.0, f)
 
 
 # -- single edge, zero demand, convergence buff ---------------------------------

@@ -22,7 +22,7 @@ from poakit.parametric import (
     trace_to_json,
 )
 
-from netgen import random_affine_network
+from netgen import layered_affine_network, random_affine_network, relabel
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -252,6 +252,26 @@ def test_braess_segment_lines_are_min_norm_chords():
     done = trace_to_completion(net, costs)
     assert done.mu_max == 8.0 and done.complete
     assert done.segments[1].flows(8.0) == pytest.approx([6, 1, 0, 1], abs=1e-12)
+
+
+def test_min_norm_trace_is_invariant_under_relabelling():
+    # 81 paths over 33 edges, so equilibria are far from unique and the
+    # minimum-norm selection at each segment end decides the printed flows;
+    # that minimum is unique, so reordering the paths must not move it
+    net, costs = layered_affine_network(np.random.default_rng(0), widths=(3, 3, 3, 3))
+    assert PathSet.build(net).n_paths >= 80
+
+    def segment_ends(net, costs):
+        return [(seg.mu_hi, np.sort(seg.flows(seg.mu_hi)))
+                for seg in trace_affine(net, costs, 20.0).segments]
+
+    want = segment_ends(net, costs)
+    for seed in (1, 2):
+        got = segment_ends(*relabel(net, costs, np.random.default_rng(seed)))
+        assert len(got) == len(want)
+        for (mu, flows), (mu_want, flows_want) in zip(got, want):
+            assert mu == pytest.approx(mu_want, rel=1e-12)
+            assert np.abs(flows - flows_want).max() <= 1e-12 * max(1.0, mu), (seed, mu)
 
 
 # -- optimum breakpoints -----------------------------------------------------------

@@ -15,7 +15,7 @@ from poakit.equilibrium import _builds, solve_affine_exact, solve_equilibrium, s
 from poakit.errors import (CertificateFailure, ClassificationConflict, GridExceedsBreakpointMax,
                            NonpositiveOptimum)
 from poakit.network import Network, Edge, PathSet, load_network
-from poakit.parametric import trace_affine, trace_to_completion
+from poakit.parametric import trace_affine
 from poakit.poa import (
     CSV_HEADER,
     PoAPiece,
@@ -239,10 +239,10 @@ class TestCurvePieces:
 
     def test_classify_rejects_interior_maximum(self):
         # mu/(1+mu^2) peaks inside the interval; the contracts forbid that shape
-        bad = PoAPiece(mu_lo=0.1, mu_hi=10.0, num_lin=1.0, num_quad=0.0,
-                       den_const=1.0, den_lin=0.0, den_quad=1.0)
+        bad = dict(mu_lo=0.1, mu_hi=10.0, num_lin=1.0, num_quad=0.0,
+                   den_const=1.0, den_lin=0.0, den_quad=1.0)
         with pytest.raises(ClassificationConflict):
-            _classify(bad)
+            _classify(**bad)
 
     def test_piece_value_guards_nonpositive_denominator(self):
         zero = PoAPiece(mu_lo=0.0, mu_hi=1.0, num_lin=1.0, num_quad=0.0,
@@ -427,14 +427,15 @@ def test_each_call_builds_its_path_set_once(monkeypatch, tmp_path):
     quad_net, quad_costs = tracked("parallel_quad")
     assert builds(lambda: compute_poa(net, costs, 6.0)) == 1
     assert builds(lambda: compute_poa(quad_net, quad_costs, 2.0)) == 1
-    assert builds(lambda: find_poa_max(net, costs, curve=curve)) == 1
+    # a given curve carries the build it was traced on, which the maximum grades on
+    assert builds(lambda: find_poa_max(net, costs, curve=curve)) == 0
     assert builds(lambda: sweep_poa(net, costs, 0.5, 25.0, 9)) == 1
     assert builds(lambda: sweep_poa(net, costs, 0.5, 25.0, 9, adaptive=True)) == 1
     assert builds(lambda: sweep_poa(quad_net, quad_costs, 0.5, 4.0, 5)) == 1
-    # one build for the trace, one for grading the candidates read off it
+    # one build for the trace and for grading the candidates read off it
     out = str(tmp_path / "analyze.json")
     path = os.path.join(FIXTURES, "nested3.json")
-    assert builds(lambda: cli.main(["analyze", "--network", path, "--output", out])) <= 2
+    assert builds(lambda: cli.main(["analyze", "--network", path, "--output", out])) == 1
 
 
 NAN, INF = float("nan"), float("inf")
@@ -485,8 +486,8 @@ class TestCertificates:
             find_poa_max(net, costs, curve=replace(curve, trace=corrupted(curve.trace, 0)))
 
     def test_analyze_exits_three_on_a_failed_grade(self, monkeypatch, capsys):
-        monkeypatch.setattr(poa, "trace_to_completion",
-                            lambda net, costs: corrupted(trace_to_completion(net, costs), 0))
+        real = parametric._trace
+        monkeypatch.setattr(poa, "_trace", lambda *args, **kwargs: corrupted(real(*args, **kwargs), 0))
         path = os.path.join(FIXTURES, "fig1.json")
         assert cli.main(["analyze", "--network", path]) == 3
         assert "equilibrium grade at mu=" in capsys.readouterr().err
@@ -501,6 +502,18 @@ class TestCertificates:
         net, costs = tracked("fig1")
         with pytest.raises(CertificateFailure, match=rf"{game} grade at mu={lo!r}: used path"):
             sweep_poa(net, costs, lo, hi, 3)
+
+
+@pytest.mark.parametrize("widths, seed", [((2, 2, 2), 3), ((2, 3, 2), 19), ((2, 2, 3), 6)])
+def test_maximum_reads_past_a_complete_trace(widths, seed):
+    # several tracer lines make up the last segment of these traces, and the
+    # optimum at the window's end is read at twice the window, past the
+    # traced range: the line read there must still be an equilibrium
+    net, costs = layered_affine_network(np.random.default_rng(seed), widths=widths)
+    curve = classify_segments(net, costs)
+    assert curve.trace.complete and curve.trace.mu_max < 2.0 * curve.mu_max
+    mx = find_poa_max(net, costs, curve=curve)
+    assert mx.value == pytest.approx(compute_poa(net, costs, mx.mu).poa, rel=1e-12)
 
 
 def test_trace_reads_make_no_solves(monkeypatch):
@@ -525,8 +538,8 @@ def test_trace_reads_make_no_solves(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(parametric, "_min_norm_flows", refuse)  # no trace is made either
         mx = find_poa_max(net, costs, curve=curve)
-    n_candidates = len(curve.merged_breakpoints) + 1
-    assert calls == {"_flows": 0, "_grade": 2 * n_candidates}
+    # every candidate is graded in one stack per game
+    assert calls == {"_flows": 0, "_grade": 2}
     assert mx.mu == pytest.approx(6.0, abs=1e-9)
 
     for lo, zero_rows in ((0.5, 0), (0.0, 1)):
