@@ -12,7 +12,11 @@ potential of the routing game convex. Each class provides:
 network's edges, evaluated on a whole load vector per call. Affine and
 polynomial costs share one zero-padded coefficient matrix, evaluated by
 Horner's rule with the same operations, in the same order, as the per-edge
-methods, so both give the same bits.
+methods, so both give the same bits. ``EdgeCosts.marginal()`` derives the
+optimum's layer from that matrix; only pwl costs get marginal objects.
+:class:`PiecewiseLinear` keeps its knots, the integral up to each knot and
+its left slopes as arrays, so each method is one ``searchsorted`` or
+``interp`` over them.
 
 Evaluating any cost at a negative load raises :class:`NegativeLoad`.
 """
@@ -155,7 +159,13 @@ class PiecewiseLinear(CostFunction):
 
     x: tuple[float, ...]
     y: tuple[float, ...]
-    _cum: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # knots, values, the integral of the cost from 0 up to each knot, and the
+    # left slope at each searchsorted position: 0 below the first knot, then
+    # each segment's slope, then 0 past the last knot
+    _xs: np.ndarray = field(init=False, repr=False, compare=False)
+    _ys: np.ndarray = field(init=False, repr=False, compare=False)
+    _cum: np.ndarray = field(init=False, repr=False, compare=False)
+    _slopes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xs = _finite("piecewise-linear", "x", self.x)
@@ -172,21 +182,23 @@ class PiecewiseLinear(CostFunction):
             raise ValueError("piecewise-linear cost must be nonnegative")
         object.__setattr__(self, "x", xs)
         object.__setattr__(self, "y", ys)
-        # Integral of the cost from 0 up to each knot (constant y[0] below x[0]).
-        cum = [ys[0] * xs[0]]
+        cum = [ys[0] * xs[0]]  # constant y[0] below x[0]
         for i in range(len(xs) - 1):
             cum.append(cum[-1] + 0.5 * (ys[i] + ys[i + 1]) * (xs[i + 1] - xs[i]))
-        object.__setattr__(self, "_cum", tuple(cum))
+        xs_arr, ys_arr = np.array(xs), np.array(ys)
+        slopes = np.zeros(len(xs) + 1)
+        slopes[1:-1] = np.diff(ys_arr) / np.diff(xs_arr)
+        for name, value in (("_xs", xs_arr), ("_ys", ys_arr), ("_cum", np.array(cum)),
+                            ("_slopes", slopes)):
+            object.__setattr__(self, name, value)
 
     def evaluate(self, x):
         x = _check_load(x)
-        return np.interp(x, self.x, self.y)
+        return np.interp(x, self._xs, self._ys)
 
     def primitive(self, x):
         x = _check_load(x)
-        xs = np.asarray(self.x)
-        ys = np.asarray(self.y)
-        cum = np.asarray(self._cum)
+        xs, ys, cum = self._xs, self._ys, self._cum
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         # index of the knot at or before each sample (-1: below the first knot)
         idx = np.searchsorted(xs, arr, side="right") - 1
@@ -198,24 +210,15 @@ class PiecewiseLinear(CostFunction):
         mid = ~(below | above)
         i = idx[mid]
         dx = arr[mid] - xs[i]
-        slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-        out[mid] = cum[i] + ys[i] * dx + 0.5 * slope * dx * dx
+        out[mid] = cum[i] + ys[i] * dx + 0.5 * self._slopes[i + 1] * dx * dx
         return out if np.ndim(x) else float(out[0])
 
     def derivative(self, x):
         """Left-hand slope; 0 on the constant extensions."""
         x = _check_load(x)
-        xs = np.asarray(self.x)
-        ys = np.asarray(self.y)
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        slopes = np.diff(ys) / np.diff(xs) if len(xs) > 1 else np.zeros(0)
-        # left derivative: the segment ending at x (knots belong to the left segment)
-        idx = np.searchsorted(xs, arr, side="left") - 1
-        out = np.zeros_like(arr)
-        valid = (idx >= 0) & (idx < len(slopes))
-        out[valid] = slopes[idx[valid]]
-        out[arr > xs[-1]] = 0.0
-        return out if np.ndim(x) else float(out[0])
+        # a knot belongs to the segment on its left
+        out = self._slopes[np.searchsorted(self._xs, x, side="left")]
+        return out if np.ndim(x) else float(out)
 
     def marginal(self) -> "CostFunction":
         return _PiecewiseMarginal(self)
@@ -275,11 +278,12 @@ class EdgeCosts(CostFunction):
     of them, one per row, and checks it once per call. ``affine`` and
     ``constant`` mark the costs of degree at most 1 and 0, read off their
     coefficients (pwl costs are neither); ``a`` and ``b`` are the slope and
-    intercept columns, meaningful where ``affine`` is set.
+    intercept columns, meaningful where ``affine`` is set. :meth:`marginal`
+    is the layer of the marginal costs c + x*c': the coefficient matrix with
+    row k scaled by k + 1, and each pwl cost wrapped in its marginal.
     """
 
     def __init__(self, costs: Mapping[str, CostFunction]):
-        self.ids = tuple(costs)
         rows = [(c.b, c.a) if isinstance(c, Affine) else c.coeffs if isinstance(c, Polynomial)
                 else () for c in costs.values()]
         width = max([2, *map(len, rows)])
@@ -287,26 +291,45 @@ class EdgeCosts(CostFunction):
         for row in rows:
             flat += row
             flat += (0.0,) * (width - len(row))
-        coef = np.array(flat).reshape(len(rows), width).T
-        k = np.arange(1.0, width + 1.0)[:, None]
+        self._fill(tuple(costs), np.array(flat).reshape(len(rows), width).T,
+                   np.array([len(row) > 0 for row in rows], dtype=bool),
+                   np.array([isinstance(c, Affine) for c in costs.values()], dtype=bool),
+                   [(j, c) for j, c in enumerate(costs.values())
+                    if not isinstance(c, (Affine, Polynomial))])
+
+    def _fill(self, ids, coef, polynomial, closed, other) -> None:
+        k = np.arange(1.0, len(coef) + 1.0)[:, None]
+        self.ids = ids
         self._coef = coef
         self._der = coef[1:] * k[:-1]
-        self._prim = np.zeros((width + 1, len(rows)))
+        self._prim = np.zeros((len(coef) + 1, coef.shape[1]))
         np.divide(coef, k, out=self._prim[1:])
-        polynomial = np.array([len(row) > 0 for row in rows], dtype=bool)
+        self._polynomial = polynomial
         self.affine = polynomial & ~coef[2:].any(axis=0)
         self.constant = polynomial & ~coef[1:].any(axis=0)
-        self._closed = np.array([isinstance(c, Affine) for c in costs.values()], dtype=bool)
+        self._closed = closed
         self.b, self.a = coef[0], coef[1]
         self._half_a = 0.5 * self.a
-        self._other = [(j, c) for j, c in enumerate(costs.values())
-                       if not isinstance(c, (Affine, Polynomial))]
+        self._other = other
+
+    def marginal(self) -> "EdgeCosts":
+        """The marginal costs c + x*c' of the same edges, the layer
+        ``EdgeCosts({e: c.marginal()})`` builds, with the same bits: row k of
+        the coefficient matrix scaled by k + 1, other costs by their own
+        ``marginal()``. A coefficient that overflows raises ``ValueError``."""
+        with np.errstate(over="ignore"):
+            coef = self._coef * np.arange(1.0, len(self._coef) + 1.0)[:, None]
+        if not np.isfinite(coef).all():
+            raise ValueError("a marginal cost coefficient (k+1)*c_k overflows the float range")
+        out = EdgeCosts.__new__(EdgeCosts)
+        out._fill(self.ids, coef, self._polynomial, self._closed,
+                  [(j, c.marginal()) for j, c in self._other])
+        return out
 
     def _loads(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        negative = x < 0
-        if negative.any():
-            j = int(negative.argmax())
+        if np.fmin.reduce(x, axis=None, initial=0.0) < 0:  # NaN loads pass
+            j = int((x < 0).argmax())
             raise NegativeLoad(f"cost of edge {self.ids[j % x.shape[-1]]!r} evaluated at "
                                f"negative load {float(x.flat[j])!r}")
         return x

@@ -150,6 +150,20 @@ def _active_edge_set(ps: PathSet, path_costs: np.ndarray, lam: float) -> frozens
 # -- monotone root finding ----------------------------------------------------
 
 
+def _muller(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float) -> float:
+    """Root nearest x2 of the quadratic through three points with distinct
+    abscissae (Muller's step, in Newton's divided differences), NaN if it
+    has none."""
+    d01, d12 = (y1 - y0) / (x1 - x0), (y2 - y1) / (x2 - x1)
+    curv = (d12 - d01) / (x2 - x0)
+    w = d12 + curv * (x2 - x1)  # the quadratic's slope at x2
+    disc = w * w - 4.0 * curv * y2
+    if not disc >= 0:
+        return math.nan
+    den = w + math.copysign(math.sqrt(disc), w)
+    return x2 - 2.0 * y2 / den if den else math.nan
+
+
 def _first_root(g, lo: float, g_lo: float, hi: float, g_hi: float, xtol: float) -> float:
     """Smallest t in [lo, hi] with g(t) >= 0, to within xtol, for
     nondecreasing g with g_lo = g(lo) < 0 <= g_hi = g(hi).
@@ -157,21 +171,30 @@ def _first_root(g, lo: float, g_lo: float, hi: float, g_hi: float, xtol: float) 
     Secant steps through the two latest points, bisecting when one would
     leave the bracket or is not under half the step before last (Dekker's
     method with Brent's step test, Brent 1973, ch. 4): superlinear on smooth
-    g, exact once two points share a linear piece, and finite. Steps stay
-    xtol/2 inside the bracket, so linear g takes two; points with g >= 0
-    close it from above, down to the left end of a zero interval. Returns the
-    last point found with g < 0, short of any jump in g, or the upper end if
-    that point is lo. NaN raises :class:`BisectionFailure`.
+    g, exact once two points share a linear piece, and finite. Once three
+    points are known, Muller's step, the root of the quadratic through them,
+    replaces the secant step when it moves the secant point by less than half
+    the secant step; it is exact on quadratic g and the same tests apply to
+    it. Steps stay xtol/2 inside the bracket, so linear g takes two; points
+    with g >= 0 close it from above, down to the left end of a zero
+    interval. Returns the last point found with g < 0, short of any jump in
+    g, or the upper end if that point is lo. NaN raises
+    :class:`BisectionFailure`.
     """
     if not g_lo < 0 <= g_hi:
         raise BisectionFailure(f"no sign change to bracket on [{lo!r}, {hi!r}]")
     start = lo
     a, g_a, b, g_b = lo, g_lo, hi, g_hi  # the two latest points, b the newer
+    older = None  # the point before a, once there is one
     step_prev = step_old = math.inf  # lengths of the last two steps
     while hi - lo > xtol:
         t = math.nan
         if g_b != g_a:
             t = b - g_b * (b - a) / (g_b - g_a)
+            if older is not None:
+                t_muller = _muller(*older, a, g_a, b, g_b)
+                if abs(t_muller - t) < 0.5 * abs(t - b):
+                    t = t_muller
             if lo <= t <= hi:
                 t = min(max(t, lo + 0.5 * xtol), hi - 0.5 * xtol)
         if not (lo < t < hi and abs(t - b) < 0.5 * step_old):
@@ -182,7 +205,7 @@ def _first_root(g, lo: float, g_lo: float, hi: float, g_hi: float, xtol: float) 
         g_t = g(t)
         if math.isnan(g_t):
             raise BisectionFailure(f"NaN at {t!r} while bracketing a root on [{lo!r}, {hi!r}]")
-        a, g_a, b, g_b = b, g_b, t, g_t
+        older, a, g_a, b, g_b = (a, g_a), b, g_b, t, g_t
         if g_t >= 0:
             hi = t
         else:
@@ -193,8 +216,10 @@ def _first_root(g, lo: float, g_lo: float, hi: float, g_hi: float, xtol: float) 
 # -- Newton steps on the active-set kernel ---------------------------------------
 
 
-def _line_search(cost_list, loads, delta, hi):
-    """Minimizer of t -> potential(loads + t*delta) on [0, hi]: its slope's first root."""
+def _line_search(cost_list, loads, costs, delta, hi):
+    """Minimizer of t -> potential(loads + t*delta) on [0, hi]: its slope's
+    first root. ``costs`` are the edge costs at ``loads``, which give the
+    slope at 0."""
     if hi <= 0:
         return 0.0
 
@@ -202,9 +227,10 @@ def _line_search(cost_list, loads, delta, hi):
         x = np.maximum(loads + t * delta, 0.0)
         return float(sum((cost_list.evaluate(x) * delta).tolist()))
 
-    slope_lo, slope_hi = dphi(0.0), dphi(hi)
+    slope_lo = float(sum((costs * delta).tolist()))
     if slope_lo >= 0:
         return 0.0
+    slope_hi = dphi(hi)
     if slope_hi <= 0:
         return float(hi)
     return _first_root(dphi, 0.0, slope_lo, float(hi), slope_hi, 1e-14 * max(1.0, hi))
@@ -231,18 +257,19 @@ def _newton(ps: PathSet, cost_list, mu: float, tol: float, max_iter: int) -> np.
 
     def evaluate(f):
         x = Z @ f
-        c_path = cost_list.evaluate(x) @ Z
+        c_edge = cost_list.evaluate(x)
+        c_path = c_edge @ Z
         value, gap = _beckmann(cost_list, x), float(c_path @ f - mu * c_path.min())
         if not (math.isfinite(value) and math.isfinite(gap)):
             raise ValueError(f"the costs at demand {mu!r} overflow to a non-finite "
                              "potential or duality gap")
-        return x, c_path, value, gap
+        return x, c_edge, c_path, value, gap
 
     def failure(why):
         return NonConvergence(f"relative duality gap {gap_rel:.3e} above tol {tol:.1e} "
                               f"after {it} iterations ({why})")
 
-    x, c_path, value, gap = evaluate(f)
+    x, c_edge, c_path, value, gap = evaluate(f)
     it = 0
     while True:
         gap_rel = gap / max(abs(value), 1e-12)
@@ -254,15 +281,15 @@ def _newton(ps: PathSet, cost_list, mu: float, tol: float, max_iter: int) -> np.
         H = Z.T * cost_list.derivative(x) @ Z
         y, _ = _simplex_qp(H, c_path - H @ f, ones, total, f)
         d = y - f
-        t = _line_search(cost_list, x, Z @ d, 1.0)
+        t = _line_search(cost_list, x, c_edge, Z @ d, 1.0)
         short = t * np.abs(d).max() <= 1e-13 * mu
         step = np.maximum(f + (1.0 if short else t) * d, 0.0)
         step *= mu / step.sum()
-        x1, c1, value1, gap1 = evaluate(step)
+        x1, c_edge1, c1, value1, gap1 = evaluate(step)
         # the potential sums nonnegative primitives, so it rounds relative to itself
         if short and not (gap1 < gap and value1 <= value + 1e-12 * abs(value)):
             raise failure("iterations stalled")
-        f, x, c_path, value, gap = step, x1, c1, value1, gap1
+        f, x, c_edge, c_path, value, gap = step, x1, c_edge1, c1, value1, gap1
 
 
 # -- minimum-norm selection ----------------------------------------------------
@@ -347,8 +374,8 @@ def _check_demand(mu: float) -> None:
 
 def _builds(net: Network, costs: dict[str, CostFunction]):
     """Path set, costs and marginal costs c + x*c', the optimum's game."""
-    marginal = {eid: c.marginal() for eid, c in costs.items()}
-    return PathSet.build(net), _cost_list(net, costs), _cost_list(net, marginal)
+    ps, cost_list = PathSet.build(net), _cost_list(net, costs)
+    return ps, cost_list, cost_list.marginal()
 
 
 def _flows(ps: PathSet, cost_list: EdgeCosts, mu: float, tol: float = DEFAULT_TOL,
@@ -408,12 +435,17 @@ def _simplex_qp(H: np.ndarray, g: np.ndarray, C: np.ndarray, r: np.ndarray,
     Where the system is singular in x, its null space holds zero-curvature
     directions along which the objective is linear; if one of them descends,
     the subproblem is unbounded and a null-space step moves along it to the
-    first bound. Entering and leaving variables are picked by Bland's rule
-    (smallest index), which rules out cycling through degenerate pivots.
-    Returns (x, nu), nu being the multipliers of Cx = r, so that
-    Hx + g - C'nu is zero on S and nonnegative off it. Raises
-    :class:`SupportSearchExhausted` once PIVOTS_PER_VARIABLE*(n+1) pivots
-    pass without an optimum.
+    first bound. The entering variable has the most negative reduced cost
+    (Dantzig's pricing, ties to the smallest index); the leaving one is the
+    first to block, smallest index on ties. Only a zero-length ratio step
+    (one that moves no variable by more than the flow tolerance) leaves the
+    objective where it was, so after the first one the call enters by
+    Bland's rule (smallest index) instead, which rules out cycling through
+    degenerate pivots. Returns (x, nu), nu being the multipliers of
+    Cx = r, so that Hx + g - C'nu is zero on S and nonnegative off it.
+    Raises :class:`SupportSearchExhausted` once PIVOTS_PER_VARIABLE*(n+1)
+    pivots pass without an optimum, or when the working set empties while
+    r is not zero.
     """
     n = len(g)
     bounded = np.ones(n, dtype=bool) if free is None else ~free
@@ -423,16 +455,19 @@ def _simplex_qp(H: np.ndarray, g: np.ndarray, C: np.ndarray, r: np.ndarray,
     S = ~bounded | (x > flow_tol)
     x[~S] = 0.0  # dust starts at its bound
     k = len(r)
+    bland = False
     for _ in range(max_pivots):
         idx = S.nonzero()[0]
         m = len(idx)
+        if not m and r.any():
+            raise SupportSearchExhausted("the working set emptied while Cx = r is not zero")
         C_S = C[:, idx]
         kkt = np.zeros((m + k, m + k))
         kkt[:m, :m] = H[idx[:, None], idx]
         kkt[:m, m:] = -C_S.T
         kkt[m:, :m] = C_S
         U, sv, Vt = np.linalg.svd(kkt)
-        rank = int((sv > 1e-10 * sv[0]).sum())
+        rank = np.count_nonzero(sv > 1e-10 * sv[0])
         descends = False
         if rank < m + k:  # only a singular system has zero-curvature directions
             grad = (H @ x + g)[idx]
@@ -448,10 +483,11 @@ def _simplex_qp(H: np.ndarray, g: np.ndarray, C: np.ndarray, r: np.ndarray,
             if full[bounded[idx]].min(initial=0.0) >= -flow_tol:
                 x[idx] = full
                 s = H @ x + g - C.T @ nu
-                entering = (~S & (s < -1e-11 * max(1.0, np.abs(nu).max()))).nonzero()[0]
-                if not len(entering):
+                entering = ~S & (s < -1e-11 * max(1.0, np.abs(nu).max()))
+                j = entering.argmax() if bland else np.where(entering, s, np.inf).argmin()
+                if not entering[j]:
                     return x, nu
-                S[entering[0]] = True
+                S[j] = True
                 continue
             p = full - x[idx]
         blocking = bounded[idx] & (p < 0)
@@ -460,6 +496,7 @@ def _simplex_qp(H: np.ndarray, g: np.ndarray, C: np.ndarray, r: np.ndarray,
         ratios = np.full(m, np.inf)
         ratios[blocking] = np.maximum(x[idx][blocking], 0.0) / -p[blocking]
         j = int(np.argmin(ratios))
+        bland = bland or ratios[j] * np.abs(p).max() <= flow_tol  # a step of dust
         x[idx] += ratios[j] * p
         x[idx[j]] = 0.0
         S[idx[j]] = False

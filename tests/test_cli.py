@@ -11,9 +11,10 @@ import sys
 import numpy as np
 import pytest
 
-from poakit import TraceFailure, cli, load_network, parametric
-from poakit.network import network_from_json
+from poakit import Polynomial, TraceFailure, cli, load_network, parametric
+from poakit.network import network_from_json, network_to_json
 
+from netgen import layered_affine_network
 from oracles import newton_optimum
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -338,6 +339,15 @@ class TestExitCodes:
                                "--demand", "3", "--max-iter", "0")
         assert code == 2
         assert "duality gap" in err
+
+    def test_emptied_working_set_is_solver_failure(self, tmp_path, capsys):
+        # degree-4 costs at heavy traffic empty the kernel's working set
+        net, costs = layered_affine_network(np.random.default_rng(1), widths=(3, 3, 3))
+        quartic = {e: Polynomial((c.b, 0.0, 0.0, 0.0, c.a)) for e, c in costs.items()}
+        path = tmp_path / "quartic.json"
+        path.write_text(json.dumps(network_to_json(net, quartic)), encoding="utf-8")
+        assert cli.main(["optimum", "--network", str(path), "--demand", "20"]) == 2
+        assert "working set emptied" in capsys.readouterr().err
 
     def test_non_finite_cost_is_input_error(self, tmp_path):
         bad = tmp_path / "nan.json"

@@ -200,6 +200,47 @@ def test_edge_costs_match_per_edge_methods_bit_for_bit(costs, seed):
             assert got.tolist() == [float(w) for w in want], method
 
 
+@pytest.mark.parametrize("costs", [
+    {k: MIXED[k] for k in ("aff", "flat")},
+    {k: MIXED[k] for k in ("quad", "const", "cubic", "lin")},
+    {"bpr": MIXED["bpr"], "bpr2": _bpr(1.1, 3.7)},
+    {k: MIXED[k] for k in ("pwl", "pwl1")},
+    MIXED,
+], ids=["affine", "poly", "bpr", "pwl", "mixed"])
+def test_marginal_layer_is_the_layer_of_the_marginals(costs):
+    got, want = EdgeCosts(costs).marginal(), EdgeCosts({k: c.marginal() for k, c in costs.items()})
+    for mask in ("affine", "constant", "a", "b"):
+        assert getattr(got, mask).tolist() == getattr(want, mask).tolist(), mask
+    rng = np.random.default_rng(7)
+    n = len(costs)
+    vectors = [rng.uniform(0, 4, n), np.zeros(n), np.full(n, 2.0)]  # 2.0 sits on a pwl knot
+    for x in vectors + [np.array(vectors), rng.exponential(10, (5, n))]:
+        for method in ("evaluate", "primitive", "derivative"):
+            assert getattr(got, method)(x).tolist() == getattr(want, method)(x).tolist(), method
+
+
+def test_marginal_layer_rejects_an_overflowing_coefficient():
+    for cost in (Polynomial((0.0, 1e308)), Affine(1e308, 0.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            cost.marginal()
+        with pytest.raises(ValueError, match="overflows"):
+            EdgeCosts({"e": cost}).marginal()
+
+
+def test_pwl_derivative_is_the_left_slope():
+    c = PiecewiseLinear((0.5, 2.0, 3.5), (1.0, 4.0, 4.75))
+    left, right = (4.0 - 1.0) / (2.0 - 0.5), (4.75 - 4.0) / (3.5 - 2.0)
+    points = {0.0: 0.0, 0.25: 0.0, 0.5: 0.0,  # below and at the first knot
+              1.0: left, 2.0: left, 2.5: right,  # a knot takes the slope on its left
+              3.5: right, 4.0: 0.0, 1e9: 0.0}  # at and past the last knot
+    assert c.derivative(np.array(list(points))).tolist() == list(points.values())
+    for x, slope in points.items():
+        assert type(c.derivative(x)) is float and c.derivative(x) == slope
+    one_knot = PiecewiseLinear((1.0,), (2.0,))
+    assert one_knot.derivative(np.array([0.0, 1.0, 2.0])).tolist() == [0.0, 0.0, 0.0]
+    assert one_knot.derivative(1.0) == 0.0
+
+
 def test_edge_costs_share_the_affine_columns():
     # the shape comes from the coefficients: a poly cost of degree <= 1 is affine
     ec = EdgeCosts(MIXED)

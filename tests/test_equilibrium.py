@@ -247,6 +247,41 @@ def test_kernel_pivot_cap(monkeypatch):
         _min_norm_flows(ps, cost_list, 3.0, f)
 
 
+def test_kernel_falls_back_to_blands_rule_after_a_zero_length_step(monkeypatch):
+    # a degenerate QP: x5 sits at zero in the working set after the first
+    # pivot and leaves in a zero-length ratio step
+    H = np.zeros((6, 6))
+    H[2:, 2:] = [[2, -1, 1, -1], [-1, 1, 0, 1], [1, 0, 1, 0], [-1, 1, 0, 1]]
+    g = np.array([-1.0, 0.0, 2.0, -3.0, -2.0, 0.0])
+    C = np.array([[4.0, 6.0, 5.0, 2.0, 1.0, 3.0]])  # distinct, so C_S names S
+    x0 = np.array([0.0, 2.0, 0.0, 0.0, 0.0, 2.0])
+    r = C @ x0
+    svd, working_sets = np.linalg.svd, []
+
+    def spy(kkt, *args, **kwargs):
+        working_sets.append([C[0].tolist().index(c) for c in kkt[-1, :-1]])
+        return svd(kkt, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    x, nu = _simplex_qp(H, g, C, r, x0)
+    assert_kkt(H, g, C, r, x, nu)
+    assert x == pytest.approx([2.8125, 0.0, 0.0, 2.5, 1.75, 0.0], abs=1e-10)
+    assert nu[0] == pytest.approx(-0.25, abs=1e-10)
+    # x3 enters first, at reduced cost -3 (x0 has -1, x4 -2); after the
+    # zero-length step x0 enters, the smallest index, although x2 ties with
+    # it at -1 and x4 has -2
+    assert working_sets == [[1, 5], [1, 3, 5], [1, 3], [0, 1, 3], [0, 3], [0, 3, 4]]
+
+
+def test_kernel_raises_when_the_working_set_empties():
+    # heavy traffic on degree-4 costs: the first Newton step of the optimum
+    # empties the kernel's working set while the demand row asks for flow
+    net, costs = layered_affine_network(np.random.default_rng(1), widths=(3, 3, 3))
+    quartic = {e: Polynomial((c.b, 0.0, 0.0, 0.0, c.a)) for e, c in costs.items()}
+    with pytest.raises(SupportSearchExhausted, match="working set emptied"):
+        solve_optimum(net, quartic, 20.0)
+
+
 # -- single edge, zero demand, convergence buff ---------------------------------
 
 
@@ -430,6 +465,15 @@ def test_first_root_is_superlinear_on_smooth_g():
     root = first_root(g, 0.0, 1.0, 1e-14)
     assert abs(root - 0.3 ** (1.0 / 3.0)) <= 1e-14
     assert len(calls) <= 16
+
+
+def test_first_root_takes_muller_steps_on_a_quadratic():
+    # both ends, one secant step, Muller's step onto the root, and the step
+    # closing the bracket; secant steps alone take 10 evaluations
+    g, calls = counted(lambda t: 2.0 * t * t + 3.0 * t - 1.2)
+    root = first_root(g, 0.0, 1.0, 1e-14)
+    assert abs(root - (math.sqrt(18.6) - 3.0) / 4.0) <= 1e-14
+    assert len(calls) <= 5
 
 
 def test_first_root_rejects_nan():

@@ -51,6 +51,17 @@ def bpr_dag():
     return net, quartic(costs)
 
 
+def test_nonaffine_point_pivot_count(monkeypatch):
+    # each kernel pivot takes one SVD; entering by the most negative reduced
+    # cost, the two Newton solves take 55 pivots here, by Bland's rule 146
+    net, costs = layered_affine_network(np.random.default_rng(0), widths=(4, 3, 4))
+    assert PathSet.build(net).n_paths == 48
+    svd, pivots = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pivots.append(a) or svd(*a, **k))
+    compute_poa(net, quartic(costs), 4.0)
+    assert len(pivots) <= 55
+
+
 def pigou_instance():
     # x alongside 1: the textbook worst case for affine costs
     net = Network(vertices=("O", "D"),
@@ -504,7 +515,7 @@ class TestCertificates:
             sweep_poa(net, costs, lo, hi, 3)
 
 
-@pytest.mark.parametrize("widths, seed", [((2, 2, 2), 3), ((2, 3, 2), 19), ((2, 2, 3), 6)])
+@pytest.mark.parametrize("widths, seed", [((2, 2, 2), 53), ((2, 3, 2), 19), ((2, 2, 3), 6)])
 def test_maximum_reads_past_a_complete_trace(widths, seed):
     # several tracer lines make up the last segment of these traces, and the
     # optimum at the window's end is read at twice the window, past the
@@ -513,6 +524,20 @@ def test_maximum_reads_past_a_complete_trace(widths, seed):
     curve = classify_segments(net, costs)
     assert curve.trace.complete and curve.trace.mu_max < 2.0 * curve.mu_max
     mx = find_poa_max(net, costs, curve=curve)
+    assert mx.value == pytest.approx(compute_poa(net, costs, mx.mu).poa, rel=1e-12)
+
+
+# the full layered DAGs of widths (2,2,2), (2,3,2) and (2,2,3), seeds 0-149,
+# on which a chord across the tracer lines of the last segment failed its grade
+TRACE_END_CASES = [((2, 2, 2), s) for s in (3, 22, 53, 71, 146, 147)] + [
+    ((2, 3, 2), s) for s in (19, 23, 61, 62, 89, 118, 122, 134, 140)] + [
+    ((2, 2, 3), s) for s in (6, 11, 25, 34, 46, 93, 141, 146)]
+
+
+@pytest.mark.parametrize("widths, seed", TRACE_END_CASES)
+def test_maximum_agrees_with_a_pointwise_solve(widths, seed):
+    net, costs = layered_affine_network(np.random.default_rng(seed), widths=widths)
+    mx = find_poa_max(net, costs)
     assert mx.value == pytest.approx(compute_poa(net, costs, mx.mu).poa, rel=1e-12)
 
 
