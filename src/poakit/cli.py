@@ -21,9 +21,11 @@ from .equilibrium import (
     MAX_ITER,
     EquilibriumSolution,
     _cost_list,
+    _grade,
+    _in_path_order,
+    _solve,
     solve_equilibrium,
     solve_optimum,
-    verify_wardrop,
 )
 from .errors import (
     BisectionFailure,
@@ -45,7 +47,6 @@ from .parametric import (
     MU_START,
     _trace,
     optimum_breakpoints,
-    segment_solution,
     trace_affine,
     trace_from_json,
     trace_to_json,
@@ -136,23 +137,6 @@ def _solution_doc(sol: EquilibriumSolution, kind: str) -> dict:
         "edges": [{"id": eid, "load": float(x), "cost": float(c)}
                   for eid, x, c in zip(sol.edge_ids, sol.edge_loads, sol.edge_costs)],
     }
-
-
-def _solution_from_doc(doc: dict) -> EquilibriumSolution:
-    """Rebuild just enough of a solution for verify_wardrop to grade it."""
-    paths = tuple(tuple(p["edges"]) for p in doc["paths"])
-    flows = np.array([float(p["flow"]) for p in doc["paths"]])
-    edge_ids = tuple(e["id"] for e in doc["edges"])
-    loads = np.array([float(e["load"]) for e in doc["edges"]])
-    ecosts = np.array([float(e["cost"]) for e in doc["edges"]])
-    return EquilibriumSolution(
-        demand=float(doc["demand"]), edge_ids=edge_ids, paths=paths,
-        path_flows=flows, edge_loads=loads, edge_costs=ecosts,
-        cost=float(doc["common_cost"]),
-        active_edges=frozenset(doc["active_edges"]),
-        beckmann_value=float(doc["beckmann_value"]),
-        duality_gap=float(doc["duality_gap"]),
-        social_cost=float(doc["social_cost"]))
 
 
 # -- command handlers --------------------------------------------------------------
@@ -260,19 +244,28 @@ def cmd_verify(args) -> int:
     given = [x is not None for x in (args.demand, args.solution, args.trace)]
     if sum(given) != 1:
         raise ValueError("exactly one of --demand, --solution, --trace is required")
+    ps, cost_list = PathSet.build(net), _cost_list(net, costs)
     if args.trace is not None:
         doc = _read_json(args.trace)
         trace = trace_from_json(doc.get("trace", doc))
-        sols = [segment_solution(net, costs, seg, float(mu)) for seg in trace.segments
-                for mu in np.linspace(seg.mu_lo, seg.mu_hi, args.samples_per_segment + 2)[1:-1]]
+        samples = [(seg, float(mu)) for seg in trace.segments
+                   for mu in np.linspace(seg.mu_lo, seg.mu_hi, args.samples_per_segment + 2)[1:-1]]
+        demands = [mu for _, mu in samples]
+        flows = [_in_path_order(ps, seg.paths, seg.flows(mu)) for seg, mu in samples]
     elif args.solution is not None:
-        sols = [_solution_from_doc(_read_json(args.solution))]
+        doc = _read_json(args.solution)
+        paths = [tuple(p["edges"]) for p in doc["paths"]]
+        flows = [_in_path_order(ps, paths, [float(p["flow"]) for p in doc["paths"]])]
+        demands = [float(doc["demand"])]
     else:
-        sols = [solve_equilibrium(net, costs, args.demand)]
-    violations = [f"mu={sol.demand:.12g}: {v}" for sol in sols
-                  for v in verify_wardrop(net, costs, sol, tol=args.tol).violations]
+        demands = [args.demand]
+        flows = [_solve(ps, cost_list, args.demand).path_flows]
+    reports = _grade(ps, cost_list, np.reshape(flows, (len(flows), ps.n_paths)), demands,
+                     args.tol)
+    violations = [f"mu={mu:.12g}: {v}" for mu, report in zip(demands, reports)
+                  for v in report.violations]
     doc = {
-        "checked": len(sols),
+        "checked": len(demands),
         "ok": not violations,
         "violations": violations,
         "meta": _meta("verify", args, {

@@ -21,8 +21,10 @@ printed path flows are deterministic even when equilibria are non-unique.
 The selection runs only for path flows that get printed: PoA values, the
 affine analytics and the breakpoints are read off the flows of
 :func:`_flows` or of the tracer as they are (see :mod:`poakit.poa`), since
-no cost depends on the choice of equilibrium. :func:`_grade` certifies a
-whole stack of flow vectors with one cost evaluation.
+no cost depends on the choice of equilibrium. :func:`_grade` alone reads
+loads, costs, lambda and total cost off a stack of flow vectors, with one
+cost evaluation; every solution returned is read off the grade of its own
+flows, and a failed grade raises :class:`CertificateFailure`.
 
 One primal active-set kernel, :func:`_simplex_qp`, solves every quadratic
 program here: min 1/2 x'Hx + g'x subject to Cx = r and x >= 0. With C = 1'
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostFunction, EdgeCosts
-from .errors import BisectionFailure, NonConvergence, SupportSearchExhausted
+from .errors import BisectionFailure, CertificateFailure, NonConvergence, SupportSearchExhausted
 from .network import Edge, Network, PathSet, SPLeaf, SPSeries, SPTree
 
 __all__ = [
@@ -124,15 +126,6 @@ def _social(cost_list: EdgeCosts, loads: np.ndarray) -> float:
 def _sums(rows: np.ndarray) -> list[float]:
     """Each row of a matrix summed as :func:`_social` sums its terms."""
     return [sum(row) for row in rows.tolist()]
-
-
-def _wardrop_residual(path_costs: np.ndarray, flows: np.ndarray, mu: float) -> float:
-    """Worst violation of the equilibrium conditions, in cost units."""
-    lam = float(path_costs.min())
-    used = flows > 1e-12 * max(1.0, mu)
-    if not used.any():
-        return 0.0
-    return float((path_costs[used] - lam).max())
 
 
 def _tied(path_costs: np.ndarray, lam: float) -> np.ndarray:
@@ -301,8 +294,10 @@ def _path_quadratic(Z: np.ndarray, cost_list: EdgeCosts) -> tuple[np.ndarray, np
     return Z.T * cost_list.a @ Z, Z.T @ cost_list.b
 
 
-def _min_norm_flows(ps: PathSet, cost_list: EdgeCosts, mu: float, f: np.ndarray) -> np.ndarray:
-    """Select the minimum-norm path-flow vector among equilibria.
+def _min_norm_flows(ps: PathSet, cost_list: EdgeCosts, f: np.ndarray,
+                    path_costs: np.ndarray) -> np.ndarray:
+    """Select the minimum-norm path-flow vector among equilibria, given one
+    equilibrium ``f`` and its graded ``path_costs``.
 
     Edge costs are the same at every equilibrium, so every equilibrium
     routes flow only on the paths T tied at the common cost of ``f`` (and
@@ -317,8 +312,7 @@ def _min_norm_flows(ps: PathSet, cost_list: EdgeCosts, mu: float, f: np.ndarray)
     kernel raises :class:`SupportSearchExhausted`.
     """
     Z = ps.incidence
-    c_in = cost_list.evaluate(Z @ f) @ Z
-    T = (_tied(c_in, float(c_in.min())) | (f > 0)).nonzero()[0]
+    T = (_tied(path_costs, float(path_costs.min())) | (f > 0)).nonzero()[0]
     Z_T, f_T, n = Z[:, T], f[T], len(T)
     if _is_affine(cost_list):
         A, d = _path_quadratic(Z_T, cost_list)
@@ -333,37 +327,31 @@ def _min_norm_flows(ps: PathSet, cost_list: EdgeCosts, mu: float, f: np.ndarray)
         return f  # the constraints pin the flows
     out = np.zeros(ps.n_paths)
     out[T] = np.maximum(_simplex_qp(np.eye(n), np.zeros(n), B, B @ f_T, f_T)[0], 0.0)
-    # never let the selection degrade the equilibrium itself
-    c_out = cost_list.evaluate(Z @ out) @ Z
-    if _wardrop_residual(c_out, out, mu) <= _wardrop_residual(c_in, f, mu) + 1e-9:
-        return out
-    return f
+    return out
 
 
 # -- public solvers -------------------------------------------------------------
 
 
-def _package(ps: PathSet, cost_list: EdgeCosts, mu: float,
-             f: np.ndarray) -> EquilibriumSolution:
-    Z = ps.incidence
-    x = Z @ f
-    c_edge = cost_list.evaluate(x)
-    c_path = c_edge @ Z
-    lam = float(c_path.min()) if len(c_path) else 0.0
-    value = _beckmann(cost_list, x)
-    gap = float(c_path @ f - mu * lam)
+def _package(ps: PathSet, cost_list: EdgeCosts, mu: float, f: np.ndarray,
+             game: str = "equilibrium") -> EquilibriumSolution:
+    """The solution with path flows ``f`` at demand mu, every number but the
+    potential and the duality gap read off their grade (see :func:`_grade`);
+    a failed grade raises :class:`CertificateFailure` naming ``game``."""
+    (report,) = _grade(ps, cost_list, f[None, :], [mu], game=game)
+    x, c_path, lam = report.edge_loads, report.path_costs, report.lam
     return EquilibriumSolution(
         demand=mu,
         edge_ids=ps.net.edge_ids,
         paths=ps.paths,
         path_flows=f,
         edge_loads=x,
-        edge_costs=c_edge,
+        edge_costs=report.edge_costs,
         cost=lam,
         active_edges=_active_edge_set(ps, c_path, lam),
-        beckmann_value=value,
-        duality_gap=max(gap, 0.0),
-        social_cost=float(sum((x * c_edge).tolist())),  # _social on the costs in hand
+        beckmann_value=_beckmann(cost_list, x),
+        duality_gap=max(float(c_path @ f - mu * lam), 0.0),
+        social_cost=report.social_cost,
     )
 
 
@@ -390,12 +378,13 @@ def _flows(ps: PathSet, cost_list: EdgeCosts, mu: float, tol: float = DEFAULT_TO
 
 
 def _solve(ps: PathSet, cost_list: EdgeCosts, mu: float, tol: float = DEFAULT_TOL,
-           max_iter: int = MAX_ITER) -> EquilibriumSolution:
+           max_iter: int = MAX_ITER, game: str = "equilibrium") -> EquilibriumSolution:
     """The flows of :func:`_flows`, minimum-norm selected and packaged."""
     f = _flows(ps, cost_list, mu, tol, max_iter)
     if mu == 0:
-        return _package(ps, cost_list, 0.0, f)
-    return _package(ps, cost_list, mu, _min_norm_flows(ps, cost_list, mu, f))
+        return _package(ps, cost_list, 0.0, f, game)
+    (report,) = _grade(ps, cost_list, f[None, :], [mu])
+    return _package(ps, cost_list, mu, _min_norm_flows(ps, cost_list, f, report.path_costs), game)
 
 
 def solve_equilibrium(net: Network, costs: dict[str, CostFunction], mu: float,
@@ -419,7 +408,7 @@ def solve_optimum(net: Network, costs: dict[str, CostFunction], mu: float,
     marginals), otherwise as in :func:`solve_equilibrium`."""
     _check_demand(mu)
     ps, cost_list, marginal_list = _builds(net, costs)
-    eq = _solve(ps, marginal_list, mu, tol, max_iter)
+    eq = _solve(ps, marginal_list, mu, tol, max_iter, "marginal-cost")
     return OptimumSolution(**{**vars(eq), "social_cost": _social(cost_list, eq.edge_loads)})
 
 
@@ -551,6 +540,7 @@ class WardropReport:
 
     lam: float
     edge_loads: np.ndarray  # of the flows graded
+    edge_costs: np.ndarray
     path_costs: np.ndarray
     slacks: np.ndarray  # c_p - lam per path
     violations: tuple[str, ...]
@@ -560,9 +550,10 @@ class WardropReport:
 
 
 def _grade(ps: PathSet, cost_list: EdgeCosts, flows: np.ndarray, demands,
-           tol: float = 1e-8) -> list[WardropReport]:
+           tol: float = 1e-8, game: str | None = None) -> list[WardropReport]:
     """Grade each row of ``flows`` on a built path set as an equilibrium at
-    the matching entry of ``demands``; one report per row.
+    the matching entry of ``demands``; one report per row. With ``game``
+    named, the first failed row raises :class:`CertificateFailure` instead.
 
     No flow may sit below zero by more than the dust 1e-9*max(1, demand),
     and negative flows are graded as zero; flows must sum to the demand,
@@ -574,7 +565,7 @@ def _grade(ps: PathSet, cost_list: EdgeCosts, flows: np.ndarray, demands,
     """
     Z = ps.incidence
     lowest = flows.min(axis=1).tolist()
-    F = np.maximum(flows, 0.0) if min(lowest) < 0 else flows
+    F = np.maximum(flows, 0.0) if min(lowest, default=0.0) < 0 else flows
     # stacked matrix-vector products: each row rounds as Z @ f alone does,
     # which one matrix-matrix product would not
     X = (Z @ F[:, :, None])[:, :, 0]
@@ -602,12 +593,24 @@ def _grade(ps: PathSet, cost_list: EdgeCosts, flows: np.ndarray, demands,
         if identity_err > tol * max(1.0, social):
             violations.append(
                 f"total cost {social:.12g} differs from mu*lambda {mu_i * lam_i:.12g}")
+        if game and violations:
+            raise CertificateFailure(f"flows fail the {game} grade at mu={demand!r}: "
+                                     + "; ".join(violations))
         reports.append(WardropReport(
-            lam=lam_i, edge_loads=X[i], path_costs=P[i], slacks=slacks[i],
+            lam=lam_i, edge_loads=X[i], edge_costs=C[i], path_costs=P[i], slacks=slacks[i],
             violations=tuple(violations), social_cost=social,
             social_identity_error=identity_err, ok=not violations,
         ))
     return reports
+
+
+def _in_path_order(ps: PathSet, paths, flows) -> np.ndarray:
+    """Flows given per path of ``paths`` (the last axis of ``flows``), in
+    ``ps.paths`` order; other paths carry none."""
+    column = {p: k for k, p in enumerate(paths)}
+    flows = np.asarray(flows, dtype=float)
+    padded = np.concatenate([flows, np.zeros(flows.shape[:-1] + (1,))], axis=-1)
+    return padded[..., [column.get(p, -1) for p in ps.paths]]
 
 
 def verify_wardrop(net: Network, costs: dict[str, CostFunction],
@@ -619,8 +622,7 @@ def verify_wardrop(net: Network, costs: dict[str, CostFunction],
     reported common cost; total cost must equal mu*lambda (see :func:`_grade`).
     """
     ps = PathSet.build(net)
-    flow_by_path = dict(zip(sol.paths, np.asarray(sol.path_flows, dtype=float)))
-    f = np.array([flow_by_path.get(p, 0.0) for p in ps.paths])
+    f = _in_path_order(ps, sol.paths, sol.path_flows)
     return _grade(ps, _cost_list(net, costs), f[None, :], [sol.demand], tol)[0]
 
 

@@ -11,12 +11,13 @@ comes from a small quadratic program on the paths tied at it. The demands
 where the active network changes are the breakpoints; the segment algebra
 feeds the efficiency analytics downstream.
 
-Each segment is the chord between two equilibria at its ends. The analytics
-and the breakpoints read :func:`_trace`, whose chords join the tracer's own
-equilibria: nothing they report depends on the choice among equilibria.
-Only the public :func:`trace_affine` and :func:`trace_to_completion`, whose
-path flows get printed, select the minimum-norm equilibrium at each segment
-end.
+Each segment is the chord between two equilibria at its ends, itself an
+equilibrium on [mu_lo, mu_hi] (loads are affine there) but not in general
+past it. The analytics and the breakpoints read :func:`_trace`, whose
+chords join the tracer's own equilibria: nothing they report depends on
+the choice among equilibria. Only :func:`trace_affine`, whose path flows
+get printed, selects the minimum-norm equilibrium at each segment end, and
+grades those ends: a failed grade raises :class:`CertificateFailure`.
 
 Optimum-side structure comes for free: the social optimum at demand mu is
 half the equilibrium at demand 2*mu, so optimum breakpoints are equilibrium
@@ -37,6 +38,8 @@ from .network import Network, PathSet, incidence
 from .equilibrium import (
     EquilibriumSolution,
     _cost_list,
+    _grade,
+    _in_path_order,
     _is_affine,
     _min_norm_flows,
     _package,
@@ -252,15 +255,19 @@ def trace_affine(net: Network, costs: dict[str, CostFunction], mu_max: float,
     belonging to the segment on its left. Each segment reports the chord
     between the minimum-norm equilibria at its two ends, an equilibrium
     across the whole segment, and its sign-checked social-cost coefficients.
-    With ``grow`` set, ``mu_max`` is doubled until it lies beyond the last
-    event, and the trace is complete.
+    The selected ends are graded in one stack; a failed grade raises
+    :class:`CertificateFailure`. With ``grow`` set, ``mu_max`` is doubled
+    until it lies beyond the last breakpoint, and the trace is complete.
     """
     if not (math.isfinite(mu_max) and mu_max > 0):
         raise ValueError(f"mu_max must be finite and positive, got {mu_max}")
     ps, cost_list = PathSet.build(net), _cost_list(net, costs)
     A, d, ends, mu_max, complete = _ends(ps, cost_list, mu_max, grow)
-    ends = [(mu, _min_norm_flows(ps, cost_list, mu, f), act) for mu, f, act in ends]
-    return _chords(ps, A, d, ends, mu_max, complete)
+    mus, found, acts = zip(*ends)
+    chosen = [_min_norm_flows(ps, cost_list, f, report.path_costs)
+              for f, report in zip(found, _grade(ps, cost_list, np.array(found), mus))]
+    _grade(ps, cost_list, np.array(chosen), mus, game="equilibrium")
+    return _chords(ps, A, d, list(zip(mus, chosen, acts)), mu_max, complete)
 
 
 def _trace(ps: PathSet, cost_list: EdgeCosts, mu_max: float, *, grow: bool) -> AffineTrace:
@@ -274,8 +281,9 @@ def _ends(ps: PathSet, cost_list: EdgeCosts, mu_max: float, grow: bool):
 
     Returns ``(A, d, ends, mu_max, complete)``: the path quadratic, one
     ``(mu, flows, active edges)`` per segment in demand order, the traced
-    range (doubled past the last event with ``grow``) and whether no event
-    follows it. Raises ``ValueError`` unless every cost is affine.
+    range (doubled past the last breakpoint with ``grow``: kinks after it
+    depend on the kernel's choice at ties) and whether no event follows it.
+    Raises ``ValueError`` unless every cost is affine.
 
     The last segment of a complete trace is also read past mu_max. Where
     several of the tracer's lines make it up, a chord across them leaves
@@ -287,12 +295,13 @@ def _ends(ps: PathSet, cost_list: EdgeCosts, mu_max: float, grow: bool):
         raise ValueError("trace_affine requires every cost to be affine")
     A, d = _path_quadratic(ps.incidence, cost_list)
     pieces, complete = _pivot(A, d, math.inf if grow else mu_max)
-    while grow and pieces[-1][0] >= mu_max * (1.0 - LIMIT_TOL):
-        mu_max *= 2.0
+    reach = mu_max  # past the last line, whose active set is read inside its range
+    while grow and pieces[-1][0] >= reach * (1.0 - LIMIT_TOL):
+        reach *= 2.0
 
     def active(k: int) -> frozenset[str]:
         lo, w, z = pieces[k]
-        hi = pieces[k + 1][0] if k + 1 < len(pieces) else mu_max
+        hi = pieces[k + 1][0] if k + 1 < len(pieces) else reach
         return frozenset(e for p in _optimal_paths(A, d, w, z, 0.5 * (lo + hi)).tolist()
                          for e in ps.paths[p])
 
@@ -304,13 +313,15 @@ def _ends(ps: PathSet, cost_list: EdgeCosts, mu_max: float, grow: bool):
             groups[-1] = (k, act)
         else:
             groups.append((k, act))
+    first = groups[-2][0] + 1 if len(groups) > 1 else 0  # last segment's first line
+    while grow and pieces[first][0] >= mu_max * (1.0 - LIMIT_TOL):
+        mu_max *= 2.0
 
     ends = []
     for g, (last, act) in enumerate(groups):
         hi = pieces[last + 1][0] if g + 1 < len(groups) else mu_max
         _, w_end, z_end = pieces[last]
         ends.append((hi, np.maximum(hi * w_end + z_end, 0.0), act))
-    first = groups[-2][0] + 1 if len(groups) > 1 else 0  # last segment's first line
     if complete and first < len(pieces) - 1:
         lo, f_lo = ends[-2][:2] if len(ends) > 1 else (0.0, np.zeros(ps.n_paths))
         ends[-1] = (mu_max, np.maximum(f_lo + (mu_max - lo) * pieces[-1][1], 0.0), ends[-1][2])
@@ -341,7 +352,7 @@ def _chords(ps: PathSet, A, d, ends, mu_max: float, complete: bool) -> AffineTra
 def trace_to_completion(net: Network, costs: dict[str, CostFunction],
                         mu_start: float = MU_START) -> AffineTrace:
     """Trace until no event remains; ``mu_max`` is the smallest
-    mu_start * 2**k beyond the last event."""
+    mu_start * 2**k beyond the last breakpoint."""
     return trace_affine(net, costs, mu_start, grow=True)
 
 
@@ -349,14 +360,13 @@ def segment_solution(net: Network, costs: dict[str, CostFunction],
                      seg: TraceSegment, mu: float) -> EquilibriumSolution:
     """Equilibrium at ``mu`` from a segment's flow line, matched to paths by key.
 
-    The line is an equilibrium only on the segment's own demand interval
-    (and beyond it for the terminal segment of a complete trace); endpoint
-    roundoff dust in the flows is clipped, anything more negative surfaces
-    as a cost-evaluation error.
+    The line is an equilibrium on the segment's own interval, not in
+    general past it. Endpoint roundoff dust in the flows is clipped, and
+    the flows are graded at ``mu``: a line read where it is no equilibrium
+    raises :class:`CertificateFailure`.
     """
     ps = PathSet.build(net)
-    by_path = dict(zip(seg.paths, np.asarray(seg.flows(mu), dtype=float)))
-    f = np.array([by_path.get(p, 0.0) for p in ps.paths])
+    f = _in_path_order(ps, seg.paths, seg.flows(mu))
     dust = 1e-9 * max(1.0, mu)
     f[(f < 0) & (f >= -dust)] = 0.0
     sol = _package(ps, _cost_list(net, costs), float(mu), f)

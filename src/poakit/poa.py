@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import CostFunction
-from .errors import (CertificateFailure, ClassificationConflict, GridExceedsBreakpointMax,
-                     NonpositiveOptimum)
+from .errors import ClassificationConflict, GridExceedsBreakpointMax, NonpositiveOptimum
 from .network import Network
 from .equilibrium import (
     _active_edge_set,
@@ -97,17 +96,13 @@ def poa_ratio(sc_eq: float, sc_opt: float, tol: float = DECLARE_ONE_TOL) -> floa
 def _certify(builds, mus, f_eq: np.ndarray, f_opt: np.ndarray):
     """Grade equilibrium and optimum path flows, one row per demand in
     ``mus``, in the original and the marginal-cost game, one grade per game.
-    A failed grade raises :class:`CertificateFailure` naming the first
-    failing demand and its game. Returns the equilibrium reports and the
-    optimum total costs, priced in the original costs at the optimum loads:
-    all are the same at every equilibrium."""
+    A failed grade raises :class:`CertificateFailure` naming its game and
+    first failing demand, the equilibrium game's first. Returns the
+    equilibrium reports and the optimum total costs, priced in the original
+    costs at the optimum loads: all are the same at every equilibrium."""
     ps, cost_list, marginal_list = builds
-    eq, opt = _grade(ps, cost_list, f_eq, mus), _grade(ps, marginal_list, f_opt, mus)
-    for mu, eq_report, opt_report in zip(mus, eq, opt):
-        for game, report in (("equilibrium", eq_report), ("marginal-cost", opt_report)):
-            if not report.ok:
-                raise CertificateFailure(f"flows fail the {game} grade at mu={mu!r}: "
-                                         + "; ".join(report.violations))
+    eq = _grade(ps, cost_list, f_eq, mus, game="equilibrium")
+    opt = _grade(ps, marginal_list, f_opt, mus, game="marginal-cost")
     loads = np.array([report.edge_loads for report in opt])
     return eq, _sums(loads * cost_list.evaluate(loads))
 
@@ -271,29 +266,26 @@ def _valley_root(c0, c1, c2, roots):
 
 
 def classify_segments(net: Network, costs: dict[str, CostFunction],
-                      mu_max: float | None = None,
-                      trace: AffineTrace | None = None) -> PoACurve:
+                      mu_max: float | None = None) -> PoACurve:
     """Piecewise description of the ratio curve on (0, mu_max], classified.
 
     Needs the equilibrium structure out to 2*mu_max so every denominator
-    segment is available; pass ``trace`` to reuse one, otherwise it is
-    traced here, with no selection among equilibria, on one path set and
-    cost build. The default ``mu_max`` is 2*(last breakpoint) + 1, read off
-    a complete trace, which covers every breakpoint on both sides. The
-    curve keeps the trace it read and that build, for :func:`find_poa_max`
-    to read and grade its candidates. Costs that are not all affine raise
-    ``ValueError`` wherever a trace is needed.
+    segment is available; it is traced here, with no selection among
+    equilibria, on one path set and cost build. The default ``mu_max`` is
+    2*(last breakpoint) + 1, read off a complete trace, whose last segment
+    is an equilibrium at every demand past its last breakpoint, so that
+    trace covers every breakpoint on both sides. The curve keeps the trace
+    it read and that build, for :func:`find_poa_max` to read and grade its
+    candidates. Costs that are not all affine raise ``ValueError``.
     """
     if mu_max is not None and not (math.isfinite(mu_max) and mu_max > 0):
         raise ValueError(f"mu_max must be finite and positive, got {mu_max}")
     builds = _builds(net, costs)
     ps, cost_list, _ = builds
     if mu_max is None:
-        if trace is None or not trace.complete:
-            trace = _trace(ps, cost_list, MU_START, grow=True)
-        last = trace.breakpoint_demands[-1] if trace.breakpoints else 1.0
-        mu_max = 2.0 * last + 1.0
-    if trace is None or (trace.mu_max < 2.0 * mu_max and not trace.complete):
+        trace = _trace(ps, cost_list, MU_START, grow=True)
+        mu_max = 2.0 * (trace.breakpoint_demands[-1] if trace.breakpoints else 1.0) + 1.0
+    else:
         trace = _trace(ps, cost_list, 2.0 * mu_max, grow=False)
     eq_bps = tuple(b for b in trace.breakpoint_demands if b <= mu_max)
     opt_bps = tuple(b / 2.0 for b in trace.breakpoint_demands if b / 2.0 <= mu_max)

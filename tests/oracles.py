@@ -25,8 +25,8 @@ import numpy as np
 
 from poakit import BisectionFailure, CostFunction, Network, PathSet
 from poakit.equilibrium import (DEFAULT_TOL, MAX_ITER, EquilibriumSolution, OptimumSolution,
-                                _cost_list, _first_root, _min_norm_flows, _newton, _package,
-                                _social)
+                                _cost_list, _first_root, _grade, _min_norm_flows, _newton,
+                                _package, _social)
 from poakit.network import SPLeaf, SPParallel, SPSeries, SPTree, sp_terminals
 
 
@@ -114,7 +114,8 @@ def newton_equilibrium(net: Network, costs: dict[str, CostFunction],
     ps = PathSet.build(net)
     cost_list = _cost_list(net, costs)
     f = _newton(ps, cost_list, mu, DEFAULT_TOL, MAX_ITER)
-    return _package(ps, cost_list, mu, _min_norm_flows(ps, cost_list, mu, f))
+    (report,) = _grade(ps, cost_list, f[None, :], [mu])
+    return _package(ps, cost_list, mu, _min_norm_flows(ps, cost_list, f, report.path_costs))
 
 
 def newton_optimum(net: Network, costs: dict[str, CostFunction], mu: float) -> OptimumSolution:

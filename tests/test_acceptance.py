@@ -133,13 +133,13 @@ def test_criterion_06_segment_sign_contracts_on_fixtures():
 
 @pytest.fixture(scope="module")
 def random_curves():
-    """50 random affine instances with completed traces and classified curves."""
+    """50 random affine instances with classified curves, each read off a
+    trace completed inside ``classify_segments``."""
     rng = np.random.default_rng(23)
     out = []
     for _ in range(50):
         net, costs = random_affine_network(rng)
-        trace = trace_to_completion(net, costs, mu_start=8.0)
-        curve = classify_segments(net, costs, trace=trace)  # window 2*(last bp) + 1
+        curve = classify_segments(net, costs)  # window 2*(last bp) + 1
         out.append((net, costs, curve))
     return out
 

@@ -7,11 +7,13 @@ import shlex
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from poakit import Polynomial, TraceFailure, cli, load_network, parametric
+from poakit import (PathSet, Polynomial, TraceFailure, cli, equilibrium, load_network, parametric,
+                    solve_equilibrium, trace_from_json, verify_wardrop)
 from poakit.network import network_from_json, network_to_json
 
 from netgen import layered_affine_network
@@ -208,6 +210,101 @@ class TestCommands:
                                  "--demand", "4")
         assert code == 0, err
         assert json.loads(out)["ok"] is True
+
+
+def shifted(select):
+    """The selection ``select`` with a quarter of the busiest path's flow
+    moved onto the dearest other path."""
+    def wrong(ps, cost_list, f, path_costs):
+        out = select(ps, cost_list, f, path_costs).copy()
+        p = int(np.argmax(out))
+        q = max((i for i in range(ps.n_paths) if i != p), key=lambda i: path_costs[i])
+        out[p], out[q] = 0.75 * out[p], out[q] + 0.25 * out[p]
+        return out
+    return wrong
+
+
+class TestPrintedFlowsAreGraded:
+    @pytest.mark.parametrize("command, game", [("solve", "equilibrium"),
+                                               ("optimum", "marginal-cost")])
+    def test_solution_that_fails_its_grade_exits_three(self, command, game, monkeypatch,
+                                                       capsys):
+        monkeypatch.setattr(equilibrium, "_min_norm_flows", shifted(equilibrium._min_norm_flows))
+        assert cli.main([command, "--network", fixture("fig1"), "--demand", "5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"flows fail the {game} grade at mu=5.0: used path" in err
+
+    def test_trace_whose_segment_end_fails_its_grade_exits_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(parametric, "_min_norm_flows", shifted(parametric._min_norm_flows))
+        assert cli.main(["trace", "--network", fixture("fig1"), "--max-demand", "10"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        # the first segment end, fig1's first breakpoint
+        graded = re.search(r"flows fail the equilibrium grade at mu=(\S+): used path", err)
+        assert float(graded.group(1)) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestVerify:
+    @staticmethod
+    def per_sample_text(path, trace_doc, samples=5, tol=1e-8):
+        """What verify --trace prints when each sample is graded on its own."""
+        net, costs = load_network(path)
+        template = solve_equilibrium(net, costs, 1.0)
+        violations, checked = [], 0
+        for seg in trace_from_json(trace_doc["trace"]).segments:
+            for mu in np.linspace(seg.mu_lo, seg.mu_hi, samples + 2)[1:-1].tolist():
+                sol = replace(template, demand=mu, paths=seg.paths, path_flows=seg.flows(mu))
+                violations += [f"mu={mu:.12g}: {v}"
+                               for v in verify_wardrop(net, costs, sol, tol).violations]
+                checked += 1
+        return cli._json_text({
+            "checked": checked, "ok": not violations, "violations": violations,
+            "meta": {"command": "verify", "network": path,
+                     "tolerances": {"tol": tol, "samples_per_segment": samples}}})
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["valid", "corrupted"])
+    def test_trace_on_one_path_set(self, corrupt, tmp_path, monkeypatch, capsys):
+        path = fixture("nested3")
+        assert cli.main(["trace", "--network", path, "--max-demand", "260"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        if corrupt:  # a quarter of the first segment's rate moved off its busiest path
+            w = doc["trace"]["segments"][0]["w"]
+            keys = list(w)
+            busiest = max(keys, key=w.get)
+            w[busiest] -= 0.25
+            w[keys[(keys.index(busiest) + 1) % len(keys)]] += 0.25
+        trace_file = tmp_path / "trace.json"
+        trace_file.write_text(json.dumps(doc), encoding="utf-8")
+        builds = []
+        build = PathSet.build.__func__
+        monkeypatch.setattr(PathSet, "build",
+                            classmethod(lambda cls, net: builds.append(net) or build(cls, net)))
+        code = cli.main(["verify", "--network", path, "--trace", str(trace_file)])
+        out = capsys.readouterr().out
+        assert len(builds) == 1
+        monkeypatch.undo()
+        assert code == (3 if corrupt else 0)
+        assert json.loads(out)["ok"] is not corrupt
+        assert out == self.per_sample_text(path, doc)
+
+    def test_solution_needs_only_demand_and_path_flows(self, tmp_path, capsys):
+        path = fixture("nested2")
+        assert cli.main(["solve", "--network", path, "--demand", "6"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        slim = {"demand": doc["demand"],
+                "paths": [{"edges": p["edges"], "flow": p["flow"]} for p in doc["paths"]]}
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps(slim), encoding="utf-8")
+        assert cli.main(["verify", "--network", path, "--solution", str(sol)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        del slim["paths"][0]["flow"]
+        sol.write_text(json.dumps(slim), encoding="utf-8")
+        assert cli.main(["verify", "--network", path, "--solution", str(sol)]) == 1
+        assert "missing field 'flow'" in capsys.readouterr().err
+        sol.write_text(json.dumps({"paths": doc["paths"]}), encoding="utf-8")
+        assert cli.main(["verify", "--network", path, "--solution", str(sol)]) == 1
+        assert "missing field 'demand'" in capsys.readouterr().err
 
 
 class TestDeterminism:

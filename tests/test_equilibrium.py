@@ -238,13 +238,13 @@ def test_kernel_with_free_variables():
 def test_kernel_pivot_cap(monkeypatch):
     ps, cost_list, A, d = braess_quadratic()
     f = np.array([1.8, 0.2, 0.8, 0.2])  # an equilibrium at demand 3, not min-norm
-    assert not np.allclose(_min_norm_flows(ps, cost_list, 3.0, f), f)
+    assert not np.allclose(_min_norm_flows(ps, cost_list, f, A @ f + d), f)
     monkeypatch.setattr(equilibrium, "PIVOTS_PER_VARIABLE", 0)
     with pytest.raises(SupportSearchExhausted, match="pivots"):
         _simplex_qp(A, d, np.ones((1, 4)), np.array([3.0]), np.array([3.0, 0, 0, 0]))
     # a capped selection raises rather than passing its input off as selected
     with pytest.raises(SupportSearchExhausted, match="pivots"):
-        _min_norm_flows(ps, cost_list, 3.0, f)
+        _min_norm_flows(ps, cost_list, f, A @ f + d)
 
 
 def test_kernel_falls_back_to_blands_rule_after_a_zero_length_step(monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for the exact piecewise equilibrium trace on affine networks."""
 
+import importlib.util
 import os
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 from poakit.costs import Affine
 from poakit.equilibrium import solve_affine_exact, verify_wardrop
 from poakit.errors import SignViolation
-from poakit.network import Network, Edge, PathSet, load_network
+from poakit.equilibrium import _cost_list
+from poakit.network import Network, Edge, PathSet, load_network, network_from_json
 from poakit.parametric import (
     AffineTrace,
+    _trace,
     Breakpoint,
     TraceSegment,
     optimum_breakpoints,
@@ -25,7 +28,17 @@ from poakit.parametric import (
 from netgen import layered_affine_network, random_affine_network, relabel
 
 
-FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+FIXTURES = os.path.join(ROOT, "fixtures")
+
+
+def benchmark_instances():
+    """The benchmark's seeded instance generator, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_instances", os.path.join(ROOT, "perfbench", "instances.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def tracked(name):
@@ -272,6 +285,24 @@ def test_min_norm_trace_is_invariant_under_relabelling():
         for (mu, flows), (mu_want, flows_want) in zip(got, want):
             assert mu == pytest.approx(mu_want, rel=1e-12)
             assert np.abs(flows - flows_want).max() <= 1e-12 * max(1.0, mu), (seed, mu)
+
+
+def test_grown_trace_ends_past_the_last_breakpoint_under_relabelling():
+    # 25 paths: after the last breakpoint, 4.935, the tracer meets selection
+    # kinks whose demands follow the equilibrium direction the kernel takes
+    # at ties, so they move with the path order; a grown trace's range is
+    # doubled past the breakpoint alone, so it is the same for every order
+    instances = benchmark_instances()
+    net, costs = network_from_json(
+        instances.layered_dag(np.random.default_rng(5), 15, 90, instances.affine_cost))
+    assert PathSet.build(net).n_paths == 25
+    for seed in range(6):
+        net_r, costs_r = relabel(net, costs, np.random.default_rng(seed))
+        for trace in (trace_to_completion(net_r, costs_r),
+                      _trace(PathSet.build(net_r), _cost_list(net_r, costs_r), 8.0, grow=True)):
+            assert trace.complete
+            assert trace.breakpoint_demands[-1] == pytest.approx(4.935466, abs=1e-6), seed
+            assert trace.mu_max == 8.0, seed
 
 
 # -- optimum breakpoints -----------------------------------------------------------
