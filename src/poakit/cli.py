@@ -1,9 +1,16 @@
 """Command-line front end: load a network file, solve, trace, sweep, analyze.
 
-Exit codes: 0 success, 1 input error, 2 solver failure, 3 contract
-violation (sign contracts, classification conflicts, failed verification,
-flows that fail their equilibrium grade, a nonpositive optimum cost).
-Outputs are deterministic: identical inputs give byte-identical bytes.
+One skeleton runs every command. :func:`main` parses the flags and loads the
+network, the command's handler ``cmd_*(net, costs, args)`` returns its JSON
+document (``sweep --format csv`` returns its text), and :func:`main` stamps
+the document's ``meta`` (the command, the network file and the tolerances its
+subparser echoes) and writes it once, to stdout or ``--output``.
+
+Exit codes: 0 success. A :class:`~poakit.errors.PoakitError` exits with its
+type's ``exit_code``: 1 input error, 2 solver failure, 3 contract violation.
+A bad flag, an unreadable or malformed file, a missing field and a
+non-finite result exit 1; ``verify`` exits 3 when its document is not
+``ok``. Outputs are deterministic: identical inputs give byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -27,24 +34,11 @@ from .equilibrium import (
     solve_equilibrium,
     solve_optimum,
 )
-from .errors import (
-    BisectionFailure,
-    CertificateFailure,
-    ClassificationConflict,
-    GridExceedsBreakpointMax,
-    NegativeLoad,
-    NoPath,
-    NonConvergence,
-    NonpositiveOptimum,
-    NotSP,
-    PathExplosion,
-    SignViolation,
-    SupportSearchExhausted,
-    TraceFailure,
-)
+from .errors import PoakitError
 from .network import PathSet, load_network
 from .parametric import (
     MU_START,
+    _breakpoint_rows,
     _trace,
     optimum_breakpoints,
     trace_affine,
@@ -62,7 +56,6 @@ from .poa import (
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_SOLVER = 2
 EXIT_CONTRACT = 3
 
 
@@ -100,14 +93,6 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 _NON_FINITE = "the result holds a non-finite number (inf or NaN)"
 
 
@@ -116,11 +101,6 @@ def _json_text(doc: dict) -> str:
         return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
         raise ValueError(_NON_FINITE) from None
-
-
-def _meta(command: str, args, tolerances: dict) -> dict:
-    return {"command": command, "network": args.network,
-            "tolerances": tolerances}
 
 
 def _solution_doc(sol: EquilibriumSolution, kind: str) -> dict:
@@ -139,108 +119,58 @@ def _solution_doc(sol: EquilibriumSolution, kind: str) -> dict:
     }
 
 
-# -- command handlers --------------------------------------------------------------
+# -- command handlers: each returns its document, without meta --------------------
 
 
-def cmd_solve(args) -> int:
-    net, costs = load_network(args.network)
+def cmd_solve(net, costs, args) -> dict:
     sol = solve_equilibrium(net, costs, args.demand, args.tol, args.max_iter)
     opt = solve_optimum(net, costs, args.demand, args.tol, args.max_iter)
-    doc = _solution_doc(sol, "equilibrium")
-    doc["poa"] = poa_ratio(sol.social_cost, opt.social_cost, args.equal_tol)
-    doc["meta"] = _meta("solve", args, {
-        "tol": args.tol, "max_iter": args.max_iter, "equal_tol": args.equal_tol})
-    _emit(_json_text(doc), args.output)
-    return EXIT_OK
+    return {**_solution_doc(sol, "equilibrium"),
+            "poa": poa_ratio(sol.social_cost, opt.social_cost, args.equal_tol)}
 
 
-def cmd_optimum(args) -> int:
-    net, costs = load_network(args.network)
-    sol = solve_optimum(net, costs, args.demand, args.tol, args.max_iter)
-    doc = _solution_doc(sol, "optimum")
-    doc["meta"] = _meta("optimum", args, {
-        "tol": args.tol, "max_iter": args.max_iter})
-    _emit(_json_text(doc), args.output)
-    return EXIT_OK
+def cmd_optimum(net, costs, args) -> dict:
+    return _solution_doc(solve_optimum(net, costs, args.demand, args.tol, args.max_iter),
+                         "optimum")
 
 
-def cmd_trace(args) -> int:
-    net, costs = load_network(args.network)
-    trace = trace_affine(net, costs, args.max_demand)
-    doc = {"trace": trace_to_json(trace), "meta": _meta("trace", args, {})}
-    _emit(_json_text(doc), args.output)
-    return EXIT_OK
+def cmd_trace(net, costs, args) -> dict:
+    return {"trace": trace_to_json(trace_affine(net, costs, args.max_demand))}
 
 
-def cmd_breakpoints(args) -> int:
-    net, costs = load_network(args.network)
+def cmd_breakpoints(net, costs, args) -> dict:
     # breakpoints do not depend on the choice among equilibria: nothing is selected
     grow = args.max_demand is None
     trace = _trace(PathSet.build(net), _cost_list(net, costs),
                    MU_START if grow else args.max_demand, grow=grow)
-
-    def rows(bps):
-        return [{"mu": b.mu, "active_before": sorted(b.active_before),
-                 "active_after": sorted(b.active_after)} for b in bps]
-    doc = {
-        "breakpoints": rows(trace.breakpoints),
-        "optimum_breakpoints": rows(optimum_breakpoints(trace.breakpoints)),
-        "complete": trace.complete,
-        "mu_max": trace.mu_max,
-        "meta": _meta("breakpoints", args, {}),
-    }
-    _emit(_json_text(doc), args.output)
-    return EXIT_OK
+    return {"breakpoints": _breakpoint_rows(trace.breakpoints),
+            "optimum_breakpoints": _breakpoint_rows(optimum_breakpoints(trace.breakpoints)),
+            "complete": trace.complete, "mu_max": trace.mu_max}
 
 
-def cmd_sweep(args) -> int:
-    net, costs = load_network(args.network)
+def cmd_sweep(net, costs, args) -> dict | str:
     rows = sweep_poa(net, costs, args.mu_from, args.to, args.samples,
                      adaptive=args.adaptive)
-    if args.format == "csv":
-        if not np.isfinite([(r.lam, r.sc_eq, r.sc_opt, r.poa) for r in rows]).all():
-            raise ValueError(_NON_FINITE)
-        _emit(sweep_csv_text(rows), args.output)
-    else:
-        doc = {
-            "rows": [{"mu": r.mu, "lambda": r.lam, "sc_eq": r.sc_eq,
-                      "sc_opt": r.sc_opt, "poa": r.poa,
-                      "active_set_hash": r.active_set_hash} for r in rows],
-            "meta": _meta("sweep", args, {"equal_tol": DECLARE_ONE_TOL}),
-        }
-        _emit(_json_text(doc), args.output)
-    return EXIT_OK
+    if args.format == "json":
+        return {"rows": [{"mu": r.mu, "lambda": r.lam, "sc_eq": r.sc_eq,
+                          "sc_opt": r.sc_opt, "poa": r.poa,
+                          "active_set_hash": r.active_set_hash} for r in rows]}
+    if not np.isfinite([(r.lam, r.sc_eq, r.sc_opt, r.poa) for r in rows]).all():
+        raise ValueError(_NON_FINITE)
+    return sweep_csv_text(rows)
 
 
-def cmd_analyze(args) -> int:
-    net, costs = load_network(args.network)
+def cmd_analyze(net, costs, args) -> dict:
     curve = classify_segments(net, costs, args.max_demand)
     mx = find_poa_max(net, costs, n_grid=args.grid, grid_slack=args.grid_slack, curve=curve)
-    doc = {
-        "pieces": [{
-            "mu_lo": p.mu_lo, "mu_hi": p.mu_hi, "shape": p.shape,
-            "valley_mu": p.valley_mu,
-            "num_lin": p.num_lin, "num_quad": p.num_quad,
-            "den_const": p.den_const, "den_lin": p.den_lin,
-            "den_quad": p.den_quad,
-        } for p in curve.pieces],
-        "eq_breakpoints": list(curve.eq_breakpoints),
-        "opt_breakpoints": list(curve.opt_breakpoints),
-        "merged_breakpoints": list(curve.merged_breakpoints),
-        "mu_max": curve.mu_max,
-        "max": {"mu": mx.mu, "value": mx.value,
-                "at_breakpoint": mx.at_breakpoint,
-                "grid_mu": mx.grid_mu, "grid_value": mx.grid_value},
-        "meta": _meta("analyze", args, {
-            "grid": args.grid, "grid_slack": args.grid_slack,
-            "equal_tol": DECLARE_ONE_TOL}),
-    }
-    _emit(_json_text(doc), args.output)
-    return EXIT_OK
+    return {"pieces": [vars(p) for p in curve.pieces],
+            "eq_breakpoints": list(curve.eq_breakpoints),
+            "opt_breakpoints": list(curve.opt_breakpoints),
+            "merged_breakpoints": list(curve.merged_breakpoints),
+            "mu_max": curve.mu_max, "max": vars(mx)}
 
 
-def cmd_verify(args) -> int:
-    net, costs = load_network(args.network)
+def cmd_verify(net, costs, args) -> dict:
     given = [x is not None for x in (args.demand, args.solution, args.trace)]
     if sum(given) != 1:
         raise ValueError("exactly one of --demand, --solution, --trace is required")
@@ -264,15 +194,7 @@ def cmd_verify(args) -> int:
                      args.tol)
     violations = [f"mu={mu:.12g}: {v}" for mu, report in zip(demands, reports)
                   for v in report.violations]
-    doc = {
-        "checked": len(demands),
-        "ok": not violations,
-        "violations": violations,
-        "meta": _meta("verify", args, {
-            "tol": args.tol, "samples_per_segment": args.samples_per_segment}),
-    }
-    _emit(_json_text(doc), args.output)
-    return EXIT_OK if not violations else EXIT_CONTRACT
+    return {"checked": len(demands), "ok": not violations, "violations": violations}
 
 
 # -- parser ------------------------------------------------------------------------
@@ -301,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equal-tol", type=_NONNEGATIVE, default=DECLARE_ONE_TOL,
                    help="relative band for declaring the ratio exactly one "
                         f"(default {DECLARE_ONE_TOL:g})")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, echo=("tol", "max_iter", "equal_tol"))
 
     p = sub.add_parser("optimum", help="social optimum at one demand (JSON)")
     common(p)
@@ -309,20 +231,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_NONNEGATIVE, default=DEFAULT_TOL)
     p.add_argument("--max-iter", type=_number(int, 0), default=MAX_ITER,
                    help=f"Newton iteration budget (default {MAX_ITER})")
-    p.set_defaults(func=cmd_optimum)
+    p.set_defaults(func=cmd_optimum, echo=("tol", "max_iter"))
 
     p = sub.add_parser("trace",
                        help="piecewise equilibrium structure, affine costs (JSON)")
     common(p)
     p.add_argument("--max-demand", type=_POSITIVE, required=True)
-    p.set_defaults(func=cmd_trace)
+    p.set_defaults(func=cmd_trace, echo=())
 
     p = sub.add_parser("breakpoints",
                        help="demands where the active network changes (JSON)")
     common(p)
     p.add_argument("--max-demand", type=_POSITIVE, default=None,
                    help="stop here; default traces until the structure is final")
-    p.set_defaults(func=cmd_breakpoints)
+    p.set_defaults(func=cmd_breakpoints, echo=())
 
     p = sub.add_parser("sweep", help="tabulate the ratio over a demand range")
     common(p)
@@ -332,7 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adaptive", action="store_true",
                    help="insert midpoints wherever the active set changes")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_sweep)
+    # sweep and analyze echo the fixed band within which a ratio is declared one
+    p.set_defaults(func=cmd_sweep, equal_tol=DECLARE_ONE_TOL, echo=("equal_tol",))
 
     p = sub.add_parser("analyze",
                        help="ratio curve pieces, shapes, and global max (JSON)")
@@ -343,7 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="verification grid size (default 1000)")
     p.add_argument("--grid-slack", type=_FINITE, default=1e-7,
                    help="allowed grid excess over the anchored max (default 1e-7)")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, equal_tol=DECLARE_ONE_TOL,
+                   echo=("grid", "grid_slack", "equal_tol"))
 
     p = sub.add_parser("verify",
                        help="re-check equilibrium conditions; exit 3 on violation")
@@ -356,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="trace JSON; verifies samples inside every segment")
     p.add_argument("--tol", type=_NONNEGATIVE, default=1e-8)
     p.add_argument("--samples-per-segment", type=_number(int, 1), default=5)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, echo=("tol", "samples_per_segment"))
 
     return ap
 
@@ -366,7 +290,17 @@ def main(argv=None) -> int:
     try:
         # an overflow surfaces as a non-finite result, reported below
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            net, costs = load_network(args.network)
+            doc = args.func(net, costs, args)
+            text = doc if isinstance(doc, str) else _json_text({**doc, "meta": {
+                "command": args.command, "network": args.network,
+                "tolerances": {name: getattr(args, name) for name in args.echo}}})
+            if args.output:
+                with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+        return EXIT_CONTRACT if isinstance(doc, dict) and not doc.get("ok", True) else EXIT_OK
     except json.JSONDecodeError as exc:
         print(f"poakit: error: malformed JSON: {exc.msg} at line {exc.lineno} "
               f"column {exc.colno}", file=sys.stderr)
@@ -374,17 +308,9 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"poakit: error: missing field {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, ValueError, NoPath, PathExplosion, NotSP) as exc:
+    except (OSError, ValueError, PoakitError) as exc:
         print(f"poakit: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (NonConvergence, BisectionFailure, SupportSearchExhausted,
-            TraceFailure) as exc:
-        print(f"poakit: error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (SignViolation, ClassificationConflict, GridExceedsBreakpointMax,
-            CertificateFailure, NegativeLoad, NonpositiveOptimum) as exc:
-        print(f"poakit: error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
+        return getattr(exc, "exit_code", EXIT_INPUT)
 
 
 if __name__ == "__main__":

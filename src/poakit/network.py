@@ -161,9 +161,6 @@ class PathSet:
     def n_edges(self) -> int:
         return len(self.net.edges)
 
-    def edge_loads(self, path_flows: np.ndarray) -> np.ndarray:
-        return self.incidence @ np.asarray(path_flows, dtype=float)
-
 
 # -- series-parallel decomposition -------------------------------------------
 

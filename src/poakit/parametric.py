@@ -407,12 +407,13 @@ def trace_to_json(trace: AffineTrace) -> dict:
         "mu_max": trace.mu_max,
         "complete": trace.complete,
         "segments": segments,
-        "breakpoints": [
-            {"mu": b.mu, "active_before": sorted(b.active_before),
-             "active_after": sorted(b.active_after)}
-            for b in trace.breakpoints
-        ],
+        "breakpoints": _breakpoint_rows(trace.breakpoints),
     }
+
+
+def _breakpoint_rows(breakpoints) -> list[dict]:
+    return [{"mu": b.mu, "active_before": sorted(b.active_before),
+             "active_after": sorted(b.active_after)} for b in breakpoints]
 
 
 def trace_from_json(doc: dict) -> AffineTrace:

@@ -145,7 +145,7 @@ class PoAPiece:
     """The ratio on (mu_lo, mu_hi]: (num_lin*mu + num_quad*mu^2) divided by
     (den_const + den_lin*mu + den_quad*mu^2), with its monotonicity shape.
     :meth:`value` raises :class:`NonpositiveOptimum` where the denominator,
-    the optimum cost, is not positive."""
+    the optimum cost, is not positive. ``analyze`` prints every field."""
 
     mu_lo: float
     mu_hi: float
@@ -313,6 +313,8 @@ def classify_segments(net: Network, costs: dict[str, CostFunction],
 
 @dataclass(frozen=True)
 class PoAMaximum:
+    """The anchored maximum and its grid cross-check; ``analyze`` prints every field."""
+
     mu: float
     value: float
     at_breakpoint: bool

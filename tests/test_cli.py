@@ -12,8 +12,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from poakit import (PathSet, Polynomial, TraceFailure, cli, equilibrium, load_network, parametric,
-                    solve_equilibrium, trace_from_json, verify_wardrop)
+from poakit import (CertificateFailure, NotSP, PathSet, PoakitError, Polynomial, TraceFailure, cli,
+                    equilibrium, load_network, parametric, solve_equilibrium, trace_from_json,
+                    verify_wardrop)
 from poakit.network import network_from_json, network_to_json
 
 from netgen import layered_affine_network
@@ -316,18 +317,82 @@ class TestDeterminism:
             assert code == 0, err
         assert a.read_bytes() == b.read_bytes()
 
-    def test_sweep_stdout_matches_output_file(self, tmp_path):
-        args = ("sweep", "--network", fixture("fig1"),
-                "--from", "1", "--to", "5", "--samples", "9")
-        code, out, _ = run_cli(*args)
-        assert code == 0
-        path = tmp_path / "sweep.csv"
-        code, _, _ = run_cli(*args, "--output", str(path))
-        assert code == 0
-        assert path.read_text(encoding="utf-8") == out
+    # every command at default flags, with the tolerances its meta echoes
+    # (None: CSV, which has no meta)
+    OUTPUT_CASES = [
+        (("solve", "--demand", "3"), {"tol": 1e-10, "max_iter": 10 ** 6, "equal_tol": 1e-9}),
+        (("optimum", "--demand", "3"), {"tol": 1e-10, "max_iter": 10 ** 6}),
+        (("trace", "--max-demand", "10"), {}),
+        (("breakpoints",), {}),
+        (("sweep", "--from", "1", "--to", "5", "--samples", "9"), None),
+        (("sweep", "--from", "1", "--to", "5", "--samples", "9", "--format", "json"),
+         {"equal_tol": 1e-9}),
+        (("analyze",), {"grid": 1000, "grid_slack": 1e-7, "equal_tol": 1e-9}),
+        (("verify", "--demand", "2"), {"tol": 1e-8, "samples_per_segment": 5}),
+    ]
+
+    def test_sweep_stdout_matches_output_file(self, tmp_path, capsys):
+        network = fixture("fig1")
+        for (command, *rest), tolerances in self.OUTPUT_CASES:
+            argv = [command, "--network", network, *rest]
+            assert cli.main(argv) == 0, argv
+            out = capsys.readouterr().out
+            path = tmp_path / f"{command}.out"
+            assert cli.main([*argv, "--output", str(path)]) == 0, argv
+            assert capsys.readouterr().out == ""
+            assert path.read_bytes() == out.encode("utf-8"), argv
+            if tolerances is None:
+                assert out.startswith("mu,lambda,sc_eq,sc_opt,poa,active_set_hash\n")
+            else:
+                assert json.loads(out)["meta"] == {"command": command, "network": network,
+                                                   "tolerances": tolerances}, argv
 
 
 class TestExitCodes:
+    # every public error type and the exit code the command line gives it
+    ERROR_EXIT_CODES = {
+        "PoakitError": 1, "NoPath": 1, "PathExplosion": 1, "NotSP": 1,
+        "NonConvergence": 2, "SupportSearchExhausted": 2, "TraceFailure": 2,
+        "BisectionFailure": 2,
+        "NegativeLoad": 3, "SignViolation": 3, "ClassificationConflict": 3,
+        "NonpositiveOptimum": 3, "GridExceedsBreakpointMax": 3, "CertificateFailure": 3,
+    }
+
+    @staticmethod
+    def raised_by_load(error, monkeypatch, capsys):
+        """Exit code and stderr of a command whose network load raises ``error``."""
+        def load(path):
+            raise error
+
+        monkeypatch.setattr(cli, "load_network", load)
+        code = cli.main(["solve", "--network", fixture("fig1"), "--demand", "1"])
+        out, err = capsys.readouterr()
+        assert out == ""
+        return code, err
+
+    def test_each_error_type_carries_its_exit_code(self, monkeypatch, capsys):
+        public, todo = {}, [PoakitError]
+        while todo:
+            cls = todo.pop()
+            todo.extend(cls.__subclasses__())
+            if cls.__module__ == "poakit.errors" and not cls.__name__.startswith("_"):
+                public[cls.__name__] = cls
+        assert sorted(public) == sorted(self.ERROR_EXIT_CODES)
+        for name, cls in public.items():
+            code, err = self.raised_by_load(cls(f"{name} at mu=1"), monkeypatch, capsys)
+            assert code == self.ERROR_EXIT_CODES[name], name
+            assert err == f"poakit: error: {name} at mu=1\n"
+
+    @pytest.mark.parametrize("parent", [NotSP, TraceFailure, CertificateFailure],
+                             ids=lambda cls: cls.__name__)
+    def test_error_subclass_inherits_its_exit_code(self, parent, monkeypatch, capsys):
+        class Narrower(parent):
+            pass
+
+        code, err = self.raised_by_load(Narrower("narrower"), monkeypatch, capsys)
+        assert code == self.ERROR_EXIT_CODES[parent.__name__]
+        assert err == "poakit: error: narrower\n"
+
     def test_malformed_json_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"vertices": [,]', encoding="utf-8")

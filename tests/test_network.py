@@ -144,7 +144,7 @@ def test_environment_cap_must_be_a_positive_integer(monkeypatch, raw, message):
 def test_incidence_matrix_shape_and_loads():
     ps = PathSet.build(wheatstone())
     assert ps.incidence.shape == (5, 3)
-    loads = ps.edge_loads([1.0, 2.0, 3.0])
+    loads = ps.incidence @ [1.0, 2.0, 3.0]
     # e1 carries paths 0,1; e5 carries paths 0,2
     assert loads.tolist() == [3.0, 3.0, 1.0, 2.0, 4.0]
 

@@ -116,7 +116,7 @@ class TestSevenEdgeTrace:
         cost_list = [self.costs[e.id] for e in self.net.edges]
         for seg in self.trace.segments:
             mu = 0.5 * (seg.mu_lo + seg.mu_hi)
-            x = ps.edge_loads(seg.flows(mu))
+            x = ps.incidence @ seg.flows(mu)
             ce = np.array([c(v) for c, v in zip(cost_list, x)])
             c_path = ce @ ps.incidence
             lam = c_path.min()
