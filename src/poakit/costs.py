@@ -1,22 +1,24 @@
-"""Edge cost functions: affine, polynomial, piecewise-linear.
+"""Edge cost functions: affine, polynomial, piecewise-linear records, and
+:class:`EdgeCosts`, the one evaluator of them.
 
 Every cost is nonnegative and nondecreasing on loads x >= 0, which keeps the
-potential of the routing game convex. Each class provides:
+potential of the routing game convex. :class:`Affine`, :class:`Polynomial`
+and :class:`PiecewiseLinear` are records: their fields, the checks that
+reject bad ones, and their JSON encoding. They do not evaluate themselves.
 
-- ``evaluate(x)``     the unit travel cost c(x), vectorized over numpy arrays
-- ``primitive(x)``    the exact integral of c from 0 to x
-- ``marginal()``      the cost c(x) + x*c'(x) as a new cost function
+:class:`EdgeCosts` holds the costs of one network's edges and evaluates
+them on a whole load vector, or a stack of them, per call:
+
+- ``evaluate(x)``     the unit travel costs c(x)
+- ``primitive(x)``    the exact integrals of c from 0 to x
 - ``derivative(x)``   c'(x), using the left derivative at piecewise kinks
+- ``marginal()``      the layer of the marginal costs c(x) + x*c'(x)
 
-:class:`EdgeCosts` is the array layer the solvers use: the costs of one
-network's edges, evaluated on a whole load vector per call. Affine and
-polynomial costs share one zero-padded coefficient matrix, evaluated by
-Horner's rule with the same operations, in the same order, as the per-edge
-methods, so both give the same bits. ``EdgeCosts.marginal()`` derives the
-optimum's layer from that matrix; only pwl costs get marginal objects.
+Affine and polynomial costs share one zero-padded coefficient matrix,
+evaluated by Horner's rule in the steps of ``polynomial.polyval``.
 :class:`PiecewiseLinear` keeps its knots, the integral up to each knot and
-its left slopes as arrays, so each method is one ``searchsorted`` or
-``interp`` over them.
+its left slopes as arrays, so each of its columns is one ``searchsorted``
+or ``interp`` over them.
 
 Evaluating any cost at a negative load raises :class:`NegativeLoad`.
 """
@@ -42,17 +44,6 @@ __all__ = [
 ]
 
 
-def _check_load(x) -> np.ndarray | float:
-    if isinstance(x, (int, float, np.floating)):
-        if x < 0:
-            raise NegativeLoad(f"cost evaluated at negative load {float(x)!r}")
-        return float(x)
-    arr = np.asarray(x, dtype=float)
-    if (arr < 0).any():
-        raise NegativeLoad(f"cost evaluated at negative load {arr.min()!r}")
-    return arr if arr.ndim else float(arr)
-
-
 def _finite(kind: str, name: str, values) -> tuple[float, ...]:
     """Coerce a cost field to floats, rejecting NaN and infinities."""
     try:
@@ -66,22 +57,10 @@ def _finite(kind: str, name: str, values) -> tuple[float, ...]:
 
 
 class CostFunction:
-    """Interface shared by all edge cost functions."""
-
-    def evaluate(self, x):
-        raise NotImplementedError
-
-    def primitive(self, x):
-        raise NotImplementedError
-
-    def marginal(self) -> "CostFunction":
-        raise NotImplementedError
-
-    def derivative(self, x):
-        raise NotImplementedError
-
-    def __call__(self, x):
-        return self.evaluate(x)
+    """Base of the three cost records and of :class:`EdgeCosts`; it has no
+    methods. It names the type of a network's costs, and tools that find the
+    cost evaluator by walking ``CostFunction.__subclasses__()`` (the
+    benchmark's span tracer) reach :class:`EdgeCosts` through it."""
 
 
 @dataclass(frozen=True)
@@ -99,21 +78,6 @@ class Affine(CostFunction):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def evaluate(self, x):
-        x = _check_load(x)
-        return self.a * x + self.b
-
-    def primitive(self, x):
-        x = _check_load(x)
-        return 0.5 * self.a * x * x + self.b * x
-
-    def marginal(self) -> "Affine":
-        return Affine(2.0 * self.a, self.b)
-
-    def derivative(self, x):
-        x = _check_load(x)
-        return self.a * np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else self.a
-
 
 @dataclass(frozen=True)
 class Polynomial(CostFunction):
@@ -128,24 +92,6 @@ class Polynomial(CostFunction):
         if any(c < 0 for c in coeffs):
             raise ValueError(f"polynomial cost needs nonnegative coefficients, got {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def evaluate(self, x):
-        x = _check_load(x)
-        return np.polynomial.polynomial.polyval(x, self.coeffs)
-
-    def primitive(self, x):
-        x = _check_load(x)
-        prim = [0.0] + [c / (k + 1) for k, c in enumerate(self.coeffs)]
-        return np.polynomial.polynomial.polyval(x, prim)
-
-    def marginal(self) -> "Polynomial":
-        # c + x c' scales the degree-k coefficient by (k + 1)
-        return Polynomial(tuple((k + 1) * c for k, c in enumerate(self.coeffs)))
-
-    def derivative(self, x):
-        x = _check_load(x)
-        der = [k * c for k, c in enumerate(self.coeffs)][1:] or [0.0]
-        return np.polynomial.polynomial.polyval(x, der)
 
 
 @dataclass(frozen=True)
@@ -192,64 +138,6 @@ class PiecewiseLinear(CostFunction):
                             ("_slopes", slopes)):
             object.__setattr__(self, name, value)
 
-    def evaluate(self, x):
-        x = _check_load(x)
-        return np.interp(x, self._xs, self._ys)
-
-    def primitive(self, x):
-        x = _check_load(x)
-        xs, ys, cum = self._xs, self._ys, self._cum
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        # index of the knot at or before each sample (-1: below the first knot)
-        idx = np.searchsorted(xs, arr, side="right") - 1
-        out = np.empty_like(arr)
-        below = idx < 0
-        out[below] = ys[0] * arr[below]
-        above = idx >= len(xs) - 1
-        out[above] = cum[-1] + ys[-1] * (arr[above] - xs[-1])
-        mid = ~(below | above)
-        i = idx[mid]
-        dx = arr[mid] - xs[i]
-        out[mid] = cum[i] + ys[i] * dx + 0.5 * self._slopes[i + 1] * dx * dx
-        return out if np.ndim(x) else float(out[0])
-
-    def derivative(self, x):
-        """Left-hand slope; 0 on the constant extensions."""
-        x = _check_load(x)
-        # a knot belongs to the segment on its left
-        out = self._slopes[np.searchsorted(self._xs, x, side="left")]
-        return out if np.ndim(x) else float(out)
-
-    def marginal(self) -> "CostFunction":
-        return _PiecewiseMarginal(self)
-
-
-class _PiecewiseMarginal(CostFunction):
-    """Marginal cost c(x) + x*c'(x) of a piecewise-linear cost.
-
-    Not representable as one of the serializable cost types: with the
-    left-derivative convention it jumps at interior knots. Only evaluation
-    and the primitive are needed downstream; the primitive is the closed
-    form integral of the marginal, x*c(x).
-    """
-
-    def __init__(self, base: PiecewiseLinear):
-        self.base = base
-
-    def evaluate(self, x):
-        return self.base.evaluate(x) + np.asarray(x, dtype=float) * self.base.derivative(x)
-
-    def primitive(self, x):
-        x_arr = _check_load(x)
-        return np.asarray(x_arr, dtype=float) * self.base.evaluate(x)
-
-    def derivative(self, x):
-        # d/dx (c + x c') = 2 c' between knots (c'' = 0); undefined at knots.
-        return 2.0 * self.base.derivative(x)
-
-    def marginal(self) -> "CostFunction":
-        raise NotImplementedError("marginal of a marginal cost is not supported")
-
 
 def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Polynomials at x by Horner's rule, one per column of ``coef`` (row k:
@@ -265,25 +153,54 @@ def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-class EdgeCosts(CostFunction):
-    """The costs of a network's edges, in order, evaluated on load vectors.
+def _left_slope(c: PiecewiseLinear, x: np.ndarray) -> np.ndarray:
+    """Slope of a pwl cost at loads x; a knot belongs to the segment on its left."""
+    return c._slopes[np.searchsorted(c._xs, x, side="left")]
 
-    Built from a mapping of edge id to cost. Affine (a*x + b, stored as
-    [b, a]) and polynomial costs fill one zero-padded coefficient matrix;
+
+def _pwl_integral(c: PiecewiseLinear, x: np.ndarray) -> np.ndarray:
+    """Integral of a pwl cost from 0 to each load of x: the integral up to
+    the knot at or before it, plus the trapezoid past that knot."""
+    xs, ys, cum = c._xs, c._ys, c._cum
+    # index of the knot at or before each load (-1: below the first knot)
+    idx = np.searchsorted(xs, x, side="right") - 1
+    out = np.empty_like(x)
+    below = idx < 0
+    out[below] = ys[0] * x[below]
+    above = idx >= len(xs) - 1
+    out[above] = cum[-1] + ys[-1] * (x[above] - xs[-1])
+    mid = ~(below | above)
+    i = idx[mid]
+    dx = x[mid] - xs[i]
+    out[mid] = cum[i] + ys[i] * dx + 0.5 * c._slopes[i + 1] * dx * dx
+    return out
+
+
+class EdgeCosts(CostFunction):
+    """The costs of a network's edges, in order, evaluated on load vectors:
+    the one evaluator of costs.
+
+    Built from a mapping of edge id to cost record; any other cost object
+    raises ``ValueError`` naming its edge. Affine (a*x + b, stored as [b, a])
+    and polynomial costs fill one zero-padded coefficient matrix;
     ``evaluate``, ``derivative`` and ``primitive`` are Horner passes over it
     and over its derivative and primitive matrices. An :class:`Affine`
     primitive keeps its closed form 0.5*a*x*x + b*x, which Horner would round
-    differently. Piecewise-linear costs and their marginals are called one
-    edge at a time. Each method takes a load vector in edge order, or a stack
-    of them, one per row, and checks it once per call. ``affine`` and
-    ``constant`` mark the costs of degree at most 1 and 0, read off their
-    coefficients (pwl costs are neither); ``a`` and ``b`` are the slope and
-    intercept columns, meaningful where ``affine`` is set. :meth:`marginal`
-    is the layer of the marginal costs c + x*c': the coefficient matrix with
-    row k scaled by k + 1, and each pwl cost wrapped in its marginal.
+    differently. Each piecewise-linear cost is one column, read off its
+    record's knot arrays. Each method takes a load vector in edge order, or
+    a stack of them, one per row, and checks it once per call. ``affine``
+    and ``constant`` mark the costs of degree at most 1 and 0, read off
+    their coefficients (pwl costs are neither); ``a`` and ``b`` are the
+    slope and intercept columns, meaningful where ``affine`` is set.
     """
 
     def __init__(self, costs: Mapping[str, CostFunction]):
+        pwl = [(j, e, c) for j, (e, c) in enumerate(costs.items())
+               if not isinstance(c, (Affine, Polynomial))]
+        for _, e, c in pwl:
+            if not isinstance(c, PiecewiseLinear):
+                raise ValueError(f"cost of edge {e!r} is {c!r}, not an Affine, Polynomial "
+                                 "or PiecewiseLinear record")
         rows = [(c.b, c.a) if isinstance(c, Affine) else c.coeffs if isinstance(c, Polynomial)
                 else () for c in costs.values()]
         width = max([2, *map(len, rows)])
@@ -294,10 +211,9 @@ class EdgeCosts(CostFunction):
         self._fill(tuple(costs), np.array(flat).reshape(len(rows), width).T,
                    np.array([len(row) > 0 for row in rows], dtype=bool),
                    np.array([isinstance(c, Affine) for c in costs.values()], dtype=bool),
-                   [(j, c) for j, c in enumerate(costs.values())
-                    if not isinstance(c, (Affine, Polynomial))])
+                   [(j, c) for j, _, c in pwl], False)
 
-    def _fill(self, ids, coef, polynomial, closed, other) -> None:
+    def _fill(self, ids, coef, polynomial, closed, pwl, pwl_marginal) -> None:
         k = np.arange(1.0, len(coef) + 1.0)[:, None]
         self.ids = ids
         self._coef = coef
@@ -310,20 +226,23 @@ class EdgeCosts(CostFunction):
         self._closed = closed
         self.b, self.a = coef[0], coef[1]
         self._half_a = 0.5 * self.a
-        self._other = other
+        self._pwl = pwl
+        self._pwl_marginal = pwl_marginal  # pwl columns hold c + x*c' of their records
 
     def marginal(self) -> "EdgeCosts":
-        """The marginal costs c + x*c' of the same edges, the layer
-        ``EdgeCosts({e: c.marginal()})`` builds, with the same bits: row k of
-        the coefficient matrix scaled by k + 1, other costs by their own
-        ``marginal()``. A coefficient that overflows raises ``ValueError``."""
+        """The marginal costs c + x*c' of the same edges: row k of the
+        coefficient matrix scaled by k + 1, and each pwl cost c read as
+        c + x*c', whose integral is x*c and whose derivative is 2*c' (it
+        jumps at interior knots, so no record holds it). A coefficient that
+        overflows raises ``ValueError``."""
+        if self._pwl_marginal and self._pwl:
+            raise NotImplementedError("marginal of a marginal cost is not supported")
         with np.errstate(over="ignore"):
             coef = self._coef * np.arange(1.0, len(self._coef) + 1.0)[:, None]
         if not np.isfinite(coef).all():
             raise ValueError("a marginal cost coefficient (k+1)*c_k overflows the float range")
         out = EdgeCosts.__new__(EdgeCosts)
-        out._fill(self.ids, coef, self._polynomial, self._closed,
-                  [(j, c.marginal()) for j, c in self._other])
+        out._fill(self.ids, coef, self._polynomial, self._closed, self._pwl, True)
         return out
 
     def _loads(self, x) -> np.ndarray:
@@ -337,28 +256,27 @@ class EdgeCosts(CostFunction):
     def evaluate(self, x):
         x = self._loads(x)
         out = _horner(self._coef, x)
-        if self._other:
-            x_edge, out_edge = x.T, out.T  # edge j is column j of a stack
-            for j, c in self._other:
-                out_edge[j] = c.evaluate(x_edge[j])
+        for j, c in self._pwl:  # edge j is row j of the transpose
+            xj = x.T[j:j + 1]
+            value = np.interp(xj, c._xs, c._ys)
+            out.T[j:j + 1] = value + xj * _left_slope(c, xj) if self._pwl_marginal else value
         return out
 
     def primitive(self, x):
         x = self._loads(x)
         out = np.where(self._closed, self._half_a * x * x + self.b * x, _horner(self._prim, x))
-        if self._other:
-            x_edge, out_edge = x.T, out.T
-            for j, c in self._other:
-                out_edge[j] = c.primitive(x_edge[j])
+        for j, c in self._pwl:
+            xj = x.T[j:j + 1]
+            out.T[j:j + 1] = (xj * np.interp(xj, c._xs, c._ys) if self._pwl_marginal
+                              else _pwl_integral(c, xj))
         return out
 
     def derivative(self, x):
         x = self._loads(x)
         out = _horner(self._der, x)
-        if self._other:
-            x_edge, out_edge = x.T, out.T
-            for j, c in self._other:
-                out_edge[j] = c.derivative(x_edge[j])
+        for j, c in self._pwl:
+            slope = _left_slope(c, x.T[j:j + 1])
+            out.T[j:j + 1] = 2.0 * slope if self._pwl_marginal else slope
         return out
 
 

@@ -209,24 +209,38 @@ def _first_root(g, lo: float, g_lo: float, hi: float, g_hi: float, xtol: float) 
 # -- Newton steps on the active-set kernel ---------------------------------------
 
 
+class _FlatSlope(Exception):
+    """A line search's slope read zero at the step ``args[0]``."""
+
+
 def _line_search(cost_list, loads, costs, delta, hi):
     """Minimizer of t -> potential(loads + t*delta) on [0, hi]: its slope's
     first root. ``costs`` are the edge costs at ``loads``, which give the
-    slope at 0."""
+    slope at 0. A slope sum_e c_e*delta_e no larger than its rounding level
+    n*eps*sum_e |c_e*delta_e| counts as zero, and its t is returned."""
     if hi <= 0:
         return 0.0
+    level = len(delta) * np.finfo(float).eps
 
-    def dphi(t):
-        x = np.maximum(loads + t * delta, 0.0)
-        return float(sum((cost_list.evaluate(x) * delta).tolist()))
+    def dphi(t, c_edge=None):
+        if c_edge is None:
+            c_edge = cost_list.evaluate(np.maximum(loads + t * delta, 0.0))
+        terms = (c_edge * delta).tolist()
+        slope = float(sum(terms))
+        if abs(slope) <= level * sum(map(abs, terms)):
+            raise _FlatSlope(t)
+        return slope
 
-    slope_lo = float(sum((costs * delta).tolist()))
-    if slope_lo >= 0:
-        return 0.0
-    slope_hi = dphi(hi)
-    if slope_hi <= 0:
-        return float(hi)
-    return _first_root(dphi, 0.0, slope_lo, float(hi), slope_hi, 1e-14 * max(1.0, hi))
+    try:
+        slope_lo = dphi(0.0, costs)
+        if slope_lo > 0:
+            return 0.0
+        slope_hi = dphi(float(hi))
+        if slope_hi < 0:
+            return float(hi)
+        return _first_root(dphi, 0.0, slope_lo, float(hi), slope_hi, 1e-14 * max(1.0, hi))
+    except _FlatSlope as flat:
+        return flat.args[0]
 
 
 def _newton(ps: PathSet, cost_list, mu: float, tol: float, max_iter: int) -> np.ndarray:
@@ -301,26 +315,22 @@ def _min_norm_flows(ps: PathSet, cost_list: EdgeCosts, f: np.ndarray,
 
     Edge costs are the same at every equilibrium, so every equilibrium
     routes flow only on the paths T tied at the common cost of ``f`` (and
-    on those ``f`` uses); the search runs over those columns alone. For
-    all-affine costs the whole equilibrium set on T, {A_TT f' = A_TT f,
-    d_T.f' = d_T.f}, is searched. Otherwise the loads of load-dependent
-    edges are held, which keeps every edge cost; flow may move between
-    constant edges, and a last row (only when one exists) holds their total
-    cost so that none moves onto a dearer path. Both systems have dependent
-    rows, so they are reduced once to an orthonormal basis B of their row
-    space and the search runs on B f' = B f. A search that exhausts the
-    kernel raises :class:`SupportSearchExhausted`.
+    on those ``f`` uses); the search runs over those columns alone. The
+    loads of load-dependent edges are held, which keeps every edge cost;
+    flow may move between constant edges, and a last row (only when one
+    exists) holds their total cost so that none moves onto a dearer path.
+    On affine costs that is the equilibrium set {A_TT f' = A_TT f, d_T.f' =
+    d_T.f}, since y'A_TT y = sum_e a_e*(Z y)_e^2. The rows are dependent, so
+    they are reduced once to an orthonormal basis B of their row space and
+    the search runs on B f' = B f. A search that exhausts the kernel raises
+    :class:`SupportSearchExhausted`.
     """
     Z = ps.incidence
     T = (_tied(path_costs, float(path_costs.min())) | (f > 0)).nonzero()[0]
     Z_T, f_T, n = Z[:, T], f[T], len(T)
-    if _is_affine(cost_list):
-        A, d = _path_quadratic(Z_T, cost_list)
-        C = np.vstack([np.ones((1, n)), A, d[None, :]])
-    else:
-        const = cost_list.constant
-        held = [(cost_list.b * const) @ Z_T] if const.any() else []
-        C = np.vstack([np.ones((1, n)), Z_T[~const], *held])
+    const = cost_list.constant
+    held = [(cost_list.b * const) @ Z_T] if const.any() else []
+    C = np.vstack([np.ones((1, n)), Z_T[~const], *held])
     _, sv, Vt = np.linalg.svd(C, full_matrices=False)
     B = Vt[:int((sv > 1e-10 * sv[0]).sum())]
     if len(B) == n:

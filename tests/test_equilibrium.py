@@ -30,7 +30,7 @@ from poakit.equilibrium import (
 from poakit.network import decompose_series_parallel
 
 from netgen import layered_affine_network, random_affine_network, random_sp_network
-from oracles import newton_equilibrium, sp_recursion
+from oracles import newton_equilibrium, reference, sp_recursion
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -483,6 +483,27 @@ def test_first_root_rejects_nan():
         _first_root(lambda t: t, 0.0, math.nan, 1.0, 1.0, 1e-14)
 
 
+@pytest.mark.parametrize("widths, seed, mu", [((3, 3), 25, 8.0), ((2, 3), 23, 8.0),
+                                            ((2, 2), 7, 3.0)])
+def test_line_searches_end_at_the_rounding_level_of_the_slope(widths, seed, mu, monkeypatch):
+    # on these quartic networks a line search's slope reaches rounding level
+    # near its root; bracketing on to xtol took 90 to 92 slope evaluations
+    evaluations = []
+
+    def counting(g, *args):
+        g, calls = counted(g)
+        try:
+            return _first_root(g, *args)
+        finally:
+            evaluations.append(len(calls))
+
+    monkeypatch.setattr(equilibrium, "_first_root", counting)
+    net, costs = layered_affine_network(np.random.default_rng(seed), widths=widths)
+    quartic = {e: Polynomial((c.b, 0.0, 0.0, 0.0, c.a)) for e, c in costs.items()}
+    poakit.compute_poa(net, quartic, mu)
+    assert evaluations and max(evaluations) <= 10, evaluations
+
+
 def test_import_does_not_load_scipy():
     src = os.path.dirname(os.path.dirname(poakit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -559,7 +580,8 @@ def test_sp_matches_general_solver():
                 assert sp.edge_loads == pytest.approx(loads, abs=1e-6)
                 # compare Beckmann values: loads may differ across equilibria,
                 # the potential may not
-                beckmann = sum(float(costs[e].primitive(x)) for e, x in zip(sp.edge_ids, loads))
+                beckmann = sum(float(reference(costs[e]).primitive(x))
+                               for e, x in zip(sp.edge_ids, loads))
                 assert sp.beckmann_value == pytest.approx(beckmann, rel=1e-8, abs=1e-8)
                 rep = verify_wardrop(net, costs, sp)
                 assert rep.ok, rep.violations

@@ -113,11 +113,11 @@ class TestSevenEdgeTrace:
     def test_unused_paths_have_zero_line(self):
         # paths priced above lambda on a segment carry identically zero flow
         ps = PathSet.build(self.net)
-        cost_list = [self.costs[e.id] for e in self.net.edges]
+        cost_list = _cost_list(self.net, self.costs)
         for seg in self.trace.segments:
             mu = 0.5 * (seg.mu_lo + seg.mu_hi)
             x = ps.incidence @ seg.flows(mu)
-            ce = np.array([c(v) for c, v in zip(cost_list, x)])
+            ce = cost_list.evaluate(x)
             c_path = ce @ ps.incidence
             lam = c_path.min()
             for p in range(ps.n_paths):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from poakit import cli, equilibrium, parametric, poa
-from poakit.costs import Affine, Polynomial
+from poakit.costs import Affine, EdgeCosts, Polynomial
 from poakit.equilibrium import _builds, solve_affine_exact, solve_equilibrium, solve_optimum
 from poakit.errors import (CertificateFailure, ClassificationConflict, GridExceedsBreakpointMax,
                            NonpositiveOptimum)
@@ -409,7 +409,8 @@ def test_affine_entry_points_run_without_newton_iterations(name, entry, monkeypa
 @pytest.mark.parametrize("name", AFFINE_FIXTURES)
 def test_affine_solvers_are_the_exact_solve(name):
     net, costs = tracked(name)
-    marginal = {eid: c.marginal() for eid, c in costs.items()}
+    m = EdgeCosts(costs).marginal()  # affine costs have affine marginals
+    marginal = {eid: Affine(a, b) for eid, a, b in zip(m.ids, m.a.tolist(), m.b.tolist())}
     for mu in (0.7, 5.9):
         for sol, exact in ((solve_equilibrium(net, costs, mu), solve_affine_exact(net, costs, mu)),
                            (solve_optimum(net, costs, mu), solve_affine_exact(net, marginal, mu))):
