@@ -10,7 +10,6 @@ from .errors import (
     NoPath,
     NonConvergence,
     NonpositiveOptimum,
-    NotSP,
     PathExplosion,
     PoakitError,
     SignViolation,
@@ -21,10 +20,6 @@ from .network import (
     Edge,
     Network,
     PathSet,
-    SPLeaf,
-    SPParallel,
-    SPSeries,
-    decompose_series_parallel,
     dump_network,
     enumerate_paths,
     load_network,
@@ -38,7 +33,6 @@ from .equilibrium import (
     solve_affine_exact,
     solve_equilibrium,
     solve_optimum,
-    sp_equilibrium,
     verify_wardrop,
 )
 from .parametric import (
@@ -58,14 +52,12 @@ from .poa import (
     PoAMaximum,
     PoAPiece,
     PoAPoint,
-    SweepRow,
     active_set_hash,
     classify_segments,
     compute_poa,
     find_poa_max,
     sweep_csv_text,
     sweep_poa,
-    write_sweep_csv,
 )
 
 __version__ = "0.1.0"

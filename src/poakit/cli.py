@@ -8,8 +8,8 @@ subparser echoes) and writes it once, to stdout or ``--output``.
 
 Exit codes: 0 success. A :class:`~poakit.errors.PoakitError` exits with its
 type's ``exit_code``: 1 input error, 2 solver failure, 3 contract violation.
-A bad flag, an unreadable or malformed file, a missing field and a
-non-finite result exit 1; ``verify`` exits 3 when its document is not
+A bad flag, an unreadable or malformed file, a missing or ill-typed field
+and a non-finite result exit 1; ``verify`` exits 3 when its document is not
 ``ok``. Outputs are deterministic: identical inputs give byte-identical bytes.
 """
 
@@ -39,6 +39,9 @@ from .network import PathSet, load_network
 from .parametric import (
     MU_START,
     _breakpoint_rows,
+    _checked,
+    _document_violations,
+    _field,
     _trace,
     optimum_breakpoints,
     trace_affine,
@@ -88,9 +91,10 @@ _POSITIVE = _number(float, 0.0, above=True)
 _NONNEGATIVE = _number(float, 0.0)
 
 
-def _read_json(path: str) -> dict:
+def _read_json(path: str, flag: str) -> dict:
+    """The JSON object in the file given to ``flag``, every number a float."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return _checked(json.load(fh, parse_int=float), f"the {flag} document", "object")
 
 
 _NON_FINITE = "the result holds a non-finite number (inf or NaN)"
@@ -154,7 +158,7 @@ def cmd_sweep(net, costs, args) -> dict | str:
     if args.format == "json":
         return {"rows": [{"mu": r.mu, "lambda": r.lam, "sc_eq": r.sc_eq,
                           "sc_opt": r.sc_opt, "poa": r.poa,
-                          "active_set_hash": r.active_set_hash} for r in rows]}
+                          "active_set_hash": r.active_hash} for r in rows]}
     if not np.isfinite([(r.lam, r.sc_eq, r.sc_opt, r.poa) for r in rows]).all():
         raise ValueError(_NON_FINITE)
     return sweep_csv_text(rows)
@@ -175,25 +179,28 @@ def cmd_verify(net, costs, args) -> dict:
     if sum(given) != 1:
         raise ValueError("exactly one of --demand, --solution, --trace is required")
     ps, cost_list = PathSet.build(net), _cost_list(net, costs)
+    violations = []
     if args.trace is not None:
-        doc = _read_json(args.trace)
+        doc = _read_json(args.trace, "--trace")
         trace = trace_from_json(doc.get("trace", doc))
+        violations = _document_violations(trace)
         samples = [(seg, float(mu)) for seg in trace.segments
-                   for mu in np.linspace(seg.mu_lo, seg.mu_hi, args.samples_per_segment + 2)[1:-1]]
+                   for mu in np.linspace(seg.mu_lo, seg.mu_hi, args.samples_per_segment + 2)]
         demands = [mu for _, mu in samples]
         flows = [_in_path_order(ps, seg.paths, seg.flows(mu)) for seg, mu in samples]
     elif args.solution is not None:
-        doc = _read_json(args.solution)
-        paths = [tuple(p["edges"]) for p in doc["paths"]]
-        flows = [_in_path_order(ps, paths, [float(p["flow"]) for p in doc["paths"]])]
-        demands = [float(doc["demand"])]
+        doc = _read_json(args.solution, "--solution")
+        rows = _field(doc, "paths", "objects")
+        paths = [tuple(_field(p, "edges", "names")) for p in rows]
+        flows = [_in_path_order(ps, paths, [_field(p, "flow") for p in rows])]
+        demands = [_field(doc, "demand")]
     else:
         demands = [args.demand]
         flows = [_solve(ps, cost_list, args.demand).path_flows]
     reports = _grade(ps, cost_list, np.reshape(flows, (len(flows), ps.n_paths)), demands,
                      args.tol)
-    violations = [f"mu={mu:.12g}: {v}" for mu, report in zip(demands, reports)
-                  for v in report.violations]
+    violations += [f"mu={mu:.12g}: {v}" for mu, report in zip(demands, reports)
+                   for v in report.violations]
     return {"checked": len(demands), "ok": not violations, "violations": violations}
 
 
@@ -277,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solution", default=None,
                    help="solution JSON written by the solve command")
     p.add_argument("--trace", default=None,
-                   help="trace JSON; verifies samples inside every segment")
+                   help="trace JSON; grades every segment's ends and samples")
     p.add_argument("--tol", type=_NONNEGATIVE, default=1e-8)
     p.add_argument("--samples-per-segment", type=_number(int, 1), default=5)
     p.set_defaults(func=cmd_verify, echo=("tol", "samples_per_segment"))

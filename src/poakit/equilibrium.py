@@ -13,8 +13,6 @@ Solvers:
 - :func:`solve_optimum`      the same on marginal costs, priced in the
   original costs.
 - :func:`solve_affine_exact` the same, for all-affine costs only.
-- :func:`sp_equilibrium`     :func:`solve_equilibrium` on the network a
-  series-parallel composition tree describes.
 
 All solvers return the minimum-Euclidean-norm path-flow equilibrium, so
 printed path flows are deterministic even when equilibria are non-unique.
@@ -49,7 +47,7 @@ import numpy as np
 
 from .costs import CostFunction, EdgeCosts
 from .errors import BisectionFailure, CertificateFailure, NonConvergence, SupportSearchExhausted
-from .network import Edge, Network, PathSet, SPLeaf, SPSeries, SPTree
+from .network import Network, PathSet
 
 __all__ = [
     "EquilibriumSolution",
@@ -61,7 +59,6 @@ __all__ = [
     "solve_affine_exact",
     "verify_wardrop",
     "check_regularity",
-    "sp_equilibrium",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -565,13 +562,13 @@ def _grade(ps: PathSet, cost_list: EdgeCosts, flows: np.ndarray, demands,
     the matching entry of ``demands``; one report per row. With ``game``
     named, the first failed row raises :class:`CertificateFailure` instead.
 
-    No flow may sit below zero by more than the dust 1e-9*max(1, demand),
-    and negative flows are graded as zero; flows must sum to the demand,
-    used paths must sit within tol of the minimum path cost, and total cost
-    must equal mu*lambda. One cost evaluation on the stack of loads, no
-    solve. Each row's loads and path costs are the products Z @ f and c @ Z
-    of that row alone, so its numbers do not depend on the rows graded with
-    it.
+    Flows and demand must be finite. No flow may sit below zero by more
+    than the dust 1e-9*max(1, demand), and negative flows are graded as
+    zero; flows must sum to the demand, used paths must sit within tol of
+    the minimum path cost, and total cost must equal mu*lambda. One cost
+    evaluation on the stack of loads, no solve. Each row's loads and path
+    costs are the products Z @ f and c @ Z of that row alone, so its
+    numbers do not depend on the rows graded with it.
     """
     Z = ps.incidence
     lowest = flows.min(axis=1).tolist()
@@ -587,9 +584,12 @@ def _grade(ps: PathSet, cost_list: EdgeCosts, flows: np.ndarray, demands,
     dear = ((F > (tol * np.maximum(1.0, mu))[:, None])
             & (slacks > (tol * np.maximum(1.0, lam))[:, None]))
     reports = []
-    for i, (demand, low, mu_i, lam_i, social, any_dear) in enumerate(zip(
-            demands, lowest, mu.tolist(), lam.tolist(), _sums(X * C), dear.any(axis=1).tolist())):
+    for i, (demand, finite, low, mu_i, lam_i, social, any_dear) in enumerate(zip(
+            demands, np.isfinite(flows).all(axis=1).tolist(), lowest, mu.tolist(), lam.tolist(),
+            _sums(X * C), dear.any(axis=1).tolist())):
         violations: list[str] = []
+        if not (finite and math.isfinite(demand)):
+            violations.append("path flows or the demand are not finite")
         if low < 0:
             f = flows[i]
             violations += [f"path {'|'.join(ps.paths[p])} has negative flow {f[p]:.12g}"
@@ -651,26 +651,3 @@ def check_regularity(sol: EquilibriumSolution) -> RegularityReport:
     load = dict(zip(sol.edge_ids, np.asarray(sol.edge_loads, dtype=float)))
     witnesses = tuple(sorted(e for e in sol.active_edges if load[e] <= 1e-7))
     return RegularityReport(regular=not witnesses, witnesses=witnesses)
-
-
-# -- series-parallel networks -----------------------------------------------------
-
-
-def sp_equilibrium(dec: SPTree, costs: dict[str, CostFunction],
-                   mu: float) -> EquilibriumSolution:
-    """Equilibrium of the series-parallel network a composition tree describes:
-    :func:`solve_equilibrium` on a network from ``s`` to ``t`` with one fresh
-    vertex per series node and one edge per leaf, added in sorted leaf order,
-    which the solution's ``edge_ids`` follow."""
-    vertices = ["s", "t"]
-
-    def place(tree: SPTree, tail: str, head: str) -> list[Edge]:
-        if isinstance(tree, SPLeaf):
-            return [Edge(tree.edge_id, tail, head)]
-        if isinstance(tree, SPSeries):
-            vertices.append(mid := f"v{len(vertices)}")
-            return place(tree.first, tail, mid) + place(tree.second, mid, head)
-        return place(tree.first, tail, head) + place(tree.second, tail, head)
-
-    edges = tuple(sorted(place(dec, "s", "t"), key=lambda e: e.id))
-    return solve_equilibrium(Network(tuple(vertices), edges, "s", "t"), costs, mu)

@@ -18,10 +18,6 @@ class PathExplosion(PoakitError):
     """Path enumeration exceeded the configured cap."""
 
 
-class NotSP(PoakitError):
-    """The network is not series-parallel between origin and destination."""
-
-
 class NegativeLoad(PoakitError):
     """A cost function was evaluated at a negative load."""
     exit_code = 3

@@ -6,9 +6,6 @@ with a single origin and destination. Routing happens on simple paths;
 :class:`PathSet` caches the edge-path incidence matrix used by the solvers.
 Every enumeration is capped, at ``POA_MAX_PATHS`` when that environment
 variable is set, else at ``DEFAULT_PATH_CAP``; only this module reads it.
-
-:func:`decompose_series_parallel` reduces the network to a binary
-series/parallel composition tree when one exists.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import CostFunction, cost_from_json, cost_to_json
-from .errors import NoPath, NotSP, PathExplosion
+from .errors import NoPath, PathExplosion
 
 __all__ = [
     "Edge",
@@ -28,11 +25,6 @@ __all__ = [
     "PathSet",
     "enumerate_paths",
     "incidence",
-    "SPLeaf",
-    "SPSeries",
-    "SPParallel",
-    "decompose_series_parallel",
-    "sp_terminals",
     "load_network",
     "dump_network",
 ]
@@ -160,99 +152,6 @@ class PathSet:
     @property
     def n_edges(self) -> int:
         return len(self.net.edges)
-
-
-# -- series-parallel decomposition -------------------------------------------
-
-
-@dataclass(frozen=True)
-class SPLeaf:
-    edge_id: str
-
-
-@dataclass(frozen=True)
-class SPSeries:
-    first: "SPTree"
-    second: "SPTree"
-
-
-@dataclass(frozen=True)
-class SPParallel:
-    first: "SPTree"
-    second: "SPTree"
-
-
-SPTree = SPLeaf | SPSeries | SPParallel
-
-
-def sp_terminals(tree: SPTree) -> list[str]:
-    """Edge ids at the leaves, left to right."""
-    if isinstance(tree, SPLeaf):
-        return [tree.edge_id]
-    return sp_terminals(tree.first) + sp_terminals(tree.second)
-
-
-def decompose_series_parallel(net: Network) -> SPTree:
-    """Reduce the network to a series/parallel composition tree.
-
-    Repeatedly merges parallel edge pairs and contracts internal vertices of
-    in-degree one and out-degree one. A network that does not collapse to a
-    single origin-destination edge raises :class:`NotSP`.
-    """
-    # working copy: list of (edge_id, tail, head); trees keyed by edge id
-    work = [(e.id, e.tail, e.head) for e in net.edges]
-    trees: dict[str, SPTree] = {e.id: SPLeaf(e.id) for e in net.edges}
-    fresh = 0
-
-    def new_id() -> str:
-        nonlocal fresh
-        fresh += 1
-        return f"#{fresh}"
-
-    changed = True
-    while changed and len(work) > 1:
-        changed = False
-        # parallel step: fold together all edges sharing (tail, head)
-        groups: dict[tuple[str, str], list[str]] = {}
-        for eid, tail, head in work:
-            groups.setdefault((tail, head), []).append(eid)
-        for (tail, head), ids in sorted(groups.items()):
-            if len(ids) < 2:
-                continue
-            ids.sort()
-            merged = trees[ids[0]]
-            for other in ids[1:]:
-                merged = SPParallel(merged, trees[other])
-            mid = new_id()
-            trees[mid] = merged
-            work = [(eid, t, h) for eid, t, h in work if eid not in ids]
-            work.append((mid, tail, head))
-            changed = True
-        # series step: contract internal vertices with one edge in, one out
-        indeg: dict[str, list[int]] = {}
-        outdeg: dict[str, list[int]] = {}
-        for i, (eid, tail, head) in enumerate(work):
-            outdeg.setdefault(tail, []).append(i)
-            indeg.setdefault(head, []).append(i)
-        for v in sorted(set(indeg) & set(outdeg)):
-            if v in (net.origin, net.destination):
-                continue
-            if len(indeg[v]) != 1 or len(outdeg[v]) != 1:
-                continue
-            i_in, i_out = indeg[v][0], outdeg[v][0]
-            ein, eout = work[i_in], work[i_out]
-            if ein[1] == eout[2]:
-                continue  # contraction would create a self-loop
-            mid = new_id()
-            trees[mid] = SPSeries(trees[ein[0]], trees[eout[0]])
-            work = [w for k, w in enumerate(work) if k not in (i_in, i_out)]
-            work.append((mid, ein[1], eout[2]))
-            changed = True
-            break  # degree bookkeeping is stale; rescan
-
-    if len(work) == 1 and work[0][1] == net.origin and work[0][2] == net.destination:
-        return trees[work[0][0]]
-    raise NotSP("network does not reduce to a series-parallel composition")
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -27,6 +27,7 @@ optimum social-cost quadratic gamma + alpha*mu + beta*mu^2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -416,19 +417,69 @@ def _breakpoint_rows(breakpoints) -> list[dict]:
              "active_after": sorted(b.active_after)} for b in breakpoints]
 
 
+_KINDS = {  # what a field of a saved document may hold, as its error names it
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "objects": (lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
+                "an array of objects"),
+    "names": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+              "an array of strings"),
+    "number": (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
+}
+
+
+def _checked(value, name: str, kind: str = "number"):
+    """``value`` if it is of ``kind``, a number as a float; else ValueError naming ``name``."""
+    test, what = _KINDS[kind]
+    if not test(value):
+        raise ValueError(f"{name} must be {what}, got {value!r:.60}")
+    return float(value) if kind == "number" else value
+
+
+def _field(doc: dict, key: str, kind: str = "number"):
+    return _checked(doc[key], f"field {key!r}", kind)
+
+
 def trace_from_json(doc: dict) -> AffineTrace:
+    """The trace a :func:`trace_to_json` document holds, every field checked."""
+    _checked(doc, "field 'trace'", "object")
     segments = []
-    for s in doc["segments"]:
-        paths = tuple(tuple(k.split("|")) for k in s["w"])
+    for s in _field(doc, "segments", "objects"):
+        w, z = _field(s, "w", "object"), _field(s, "z", "object")
+        paths = tuple(tuple(k.split("|")) for k in w)
         segments.append(TraceSegment(
-            mu_lo=float(s["mu_lo"]), mu_hi=float(s["mu_hi"]), paths=paths,
-            w=np.array([s["w"][_path_key(p)] for p in paths]),
-            z=np.array([s["z"][_path_key(p)] for p in paths]),
-            alpha=float(s["alpha"]), beta=float(s["beta"]), gamma=float(s["gamma"]),
-            active_edges=frozenset(s["active_edges"])))
-    breakpoints = tuple(
-        Breakpoint(mu=float(b["mu"]), active_before=frozenset(b["active_before"]),
-                   active_after=frozenset(b["active_after"]))
-        for b in doc["breakpoints"])
+            mu_lo=_field(s, "mu_lo"), mu_hi=_field(s, "mu_hi"), paths=paths,
+            w=np.array([_checked(w[_path_key(p)], "field 'w'") for p in paths]),
+            z=np.array([_checked(z[_path_key(p)], "field 'z'") for p in paths]),
+            alpha=_field(s, "alpha"), beta=_field(s, "beta"), gamma=_field(s, "gamma"),
+            active_edges=frozenset(_field(s, "active_edges", "names"))))
+    breakpoints = tuple(Breakpoint(mu=_field(b, "mu"),
+                                   active_before=frozenset(_field(b, "active_before", "names")),
+                                   active_after=frozenset(_field(b, "active_after", "names")))
+                        for b in _field(doc, "breakpoints", "objects"))
     return AffineTrace(segments=tuple(segments), breakpoints=breakpoints,
-                       mu_max=float(doc["mu_max"]), complete=bool(doc["complete"]))
+                       mu_max=_field(doc, "mu_max"), complete=bool(doc["complete"]))
+
+
+def _document_violations(trace: AffineTrace) -> list[str]:
+    """How a trace read from a document fails to be one: its segments must
+    tile (0, mu_max], and its breakpoints must be their inner boundaries in
+    order, each with the active sets of the segments on its two sides."""
+    segs = trace.segments
+    if not segs:
+        return ["the trace has no segments"]
+    violations, lo = [], 0.0
+    for seg in segs:
+        if not seg.mu_lo == lo < seg.mu_hi:
+            violations.append(f"segment ({seg.mu_lo:.12g}, {seg.mu_hi:.12g}] should be "
+                              f"nonempty and start at {lo:.12g}")
+        lo = seg.mu_hi
+    if lo != trace.mu_max:
+        violations.append(f"the segments end at {lo:.12g}, mu_max is {trace.mu_max:.12g}")
+    bounds = [Breakpoint(a.mu_hi, a.active_edges, b.active_edges) for a, b in zip(segs, segs[1:])]
+    for bp, bound in itertools.zip_longest(trace.breakpoints, bounds):
+        if bp is None:
+            violations.append(f"no breakpoint at the segment boundary mu={bound.mu:.12g}")
+        elif bp != bound:
+            violations.append(f"breakpoint mu={bp.mu:.12g} is not a segment boundary with "
+                              "the active_edges of its two segments")
+    return violations

@@ -48,14 +48,12 @@ __all__ = [
     "PoAPiece",
     "PoACurve",
     "PoAMaximum",
-    "SweepRow",
     "compute_poa",
     "poa_ratio",
     "classify_segments",
     "find_poa_max",
     "sweep_poa",
     "sweep_csv_text",
-    "write_sweep_csv",
     "active_set_hash",
 ]
 
@@ -380,23 +378,8 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
 # -- demand sweeps -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    mu: float
-    lam: float
-    sc_eq: float
-    sc_opt: float
-    poa: float
-    active_set_hash: str
-
-
-def _row(pt: PoAPoint) -> SweepRow:
-    return SweepRow(mu=pt.mu, lam=pt.lam, sc_eq=pt.sc_eq, sc_opt=pt.sc_opt,
-                    poa=pt.poa, active_set_hash=pt.active_hash)
-
-
 def sweep_poa(net: Network, costs: dict[str, CostFunction], mu_lo: float,
-              mu_hi: float, n_samples: int, adaptive: bool = False) -> tuple[SweepRow, ...]:
+              mu_hi: float, n_samples: int, adaptive: bool = False) -> tuple[PoAPoint, ...]:
     """Tabulate the ratio over a demand range.
 
     With ``adaptive`` set, midpoints are inserted wherever neighboring rows
@@ -418,27 +401,22 @@ def sweep_poa(net: Network, costs: dict[str, CostFunction], mu_lo: float,
 
     def row(mu):  # a trace has no segment at mu = 0
         if trace is None or mu == 0:
-            flows = _flows(ps, cost_list, mu), _flows(ps, marginal_list, mu)
-        else:
-            flows = _trace_flows(trace, mu)
-        return _row(_point(builds, mu, *flows))
+            return _point(builds, mu, _flows(ps, cost_list, mu), _flows(ps, marginal_list, mu))
+        return _point(builds, mu, *_trace_flows(trace, mu))
 
     rows = [row(mu) for mu in np.linspace(mu_lo, mu_hi, n_samples).tolist()]
     if adaptive:
-        min_gap = (mu_hi - mu_lo) / 1e4
-        budget = 10_000
-        moved = True
-        while moved and budget > 0:
-            moved = False
-            refined: list[SweepRow] = []
+        min_gap, budget = (mu_hi - mu_lo) / 1e4, 10_000
+        while budget > 0:
+            refined = [rows[0]]
             for left, right in zip(rows[:-1], rows[1:]):
-                refined.append(left)
-                if (left.active_set_hash != right.active_set_hash
+                if (left.active_hash != right.active_hash
                         and right.mu - left.mu >= min_gap and budget > 0):
                     refined.append(row(0.5 * (left.mu + right.mu)))
                     budget -= 1
-                    moved = True
-            refined.append(rows[-1])
+                refined.append(right)
+            if len(refined) == len(rows):
+                break
             rows = refined
     return tuple(rows)
 
@@ -450,12 +428,6 @@ def sweep_csv_text(rows) -> str:
     """Sweep rows as CSV text with 17-significant-digit floats."""
     lines = [CSV_HEADER]
     lines.extend(f"{r.mu:.17g},{r.lam:.17g},{r.sc_eq:.17g},"
-                 f"{r.sc_opt:.17g},{r.poa:.17g},{r.active_set_hash}"
+                 f"{r.sc_opt:.17g},{r.poa:.17g},{r.active_hash}"
                  for r in rows)
     return "\n".join(lines) + "\n"
-
-
-def write_sweep_csv(rows, path: str) -> None:
-    """Write sweep rows as CSV with 17-significant-digit floats."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(sweep_csv_text(rows))

@@ -2,8 +2,8 @@
 
 Layered DAGs for general affine instances, and relabelled copies of a
 network; random composition trees turned into networks for the
-series-parallel tests, which solve them with
-``sp_equilibrium`` and the ``oracles.sp_recursion`` reference.
+series-parallel tests, which solve them with ``solve_equilibrium`` and the
+``oracles.sp_recursion`` reference.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ import numpy as np
 
 from poakit import Edge, Network, NoPath, enumerate_paths
 from poakit.costs import Affine
-from poakit.network import SPLeaf, SPParallel, SPSeries, SPTree
+
+from oracles import SPLeaf, SPParallel, SPSeries, SPTree
 
 
 def random_affine_network(rng: np.random.Generator, max_edges: int = 8,

@@ -34,7 +34,6 @@ from poakit import (Affine, BisectionFailure, CostFunction, NegativeLoad, Networ
 from poakit.equilibrium import (DEFAULT_TOL, MAX_ITER, EquilibriumSolution, OptimumSolution,
                                 _cost_list, _first_root, _grade, _min_norm_flows, _newton,
                                 _package, _social)
-from poakit.network import SPLeaf, SPParallel, SPSeries, SPTree, sp_terminals
 
 
 class TooManyPaths(Exception):
@@ -257,6 +256,33 @@ def reference(cost: CostFunction):
 
 
 # -- series-parallel recursion ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SPLeaf:
+    edge_id: str
+
+
+@dataclass(frozen=True)
+class SPSeries:
+    first: "SPTree"
+    second: "SPTree"
+
+
+@dataclass(frozen=True)
+class SPParallel:
+    first: "SPTree"
+    second: "SPTree"
+
+
+SPTree = SPLeaf | SPSeries | SPParallel
+
+
+def sp_terminals(tree: SPTree) -> list[str]:
+    """Edge ids at the leaves, left to right."""
+    if isinstance(tree, SPLeaf):
+        return [tree.edge_id]
+    return sp_terminals(tree.first) + sp_terminals(tree.second)
 
 
 def _sp_cost(tree: SPTree, costs: dict[str, CostFunction], x: float) -> float:

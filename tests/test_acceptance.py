@@ -15,14 +15,12 @@ from poakit import (
     check_regularity,
     classify_segments,
     compute_poa,
-    decompose_series_parallel,
     enumerate_paths,
     find_poa_max,
     load_network,
     segment_social_costs,
     solve_equilibrium,
     solve_optimum,
-    sp_equilibrium,
     trace_affine,
     trace_to_completion,
 )
@@ -202,10 +200,9 @@ def test_criterion_12_series_parallel_loads_never_retreat():
     rng = np.random.default_rng(19)
     for _ in range(20):
         net, costs, _tree = random_sp_network(rng)
-        dec = decompose_series_parallel(net)
         prev = None
         for mu in np.linspace(0.05, 6.0, 100):
-            loads = sp_equilibrium(dec, costs, float(mu)).edge_loads
+            loads = solve_equilibrium(net, costs, float(mu)).edge_loads
             if prev is not None:
                 assert float((prev - loads).max()) <= 1e-8
             prev = loads

@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line front end via subprocess."""
 
+import functools
 import json
+import math
+import operator
 import os
 import re
 import shlex
@@ -12,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from poakit import (CertificateFailure, NotSP, PathSet, PoakitError, Polynomial, TraceFailure, cli,
+from poakit import (CertificateFailure, NoPath, PathSet, PoakitError, Polynomial, TraceFailure, cli,
                     equilibrium, load_network, parametric, solve_equilibrium, trace_from_json,
                     verify_wardrop)
 from poakit.network import network_from_json, network_to_json
@@ -140,7 +143,8 @@ class TestCommands:
         assert doc["ok"] is True
         assert doc["violations"] == []
         n_segments = 6
-        assert doc["checked"] == 5 * n_segments
+        # five interior samples and the two ends of each segment
+        assert doc["checked"] == 7 * n_segments
 
     # fig1's trace is verified by test_verify_round_trip
     @pytest.mark.parametrize("name, max_demand", [
@@ -156,7 +160,7 @@ class TestCommands:
         assert code == 0, err
         doc = json.loads(out)
         assert doc["ok"] is True
-        assert doc["checked"] == 5 * n_segments
+        assert doc["checked"] == 7 * n_segments
 
     def test_affine_analyze_runs_without_newton_iterations(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -249,12 +253,13 @@ class TestPrintedFlowsAreGraded:
 class TestVerify:
     @staticmethod
     def per_sample_text(path, trace_doc, samples=5, tol=1e-8):
-        """What verify --trace prints when each sample is graded on its own."""
+        """What verify --trace prints, on a trace that tiles its range, when
+        each sample and segment end is graded on its own."""
         net, costs = load_network(path)
         template = solve_equilibrium(net, costs, 1.0)
         violations, checked = [], 0
         for seg in trace_from_json(trace_doc["trace"]).segments:
-            for mu in np.linspace(seg.mu_lo, seg.mu_hi, samples + 2)[1:-1].tolist():
+            for mu in np.linspace(seg.mu_lo, seg.mu_hi, samples + 2).tolist():
                 sol = replace(template, demand=mu, paths=seg.paths, path_flows=seg.flows(mu))
                 violations += [f"mu={mu:.12g}: {v}"
                                for v in verify_wardrop(net, costs, sol, tol).violations]
@@ -308,6 +313,83 @@ class TestVerify:
         assert "missing field 'demand'" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def fig1_documents(tmp_path_factory):
+    """fig1's trace to demand 20 and its solve at demand 3, as parsed JSON."""
+    docs = {}
+    for flag, argv in (("--trace", ("trace", "--max-demand", "20")),
+                       ("--solution", ("solve", "--demand", "3"))):
+        code, out, err = run_cli(argv[0], "--network", fixture("fig1"), *argv[1:])
+        assert code == 0, err
+        docs[flag] = json.loads(out)
+    return docs
+
+
+class TestSavedDocuments:
+    # one fault each in a saved document: what it breaks, and the violation
+    # or field name the report must give
+    @pytest.mark.parametrize("fault, named", [
+        ("moved-breakpoint", ["mu=7.4: path O-v1|v1-v3|v3-D has negative flow -0.2"]),
+        ("wrong-breakpoints", ["breakpoint mu=9 is not", "breakpoint mu=4 is not"]),
+        ("missing-segment", ["segment (3, 4] should be nonempty and start at 2"]),
+        ("no-segments", ["the trace has no segments"]),
+    ], ids=["moved-breakpoint", "wrong-breakpoints", "missing-segment", "no-segments"])
+    def test_tampered_trace_exits_three(self, fault, named, fig1_documents, tmp_path, capsys):
+        doc = json.loads(json.dumps(fig1_documents["--trace"]))
+        segments, breakpoints = doc["trace"]["segments"], doc["trace"]["breakpoints"]
+        if fault == "moved-breakpoint":  # from 7 to 7.4, in both segments and the list
+            segments[4]["mu_hi"] = segments[5]["mu_lo"] = breakpoints[4]["mu"] = 7.4
+        elif fault == "wrong-breakpoints":
+            breakpoints[1]["mu"] = 9.0
+            breakpoints[3]["active_after"] = ["O-v1"]
+        elif fault == "missing-segment":
+            del segments[2]  # (2, 3]
+        else:
+            segments.clear()
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["verify", "--network", fixture("fig1"), "--trace", str(path)]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is False
+        for text in named:
+            assert any(v.startswith(text) for v in report["violations"]), (text, report)
+
+    # (flag, path to the field changed, its new value, the name the error gives);
+    # an empty path replaces the whole document by a list holding it
+    @pytest.mark.parametrize("flag, where, value, named", [
+        ("--trace", ("trace", "segments"), "(0, 20]", "field 'segments'"),
+        ("--trace", ("trace", "segments", 0, "mu_lo"), None, "field 'mu_lo'"),
+        ("--trace", ("trace", "segments", 1, "active_edges"), 5, "field 'active_edges'"),
+        ("--trace", ("trace",), [], "field 'trace'"),
+        ("--trace", (), None, "the --trace document"),
+        ("--trace", ("trace", "segments", 5, "mu_hi"), "1e400", "field 'mu_hi'"),
+        ("--trace", ("trace", "breakpoints", 0, "mu"), math.nan, "field 'mu'"),
+        ("--solution", (), None, "the --solution document"),
+        ("--solution", ("paths",), 3, "field 'paths'"),
+        ("--solution", ("paths", 0, "flow"), None, "field 'flow'"),
+        ("--solution", ("paths", 0, "flow"), math.nan, "field 'flow'"),
+        ("--solution", ("paths", 1, "edges"), 7, "field 'edges'"),
+        ("--solution", ("demand",), math.inf, "field 'demand'"),
+    ], ids=["segments-string", "mu_lo-null", "active_edges-number", "trace-array",
+            "trace-in-a-list", "mu_hi-1e400", "mu-nan", "solution-in-a-list", "paths-number",
+            "flow-null", "flow-nan", "edges-number", "demand-infinity"])
+    def test_malformed_document_is_input_error(self, flag, where, value, named,
+                                               fig1_documents, tmp_path):
+        doc = json.loads(json.dumps(fig1_documents[flag]))
+        if where:
+            *outer, last = where
+            functools.reduce(operator.getitem, outer, doc)[last] = value
+        else:
+            doc = [doc]
+        path = tmp_path / "doc.json"
+        # a number too large for a float: JSON text that Python never writes
+        path.write_text(json.dumps(doc).replace('"1e400"', "1e400"), encoding="utf-8")
+        code, out, err = run_cli("verify", "--network", fixture("fig1"), flag, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"poakit: error: {named} must be ")
+        assert "Traceback" not in err
+
+
 class TestDeterminism:
     def test_solve_reruns_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -351,7 +433,7 @@ class TestDeterminism:
 class TestExitCodes:
     # every public error type and the exit code the command line gives it
     ERROR_EXIT_CODES = {
-        "PoakitError": 1, "NoPath": 1, "PathExplosion": 1, "NotSP": 1,
+        "PoakitError": 1, "NoPath": 1, "PathExplosion": 1,
         "NonConvergence": 2, "SupportSearchExhausted": 2, "TraceFailure": 2,
         "BisectionFailure": 2,
         "NegativeLoad": 3, "SignViolation": 3, "ClassificationConflict": 3,
@@ -383,7 +465,7 @@ class TestExitCodes:
             assert code == self.ERROR_EXIT_CODES[name], name
             assert err == f"poakit: error: {name} at mu=1\n"
 
-    @pytest.mark.parametrize("parent", [NotSP, TraceFailure, CertificateFailure],
+    @pytest.mark.parametrize("parent", [NoPath, TraceFailure, CertificateFailure],
                              ids=lambda cls: cls.__name__)
     def test_error_subclass_inherits_its_exit_code(self, parent, monkeypatch, capsys):
         class Narrower(parent):

@@ -24,10 +24,8 @@ from poakit.equilibrium import (
     solve_affine_exact,
     solve_equilibrium,
     solve_optimum,
-    sp_equilibrium,
     verify_wardrop,
 )
-from poakit.network import decompose_series_parallel
 
 from netgen import layered_affine_network, random_affine_network, random_sp_network
 from oracles import newton_equilibrium, reference, sp_recursion
@@ -373,6 +371,17 @@ def test_verify_flags_perturbed_flow():
     assert rep.violations
 
 
+@pytest.mark.parametrize("field", ["path_flows", "demand"])
+def test_verify_flags_non_finite_flows_and_demand(field):
+    # NaN fails every comparison the grade makes, so it is flagged on its own
+    net, costs = fixture("parallel_quad")
+    sol = solve_equilibrium(net, costs, 3.0)
+    nan = np.full(len(sol.paths), np.nan) if field == "path_flows" else math.nan
+    rep = verify_wardrop(net, costs, dataclasses.replace(sol, **{field: nan}))
+    assert not rep.ok
+    assert rep.violations == ("path flows or the demand are not finite",)
+
+
 def test_verify_flags_negative_flow_beyond_dust():
     net, costs = fixture("fig1")
     sol = solve_equilibrium(net, costs, 0.5)  # one used path
@@ -519,29 +528,27 @@ def test_import_does_not_load_scipy():
 
 def test_sp_parallel_splits():
     net = Network(("O", "D"), (Edge("e1", "O", "D"), Edge("e2", "O", "D")), "O", "D")
-    dec = decompose_series_parallel(net)
     lin_const = {"e1": Affine(1, 0), "e2": Affine(0, 1)}
 
-    low = sp_equilibrium(dec, lin_const, 0.5)
+    low = solve_equilibrium(net, lin_const, 0.5)
     assert low.edge_loads == pytest.approx([0.5, 0.0], abs=1e-10)
     assert low.cost == pytest.approx(0.5, abs=1e-10)
 
     # cheap constant link absorbs everything beyond the crossing at load 1
-    high = sp_equilibrium(dec, lin_const, 3.0)
+    high = solve_equilibrium(net, lin_const, 3.0)
     assert high.edge_loads == pytest.approx([1.0, 2.0], abs=1e-9)
     assert high.cost == pytest.approx(1.0, abs=1e-9)
 
     # with both links affine increasing the split moves with demand
     both_affine = {"e1": Affine(1, 0), "e2": Affine(1, 1)}
-    var = sp_equilibrium(dec, both_affine, 3.0)
+    var = solve_equilibrium(net, both_affine, 3.0)
     assert var.edge_loads == pytest.approx([2.0, 1.0], abs=1e-9)
     assert var.cost == pytest.approx(2.0, abs=1e-9)
 
 
 def test_sp_series_adds_costs():
     net = Network(("O", "m", "D"), (Edge("a", "O", "m"), Edge("b", "m", "D")), "O", "D")
-    dec = decompose_series_parallel(net)
-    sol = sp_equilibrium(dec, {"a": Affine(1, 0), "b": Affine(1, 0)}, 2.0)
+    sol = solve_equilibrium(net, {"a": Affine(1, 0), "b": Affine(1, 0)}, 2.0)
     assert sol.cost == pytest.approx(4.0, abs=1e-12)
     assert sol.path_flows == pytest.approx([2.0])
 
@@ -551,39 +558,35 @@ def test_sp_returns_the_minimum_norm_flows():
     # the minimum-norm flows spread the demand over all four
     net = Network(("O", "m", "D"), (Edge("a", "O", "m"), Edge("b", "O", "m"),
                                      Edge("c", "m", "D"), Edge("d", "m", "D")), "O", "D")
-    dec = decompose_series_parallel(net)
     costs = {e: Affine(1, 0) for e in "abcd"}
     paths = (("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"))
-    sol = sp_equilibrium(dec, costs, 2.0)
+    sol = solve_equilibrium(net, costs, 2.0)
     assert sol.paths == paths
     assert sol.path_flows == pytest.approx([0.5] * 4, abs=1e-12)
-    np.testing.assert_array_equal(sol.path_flows, solve_equilibrium(net, costs, 2.0).path_flows)
-    empty = sp_equilibrium(dec, costs, 0.0)
+    empty = solve_equilibrium(net, costs, 0.0)
     assert empty.paths == paths
     assert empty.path_flows.tolist() == [0.0] * 4
 
 
 def test_sp_matches_general_solver():
-    # sp_recursion solves on the composition tree, sp_equilibrium on paths
+    # sp_recursion solves on the composition tree, solve_equilibrium on paths
     rng = np.random.default_rng(20240817)
     for _ in range(6):
         net, affine, tree = random_sp_network(rng, max_leaves=6)
         quartic = {e: Polynomial((c.b, 0.0, 0.0, 0.0, c.a)) for e, c in affine.items()}
         for costs in (affine, quartic):
             for mu in (0.8, 2.7):
-                sp = sp_equilibrium(tree, costs, mu)
-                general = solve_equilibrium(net, costs, mu)
-                assert (sp.edge_ids, sp.paths) == (general.edge_ids, general.paths)
-                np.testing.assert_array_equal(sp.path_flows, general.path_flows)
+                sol = solve_equilibrium(net, costs, mu)
                 lam, loads = sp_recursion(tree, costs, mu)
-                assert sp.cost == pytest.approx(lam, rel=1e-9)
-                assert sp.edge_loads == pytest.approx(loads, abs=1e-6)
+                assert list(sol.edge_ids) == sorted(sol.edge_ids)  # the order of `loads`
+                assert sol.cost == pytest.approx(lam, rel=1e-9)
+                assert sol.edge_loads == pytest.approx(loads, abs=1e-6)
                 # compare Beckmann values: loads may differ across equilibria,
                 # the potential may not
                 beckmann = sum(float(reference(costs[e]).primitive(x))
-                               for e, x in zip(sp.edge_ids, loads))
-                assert sp.beckmann_value == pytest.approx(beckmann, rel=1e-8, abs=1e-8)
-                rep = verify_wardrop(net, costs, sp)
+                               for e, x in zip(sol.edge_ids, loads))
+                assert sol.beckmann_value == pytest.approx(beckmann, rel=1e-8, abs=1e-8)
+                rep = verify_wardrop(net, costs, sol)
                 assert rep.ok, rep.violations
 
 

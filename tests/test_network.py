@@ -1,4 +1,4 @@
-"""Network validation, path enumeration, series-parallel decomposition, JSON."""
+"""Network validation, path enumeration, JSON."""
 
 import json
 import os
@@ -10,13 +10,8 @@ from poakit import (
     Edge,
     Network,
     NoPath,
-    NotSP,
     PathExplosion,
     PathSet,
-    SPLeaf,
-    SPParallel,
-    SPSeries,
-    decompose_series_parallel,
     dump_network,
     classify_segments,
     compute_poa,
@@ -33,7 +28,7 @@ from poakit import (
     verify_wardrop,
 )
 from poakit import cli
-from poakit.network import network_from_json, network_to_json, sp_terminals
+from poakit.network import network_from_json, network_to_json
 
 
 def wheatstone() -> Network:
@@ -147,39 +142,6 @@ def test_incidence_matrix_shape_and_loads():
     loads = ps.incidence @ [1.0, 2.0, 3.0]
     # e1 carries paths 0,1; e5 carries paths 0,2
     assert loads.tolist() == [3.0, 3.0, 1.0, 2.0, 4.0]
-
-
-def test_wheatstone_is_not_series_parallel():
-    with pytest.raises(NotSP):
-        decompose_series_parallel(wheatstone())
-
-
-def test_parallel_and_series_decompositions():
-    par = Network(("O", "D"), (Edge("a", "O", "D"), Edge("b", "O", "D")), "O", "D")
-    assert decompose_series_parallel(par) == SPParallel(SPLeaf("a"), SPLeaf("b"))
-    ser = Network(("O", "m", "D"), (Edge("a", "O", "m"), Edge("b", "m", "D")), "O", "D")
-    assert decompose_series_parallel(ser) == SPSeries(SPLeaf("a"), SPLeaf("b"))
-    single = Network(("O", "D"), (Edge("a", "O", "D"),), "O", "D")
-    assert decompose_series_parallel(single) == SPLeaf("a")
-
-
-def test_nested_series_parallel():
-    # (a | (b ; c)) ; d read left to right from O
-    net = Network(
-        vertices=("O", "m", "n", "D"),
-        edges=(
-            Edge("a", "O", "n"),
-            Edge("b", "O", "m"),
-            Edge("c", "m", "n"),
-            Edge("d", "n", "D"),
-        ),
-        origin="O",
-        destination="D",
-    )
-    tree = decompose_series_parallel(net)
-    assert sorted(sp_terminals(tree)) == ["a", "b", "c", "d"]
-    # every edge appears exactly once as a leaf
-    assert len(sp_terminals(tree)) == 4
 
 
 def test_json_round_trip(tmp_path):

@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poakit import cli, equilibrium, parametric, poa
+import poakit
+from poakit import cli, equilibrium, network, parametric, poa
 from poakit.costs import Affine, EdgeCosts, Polynomial
 from poakit.equilibrium import _builds, solve_affine_exact, solve_equilibrium, solve_optimum
 from poakit.errors import (CertificateFailure, ClassificationConflict, GridExceedsBreakpointMax,
@@ -23,8 +24,8 @@ from poakit.poa import (
     classify_segments,
     compute_poa,
     find_poa_max,
+    sweep_csv_text,
     sweep_poa,
-    write_sweep_csv,
     _classify,
     _point,
     _trace_flows,
@@ -350,15 +351,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="n_samples"):
             sweep_poa(net, costs, 0.0, 2.0, 1)
 
-    def test_csv_format_and_determinism(self, tmp_path):
+    def test_csv_format_and_determinism(self):
         net, costs = pigou_instance()
         rows = sweep_poa(net, costs, 0.25, 2.0, 5)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(rows, p1)
-        write_sweep_csv(rows, p2)
-        data = p1.read_bytes()
-        assert data == p2.read_bytes()
-        lines = data.decode("utf-8").split("\n")
+        text = sweep_csv_text(rows)
+        assert text == sweep_csv_text(sweep_poa(net, costs, 0.25, 2.0, 5))
+        lines = text.split("\n")
         assert lines[0] == CSV_HEADER
         assert CSV_HEADER == "mu,lambda,sc_eq,sc_opt,poa,active_set_hash"
         assert len(lines) == 7 and lines[-1] == ""
@@ -368,7 +366,7 @@ class TestSweep:
             # 17 significant digits survive a float round trip exactly
             assert float(cells[0]) == row.mu
             assert float(cells[4]) == row.poa
-            assert cells[5] == row.active_set_hash
+            assert cells[5] == row.active_hash
 
 
 def test_random_networks_stay_in_affine_bounds():
@@ -615,8 +613,28 @@ def test_trace_reads_match_direct_solves(name):
         sweeps.append((0.0, 8.0, 9, False))  # rows on the breakpoints 1, 2, 3, 4 and 7
     for lo, hi, n, adaptive in sweeps:
         for row in sweep_poa(net, costs, lo, hi, n, adaptive=adaptive):
-            assert_same_point(row, row.active_set_hash, compute_poa(net, costs, row.mu),
+            assert_same_point(row, row.active_hash, compute_poa(net, costs, row.mu),
                               f"{name} row {row.mu!r}")
+
+
+# wheatstone_pwl's ranges leave out its optimum's defects on 4.06-6.0
+@pytest.mark.parametrize("name, lo, hi, n", [("parallel_quad", 0.5, 12.0, 24),
+                                             ("wheatstone_pwl", 0.5, 4.0, 8),
+                                             ("wheatstone_pwl", 6.5, 12.0, 12)])
+@pytest.mark.parametrize("adaptive", [False, True], ids=["uniform", "adaptive"])
+def test_nonaffine_sweep_rows_are_compute_poa_points(name, lo, hi, n, adaptive):
+    # each row is solved as compute_poa solves its demand, on one build
+    net, costs = tracked(name)
+    for row in sweep_poa(net, costs, lo, hi, n, adaptive=adaptive):
+        assert row == compute_poa(net, costs, row.mu), (name, row.mu)
+
+
+def test_retired_names_are_gone():
+    # the series-parallel solver and decomposition, and the sweep's row record
+    retired = ("NotSP", "SPLeaf", "SPParallel", "SPSeries", "decompose_series_parallel",
+               "sp_equilibrium", "SweepRow", "write_sweep_csv", "sp_terminals")
+    for module in (poakit, network):
+        assert [name for name in retired if hasattr(module, name)] == [], module.__name__
 
 
 def nonaffine_case(name):
