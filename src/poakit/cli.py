@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .equilibrium import (
     MAX_ITER,
     EquilibriumSolution,
     _cost_list,
+    _dear_path,
     _grade,
     _in_path_order,
     _solve,
@@ -183,11 +185,12 @@ def cmd_verify(net, costs, args) -> dict:
     if args.trace is not None:
         doc = _read_json(args.trace, "--trace")
         trace = trace_from_json(doc.get("trace", doc))
-        violations = _document_violations(trace)
-        samples = [(seg, float(mu)) for seg in trace.segments
-                   for mu in np.linspace(seg.mu_lo, seg.mu_hi, args.samples_per_segment + 2)]
-        demands = [mu for _, mu in samples]
-        flows = [_in_path_order(ps, seg.paths, seg.flows(mu)) for seg, mu in samples]
+        segments = tuple(replace(seg, paths=ps.paths, w=_in_path_order(ps, seg.paths, seg.w),
+                                 z=_in_path_order(ps, seg.paths, seg.z)) for seg in trace.segments)
+        violations = _document_violations(replace(trace, segments=segments), ps, cost_list,
+                                          costs, args.tol)
+        demands = [mu for seg in segments for mu in (seg.mu_lo, seg.mu_hi)]
+        flows = [seg.flows(mu) for seg in segments for mu in (seg.mu_lo, seg.mu_hi)]
     elif args.solution is not None:
         doc = _read_json(args.solution, "--solution")
         rows = _field(doc, "paths", "objects")
@@ -197,10 +200,19 @@ def cmd_verify(net, costs, args) -> dict:
     else:
         demands = [args.demand]
         flows = [_solve(ps, cost_list, args.demand).path_flows]
-    reports = _grade(ps, cost_list, np.reshape(flows, (len(flows), ps.n_paths)), demands,
-                     args.tol)
-    violations += [f"mu={mu:.12g}: {v}" for mu, report in zip(demands, reports)
-                   for v in report.violations]
+    flows = np.reshape(flows, (len(flows), ps.n_paths))
+    reports = _grade(ps, cost_list, flows, demands, args.tol)
+    found = [list(report.violations) for report in reports]
+    if args.trace is not None:
+        # flows and path costs are affine on a segment: its ends pass only if all of
+        # it does, once a path with flow above dust at either end is used at both
+        above = flows > 1e-9 * np.maximum(1.0, demands)[:, None]
+        used = np.repeat(above.reshape(-1, 2, ps.n_paths).any(axis=1), 2, axis=0)
+        for r, listed, s in zip(reports, found, used):
+            dear = (s & (r.slacks > args.tol * max(1.0, r.lam))).nonzero()[0]
+            listed += [v for p in dear
+                       if (v := _dear_path(ps.paths[p], r.path_costs[p], r.lam)) not in listed]
+    violations += [f"mu={mu:.12g}: {v}" for mu, vs in zip(demands, found) for v in vs]
     return {"checked": len(demands), "ok": not violations, "violations": violations}
 
 
@@ -284,10 +296,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solution", default=None,
                    help="solution JSON written by the solve command")
     p.add_argument("--trace", default=None,
-                   help="trace JSON; grades every segment's ends and samples")
+                   help="trace JSON; grades each segment at its two ends, every path "
+                        "used at either end counted as used at both, and checks its "
+                        "alpha, beta, gamma and active_edges against its flow line")
     p.add_argument("--tol", type=_NONNEGATIVE, default=1e-8)
-    p.add_argument("--samples-per-segment", type=_number(int, 1), default=5)
-    p.set_defaults(func=cmd_verify, echo=("tol", "samples_per_segment"))
+    p.set_defaults(func=cmd_verify, echo=("tol",))
 
     return ap
 

@@ -597,8 +597,7 @@ def _grade(ps: PathSet, cost_list: EdgeCosts, flows: np.ndarray, demands,
         if abs(mu_i - demand) > tol * max(1.0, demand):
             violations.append(f"path flows sum to {mu_i:.12g}, demand is {demand:.12g}")
         if any_dear:
-            violations += [f"used path {'|'.join(ps.paths[p])} costs {P[i, p]:.12g}, "
-                           f"common cost is {lam_i:.12g}" for p in dear[i].nonzero()[0]]
+            violations += [_dear_path(ps.paths[p], P[i, p], lam_i) for p in dear[i].nonzero()[0]]
         identity_err = abs(social - mu_i * lam_i)
         if identity_err > tol * max(1.0, social):
             violations.append(
@@ -612,6 +611,10 @@ def _grade(ps: PathSet, cost_list: EdgeCosts, flows: np.ndarray, demands,
             social_identity_error=identity_err, ok=not violations,
         ))
     return reports
+
+
+def _dear_path(path: tuple[str, ...], cost: float, lam: float) -> str:
+    return f"used path {'|'.join(path)} costs {cost:.12g}, common cost is {lam:.12g}"
 
 
 def _in_path_order(ps: PathSet, paths, flows) -> np.ndarray:

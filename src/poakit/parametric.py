@@ -460,19 +460,35 @@ def trace_from_json(doc: dict) -> AffineTrace:
                        mu_max=_field(doc, "mu_max"), complete=bool(doc["complete"]))
 
 
-def _document_violations(trace: AffineTrace) -> list[str]:
-    """How a trace read from a document fails to be one: its segments must
-    tile (0, mu_max], and its breakpoints must be their inner boundaries in
-    order, each with the active sets of the segments on its two sides."""
+def _document_violations(trace: AffineTrace, ps: PathSet, cost_list: EdgeCosts,
+                         costs: dict[str, CostFunction], tol: float) -> list[str]:
+    """How a trace read from a document, its segments on ``ps.paths``, fails
+    to be one. Its segments must tile (0, mu_max], each with the ``alpha``,
+    ``beta`` and ``gamma`` of its flow line (see :func:`segment_social_costs`,
+    whose :class:`SignViolation` passes through) to tol*max(1, |alpha|,
+    |beta|, |gamma|) and, as ``active_edges``, the edges of the paths tied
+    at its midpoint on the line. Its breakpoints must be the segments' inner
+    boundaries in order, each with the active sets of its two segments."""
     segs = trace.segments
     if not segs:
         return ["the trace has no segments"]
+    A, d = _path_quadratic(ps.incidence, cost_list)
     violations, lo = [], 0.0
     for seg in segs:
+        name = f"segment ({seg.mu_lo:.12g}, {seg.mu_hi:.12g}]"
         if not seg.mu_lo == lo < seg.mu_hi:
-            violations.append(f"segment ({seg.mu_lo:.12g}, {seg.mu_hi:.12g}] should be "
-                              f"nonempty and start at {lo:.12g}")
+            violations.append(f"{name} should be nonempty and start at {lo:.12g}")
         lo = seg.mu_hi
+        line, saved = segment_social_costs(seg, costs), (seg.alpha, seg.beta, seg.gamma)
+        if max(abs(x - y) for x, y in zip(line, saved)) > tol * max(1.0, *map(abs, line)):
+            shown = [", ".join(f"{x:.12g}" for x in xs) for xs in (saved, line)]
+            violations.append(f"{name} has alpha, beta, gamma = {shown[0]}, "
+                              f"its flow line gives {shown[1]}")
+        tied = _optimal_paths(A, d, seg.w, seg.z, 0.5 * (seg.mu_lo + seg.mu_hi))
+        active = frozenset(e for p in tied.tolist() for e in ps.paths[p])
+        if active != seg.active_edges:
+            violations.append(f"{name} has active_edges {sorted(seg.active_edges)}, its flow "
+                              f"line ties the paths over {sorted(active)}")
     if lo != trace.mu_max:
         violations.append(f"the segments end at {lo:.12g}, mu_max is {trace.mu_max:.12g}")
     bounds = [Breakpoint(a.mu_hi, a.active_edges, b.active_edges) for a, b in zip(segs, segs[1:])]

@@ -5,9 +5,10 @@ optimum social cost. For affine costs both are piecewise quadratics driven by
 the equilibrium trace: the numerator's coefficients come from the segment
 containing mu, the denominator's from the segment containing 2*mu (the
 optimum at mu is half the equilibrium at 2*mu). Between consecutive merged
-breakpoints the ratio is a fixed rational function, so each piece can be
-classified as constant, increasing, decreasing, or a valley; a maximum never
-sits strictly inside a piece, which pins the global maximum to a breakpoint.
+breakpoints the ratio is a fixed rational function that turns at most once,
+at a minimum (see :func:`_classify`), so each piece is constant, increasing,
+decreasing, or a valley; a maximum never sits strictly inside a piece, which
+pins the global maximum to a breakpoint.
 
 Every value is read off path flows graded before use (:func:`_certify`):
 the equilibrium in the original costs, the optimum in the marginal-cost
@@ -41,7 +42,7 @@ from .equilibrium import (
     _is_affine,
     _sums,
 )
-from .parametric import MU_START, AffineTrace, _trace
+from .parametric import MU_START, SIGN_TOL, AffineTrace, _trace
 
 __all__ = [
     "PoAPoint",
@@ -199,68 +200,32 @@ def _classify(mu_lo: float, mu_hi: float, num_lin: float, num_quad: float,
 
     The sign of the derivative matches q(mu) = c0 + c1*mu + c2*mu^2 with
     c0 = num_lin*den_const, c1 = 2*num_quad*den_const,
-    c2 = num_quad*den_lin - num_lin*den_quad. A positive-to-negative sign
-    change would be an interior maximum, which the segment algebra rules
-    out; seeing one raises :class:`ClassificationConflict`.
+    c2 = num_quad*den_lin - num_lin*den_quad. The segments' sign contract
+    num_lin, num_quad >= 0 >= den_const (to SIGN_TOL), whose breach raises
+    :class:`ClassificationConflict`, makes c0, c1 <= 0: by Descartes' rule
+    q then has one positive root at most, only if c2 > 0, where it turns
+    from negative to positive, so no piece peaks inside.
     """
     a, b, g, dd, e = num_lin, num_quad, den_const, den_lin, den_quad
+    band = SIGN_TOL * max(1.0, abs(a), abs(b), abs(g), abs(dd), abs(e))
+    if a < -band or b < -band or g > band:
+        raise ClassificationConflict(f"piece ({mu_lo:.6g}, {mu_hi:.6g}] breaks the sign "
+                                     f"contract: {num_lin=}, {num_quad=}, {den_const=}")
     c0, c1, c2 = a * g, 2.0 * b * g, b * dd - a * e
     # term magnitudes, for cancellation-aware zero tests
-    s0 = abs(a) * abs(g)
-    s1 = 2.0 * abs(b) * abs(g)
-    s2 = abs(b) * abs(dd) + abs(a) * abs(e)
-    lo, hi = mu_lo, mu_hi
-
-    def qmag(mu: float) -> float:
-        return max(s0 + s1 * mu + s2 * mu * mu, 1e-300)
-
-    def sign_at(mu: float) -> int:
-        q = c0 + c1 * mu + c2 * mu * mu
-        if abs(q) <= 1e-9 * qmag(mu):
-            return 0
-        return 1 if q > 0 else -1
-
+    s0, s1, s2 = abs(c0), abs(c1), abs(b * dd) + abs(a * e)
     if all(abs(c) <= 1e-12 * max(s, 1e-300) for c, s in ((c0, s0), (c1, s1), (c2, s2))):
         return "constant", None
-
-    # real roots of q strictly inside the piece
-    roots = []
-    if abs(c2) > 1e-14 * max(s2, 1e-300):
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc > 0:
-            r = math.sqrt(disc)
-            roots = sorted(((-c1 - r) / (2.0 * c2), (-c1 + r) / (2.0 * c2)))
-    elif abs(c1) > 1e-14 * max(s1, 1e-300):
-        roots = [-c0 / c1]
-    pad = 1e-9 * max(1.0, hi)
-    roots = [r for r in roots if lo + pad < r < hi - pad]
-
-    # sign pattern across the root partition
-    probes = [lo + pad] + roots + [hi - pad]
-    signs = []
-    for left, right in zip(probes[:-1], probes[1:]):
-        signs.append(sign_at(0.5 * (left + right)))
-    signs = [s for s in signs if s != 0]
-    for s_prev, s_next in zip(signs[:-1], signs[1:]):
-        if s_prev > 0 and s_next < 0:
-            raise ClassificationConflict(
-                f"interior maximum detected on ({lo:.6g}, {hi:.6g}]")
-    if not signs:
+    pad = 1e-9 * max(1.0, mu_hi)
+    lo, hi = mu_lo + pad, mu_hi - pad
+    disc = max(c1 * c1 - 4.0 * c2 * c0, 0.0)  # below 0 only if c0 > 0 inside the band
+    root = (-c1 + math.sqrt(disc)) / (2.0 * c2) if c2 > 0 else math.inf
+    if lo < root < hi:
+        return "valley", root
+    mid = 0.5 * (lo + hi)
+    if abs(c0 + c1 * mid + c2 * mid * mid) <= 1e-9 * max(s0 + s1 * mid + s2 * mid * mid, 1e-300):
         return "constant", None
-    if signs[0] < 0 and signs[-1] > 0:
-        return "valley", roots[0] if len(roots) == 1 else _valley_root(c0, c1, c2, roots)
-    if signs[-1] > 0:
-        return "increasing", None
-    return "decreasing", None
-
-
-def _valley_root(c0, c1, c2, roots):
-    # the crossing where q goes negative to positive
-    for r in roots:
-        slope = c1 + 2.0 * c2 * r
-        if slope > 0:
-            return r
-    return roots[0]
+    return ("increasing" if root <= lo else "decreasing"), None
 
 
 def classify_segments(net: Network, costs: dict[str, CostFunction],

@@ -143,8 +143,8 @@ class TestCommands:
         assert doc["ok"] is True
         assert doc["violations"] == []
         n_segments = 6
-        # five interior samples and the two ends of each segment
-        assert doc["checked"] == 7 * n_segments
+        # the two ends of each segment
+        assert doc["checked"] == 2 * n_segments
 
     # fig1's trace is verified by test_verify_round_trip
     @pytest.mark.parametrize("name, max_demand", [
@@ -160,7 +160,7 @@ class TestCommands:
         assert code == 0, err
         doc = json.loads(out)
         assert doc["ok"] is True
-        assert doc["checked"] == 7 * n_segments
+        assert doc["checked"] == 2 * n_segments
 
     def test_affine_analyze_runs_without_newton_iterations(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -252,22 +252,31 @@ class TestPrintedFlowsAreGraded:
 
 class TestVerify:
     @staticmethod
-    def per_sample_text(path, trace_doc, samples=5, tol=1e-8):
-        """What verify --trace prints, on a trace that tiles its range, when
-        each sample and segment end is graded on its own."""
+    def per_end_grades(path, trace_doc, tol=1e-8):
+        """The number of demands verify --trace grades, and the violations
+        it reports at them, on a trace that tiles its range, when each
+        segment end is graded on its own and every path with flow above
+        dust at either end of its segment counts as used at both."""
         net, costs = load_network(path)
         template = solve_equilibrium(net, costs, 1.0)
         violations, checked = [], 0
         for seg in trace_from_json(trace_doc["trace"]).segments:
-            for mu in np.linspace(seg.mu_lo, seg.mu_hi, samples + 2).tolist():
+            ends = (seg.mu_lo, seg.mu_hi)
+            used = np.zeros(len(seg.paths), dtype=bool)
+            for mu in ends:
+                used |= seg.flows(mu) > 1e-9 * max(1.0, mu)
+            for mu in ends:
                 sol = replace(template, demand=mu, paths=seg.paths, path_flows=seg.flows(mu))
-                violations += [f"mu={mu:.12g}: {v}"
-                               for v in verify_wardrop(net, costs, sol, tol).violations]
+                report = verify_wardrop(net, costs, sol, tol)
+                found = list(report.violations)
+                for k in (used & (report.slacks > tol * max(1.0, report.lam))).nonzero()[0]:
+                    v = (f"used path {'|'.join(seg.paths[k])} costs {report.path_costs[k]:.12g}, "
+                         f"common cost is {report.lam:.12g}")
+                    if v not in found:
+                        found.append(v)
+                violations += [f"mu={mu:.12g}: {v}" for v in found]
                 checked += 1
-        return cli._json_text({
-            "checked": checked, "ok": not violations, "violations": violations,
-            "meta": {"command": "verify", "network": path,
-                     "tolerances": {"tol": tol, "samples_per_segment": samples}}})
+        return checked, violations
 
     @pytest.mark.parametrize("corrupt", [False, True], ids=["valid", "corrupted"])
     def test_trace_on_one_path_set(self, corrupt, tmp_path, monkeypatch, capsys):
@@ -287,12 +296,19 @@ class TestVerify:
         monkeypatch.setattr(PathSet, "build",
                             classmethod(lambda cls, net: builds.append(net) or build(cls, net)))
         code = cli.main(["verify", "--network", path, "--trace", str(trace_file)])
-        out = capsys.readouterr().out
+        out = json.loads(capsys.readouterr().out)
         assert len(builds) == 1
         monkeypatch.undo()
         assert code == (3 if corrupt else 0)
-        assert json.loads(out)["ok"] is not corrupt
-        assert out == self.per_sample_text(path, doc)
+        assert out["ok"] is not corrupt
+        checked, graded = self.per_end_grades(path, doc)
+        assert out["checked"] == checked
+        assert [v for v in out["violations"] if v.startswith("mu=")] == graded
+        # the moved rate changes the first segment's social-cost line too
+        lines = [v for v in out["violations"] if not v.startswith("mu=")]
+        assert [v.split(" =")[0] for v in lines] == (
+            ["segment (0, 1] has alpha, beta, gamma"] if corrupt else [])
+        assert out["meta"]["tolerances"] == {"tol": 1e-8}
 
     def test_solution_needs_only_demand_and_path_flows(self, tmp_path, capsys):
         path = fixture("nested2")
@@ -333,7 +349,14 @@ class TestSavedDocuments:
         ("wrong-breakpoints", ["breakpoint mu=9 is not", "breakpoint mu=4 is not"]),
         ("missing-segment", ["segment (3, 4] should be nonempty and start at 2"]),
         ("no-segments", ["the trace has no segments"]),
-    ], ids=["moved-breakpoint", "wrong-breakpoints", "missing-segment", "no-segments"])
+        ("coefficients", ["segment (3, 4] has alpha, beta, gamma = 99, 1.5, -50, "
+                          "its flow line gives 1.5, 1.5, -0.125"]),
+        ("active-edges", ["segment (3, 4] has active_edges ['O-v1'], its flow line ties"]),
+        # both ends pass a plain grade; the path the chord's far end uses does
+        # not sit at the common cost at its near end, where its flow is 0
+        ("merged-chord", ["mu=1: used path O-v1|v1-v3|v3-D costs 4, common cost is 3"]),
+    ], ids=["moved-breakpoint", "wrong-breakpoints", "missing-segment", "no-segments",
+            "coefficients", "active-edges", "merged-chord"])
     def test_tampered_trace_exits_three(self, fault, named, fig1_documents, tmp_path, capsys):
         doc = json.loads(json.dumps(fig1_documents["--trace"]))
         segments, breakpoints = doc["trace"]["segments"], doc["trace"]["breakpoints"]
@@ -344,6 +367,27 @@ class TestSavedDocuments:
             breakpoints[3]["active_after"] = ["O-v1"]
         elif fault == "missing-segment":
             del segments[2]  # (2, 3]
+        elif fault == "coefficients":
+            segments[3]["alpha"], segments[3]["gamma"] = 99.0, -50.0
+        elif fault == "active-edges":  # in the segment and both its breakpoints
+            segments[3]["active_edges"] = ["O-v1"]
+            breakpoints[2]["active_after"] = breakpoints[3]["active_before"] = ["O-v1"]
+        elif fault == "merged-chord":
+            # one chord from the equilibrium at 1 to the one at 3, with the
+            # active set of (1, 2] and its own alpha, beta and gamma, so that
+            # only the grade of its ends can fail it
+            first, second = segments[1], segments[2]
+            lo, hi = first["mu_lo"], second["mu_hi"]
+            w = {k: (hi * second["w"][k] + second["z"][k] - lo * first["w"][k]
+                     - first["z"][k]) / (hi - lo) for k in first["w"]}
+            z = {k: lo * first["w"][k] + first["z"][k] - lo * w[k] for k in first["w"]}
+            segments[1:3] = [{**first, "mu_hi": hi, "w": w, "z": z}]
+            del breakpoints[1]
+            breakpoints[1]["active_before"] = first["active_edges"]
+            net, costs = load_network(fixture("fig1"))
+            chord = trace_from_json(doc["trace"]).segments[1]
+            (segments[1]["alpha"], segments[1]["beta"],
+             segments[1]["gamma"]) = parametric.segment_social_costs(chord, costs)
         else:
             segments.clear()
         path = tmp_path / "trace.json"
@@ -353,6 +397,8 @@ class TestSavedDocuments:
         assert report["ok"] is False
         for text in named:
             assert any(v.startswith(text) for v in report["violations"]), (text, report)
+        if fault == "merged-chord":
+            assert len(report["violations"]) == 1, report
 
     # (flag, path to the field changed, its new value, the name the error gives);
     # an empty path replaces the whole document by a list holding it
@@ -410,7 +456,7 @@ class TestDeterminism:
         (("sweep", "--from", "1", "--to", "5", "--samples", "9", "--format", "json"),
          {"equal_tol": 1e-9}),
         (("analyze",), {"grid": 1000, "grid_slack": 1e-7, "equal_tol": 1e-9}),
-        (("verify", "--demand", "2"), {"tol": 1e-8, "samples_per_segment": 5}),
+        (("verify", "--demand", "2"), {"tol": 1e-8}),
     ]
 
     def test_sweep_stdout_matches_output_file(self, tmp_path, capsys):
@@ -513,7 +559,6 @@ class TestExitCodes:
         ("sweep", "--from", "0", "--samples", "3", "--to", "inf"),
         ("sweep", "--from", "0", "--to", "2", "--samples", "1"),
         ("verify", "--demand", "1", "--tol", "-1e-8"),
-        ("verify", "--demand", "1", "--samples-per-segment", "0"),
     ], ids=" ".join)
     def test_out_of_range_flag_is_input_error(self, argv, capsys):
         command, *rest = argv

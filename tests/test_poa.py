@@ -1,6 +1,7 @@
 """Tests for the demand-indexed inefficiency ratio: points, pieces, maxima, sweeps."""
 
 import hashlib
+import math
 import os
 import re
 from dataclasses import replace
@@ -255,6 +256,29 @@ class TestCurvePieces:
                    den_const=1.0, den_lin=0.0, den_quad=1.0)
         with pytest.raises(ClassificationConflict):
             _classify(**bad)
+
+    # num_lin, num_quad, den_const, den_lin, den_quad whose slope has the sign
+    # of q = -1 - 2*mu + 2*mu^2, negative up to its one positive root
+    # (2 + sqrt(12))/4 = 1.366 and positive past it
+    ONE_ROOT = (1.0, 1.0, -1.0, 2.0, 0.0)
+
+    @pytest.mark.parametrize("lo, hi, fields, shape", [
+        (1.0, 3.0, (1.0, 0.0, 0.0, 1.0, 0.0), "constant"),  # mu / mu
+        # q = -1e-11*mu^2 sits inside the 1e-9 band at the midpoint
+        (1.0, 3.0, (1.0, 1.0, 0.0, 1.0, 1.0 + 1e-11), "constant"),
+        (2.0, 3.0, ONE_ROOT, "increasing"),  # the root lies below the piece
+        (2.0, 3.0, (1.0, 1.0, -1.0, 0.0, 1.0), "decreasing"),  # q < 0, no root
+        (0.75, 1.25, ONE_ROOT, "decreasing"),  # the root lies above the piece
+    ], ids=["zero-slope", "slope-in-band", "increasing", "no-root", "root-above"])
+    def test_classify_branches(self, lo, hi, fields, shape):
+        assert _classify(lo, hi, *fields) == (shape, None)
+
+    def test_classify_valley_sits_at_the_closed_form_root(self):
+        shape, valley = _classify(1.0, 2.0, *self.ONE_ROOT)
+        assert shape == "valley"
+        assert valley == (2.0 + math.sqrt(12.0)) / 4.0
+        piece = PoAPiece(1.0, 2.0, *self.ONE_ROOT)
+        assert piece.value(valley) < min(piece.value(valley - 1e-4), piece.value(valley + 1e-4))
 
     def test_piece_value_guards_nonpositive_denominator(self):
         zero = PoAPiece(mu_lo=0.0, mu_hi=1.0, num_lin=1.0, num_quad=0.0,
@@ -615,6 +639,33 @@ def test_trace_reads_match_direct_solves(name):
         for row in sweep_poa(net, costs, lo, hi, n, adaptive=adaptive):
             assert_same_point(row, row.active_hash, compute_poa(net, costs, row.mu),
                               f"{name} row {row.mu!r}")
+
+
+@pytest.mark.parametrize("name", [*AFFINE_FIXTURES, *(f"random-{k}" for k in range(50))])
+def test_piece_shapes_match_their_values(name):
+    # the ratio at 50 demands inside each piece stays, rises, falls, or falls
+    # to the valley demand and rises past it, as the piece's shape says
+    if name.startswith("random"):
+        net, costs = random_affine_network(np.random.default_rng((2019, int(name[7:]))))
+    else:
+        net, costs = tracked(name)
+    for p in classify_segments(net, costs).pieces:
+        mus = np.linspace(p.mu_lo, p.mu_hi, 52)[1:-1]
+        values = np.array([p.value(mu) for mu in mus])
+        slack = 1e-12 * values.max()
+        falls, rises = np.diff(values) <= slack, np.diff(values) >= -slack
+        where = (name, p)
+        if p.shape == "constant":
+            assert np.ptp(values) <= 1e-9 * values.max(), where
+        elif p.shape == "increasing":
+            assert rises.all() and values[-1] > values[0], where
+        elif p.shape == "decreasing":
+            assert falls.all() and values[-1] < values[0], where
+        else:
+            assert p.shape == "valley" and p.mu_lo < p.valley_mu < p.mu_hi, where
+            left = int(np.searchsorted(mus, p.valley_mu))
+            assert falls[:max(left - 1, 0)].all() and rises[left:].all(), where
+            assert p.value(p.valley_mu) <= values.min() + slack, where
 
 
 # wheatstone_pwl's ranges leave out its optimum's defects on 4.06-6.0
