@@ -30,6 +30,7 @@ from .equilibrium import (
     EquilibriumSolution,
     _cost_list,
     _dear_path,
+    _dust,
     _grade,
     _in_path_order,
     _solve,
@@ -206,7 +207,7 @@ def cmd_verify(net, costs, args) -> dict:
     if args.trace is not None:
         # flows and path costs are affine on a segment: its ends pass only if all of
         # it does, once a path with flow above dust at either end is used at both
-        above = flows > 1e-9 * np.maximum(1.0, demands)[:, None]
+        above = flows > np.array([_dust(mu) for mu in demands])[:, None]
         used = np.repeat(above.reshape(-1, 2, ps.n_paths).any(axis=1), 2, axis=0)
         for r, listed, s in zip(reports, found, used):
             dear = (s & (r.slacks > args.tol * max(1.0, r.lam))).nonzero()[0]

@@ -9,13 +9,15 @@ Solvers:
 - :func:`solve_equilibrium`  exact on all-affine costs, else projected
   Newton steps on the potential (one kernel call each on its second-order
   model); then a minimum-norm selection among equilibrium path flows, over
-  the paths tied at the common cost.
+  the active paths.
 - :func:`solve_optimum`      the same on marginal costs, priced in the
   original costs.
 - :func:`solve_affine_exact` the same, for all-affine costs only.
 
 All solvers return the minimum-Euclidean-norm path-flow equilibrium, so
 printed path flows are deterministic even when equilibria are non-unique.
+Every reader of active paths, here, in the tracer, the PoA and ``verify``,
+applies one rule, :func:`_active`: flow above the dust, or a cost at lambda.
 The selection runs only for path flows that get printed: PoA values, the
 affine analytics and the breakpoints are read off the flows of
 :func:`_flows` or of the tracer as they are (see :mod:`poakit.poa`), since
@@ -63,10 +65,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 MAX_ITER = 10 ** 6
-# active-path identification: c_p <= lambda * (1 + EPS_ACTIVE_REL), or
-# c_p <= EPS_ACTIVE_ABS when lambda == 0
-EPS_ACTIVE_REL = 1e-7
-EPS_ACTIVE_ABS = 1e-9
 # the active-set kernel gives up after this many pivots per variable, plus one
 PIVOTS_PER_VARIABLE = 50
 
@@ -125,16 +123,23 @@ def _sums(rows: np.ndarray) -> list[float]:
     return [sum(row) for row in rows.tolist()]
 
 
-def _tied(path_costs: np.ndarray, lam: float) -> np.ndarray:
-    """Mask of the paths at the common cost lam."""
-    return path_costs <= (lam * (1.0 + EPS_ACTIVE_REL) if lam > 0 else EPS_ACTIVE_ABS)
+def _dust(mu: float) -> float:
+    """Flow at demand mu that is roundoff, not routing."""
+    return 1e-9 * max(1.0, mu)
 
 
-def _active_edge_set(ps: PathSet, path_costs: np.ndarray, lam: float) -> frozenset[str]:
-    active: set[str] = set()
-    for p in _tied(path_costs, lam).nonzero()[0].tolist():
-        active.update(ps.paths[p])
-    return frozenset(active)
+def _active(path_costs: np.ndarray, flows: np.ndarray, mu: float) -> np.ndarray:
+    """Mask of the active paths at demand mu: flow above the dust, or a cost
+    within 1e-9*max(1, |lambda|) of lambda, the least path cost. Exact flows
+    use only tied paths; the flow term keeps a Newton solution's used paths."""
+    lam = float(path_costs.min())
+    return (flows > _dust(mu)) | (path_costs <= lam + 1e-9 * max(1.0, abs(lam)))
+
+
+def _active_edge_set(ps: PathSet, path_costs: np.ndarray, flows: np.ndarray,
+                     mu: float) -> frozenset[str]:
+    """The edges of the :func:`_active` paths."""
+    return frozenset(e for p in _active(path_costs, flows, mu).nonzero()[0] for e in ps.paths[p])
 
 
 # -- monotone root finding ----------------------------------------------------
@@ -311,9 +316,9 @@ def _min_norm_flows(ps: PathSet, cost_list: EdgeCosts, f: np.ndarray,
     equilibrium ``f`` and its graded ``path_costs``.
 
     Edge costs are the same at every equilibrium, so every equilibrium
-    routes flow only on the paths T tied at the common cost of ``f`` (and
-    on those ``f`` uses); the search runs over those columns alone. The
-    loads of load-dependent edges are held, which keeps every edge cost;
+    routes flow only on the paths T active at ``f`` (see :func:`_active`);
+    the search runs over those columns alone. The loads of load-dependent
+    edges are held, which keeps every edge cost;
     flow may move between constant edges, and a last row (only when one
     exists) holds their total cost so that none moves onto a dearer path.
     On affine costs that is the equilibrium set {A_TT f' = A_TT f, d_T.f' =
@@ -323,7 +328,7 @@ def _min_norm_flows(ps: PathSet, cost_list: EdgeCosts, f: np.ndarray,
     :class:`SupportSearchExhausted`.
     """
     Z = ps.incidence
-    T = (_tied(path_costs, float(path_costs.min())) | (f > 0)).nonzero()[0]
+    T = _active(path_costs, f, float(f.sum())).nonzero()[0]
     Z_T, f_T, n = Z[:, T], f[T], len(T)
     const = cost_list.constant
     held = [(cost_list.b * const) @ Z_T] if const.any() else []
@@ -355,7 +360,7 @@ def _package(ps: PathSet, cost_list: EdgeCosts, mu: float, f: np.ndarray,
         edge_loads=x,
         edge_costs=report.edge_costs,
         cost=lam,
-        active_edges=_active_edge_set(ps, c_path, lam),
+        active_edges=_active_edge_set(ps, c_path, f, mu),
         beckmann_value=_beckmann(cost_list, x),
         duality_gap=max(float(c_path @ f - mu * lam), 0.0),
         social_cost=report.social_cost,
@@ -514,7 +519,7 @@ def _affine_flows(ps: PathSet, cost_list: EdgeCosts, mu: float) -> np.ndarray:
     f0[np.argmin(d)] = mu  # start on the cheapest path at zero load
     f, nu = _simplex_qp(A, d, np.ones((1, ps.n_paths)), np.array([mu]), f0)
     lam = float(nu[0])
-    if f.min() < -1e-9 * max(1.0, mu):
+    if f.min() < -_dust(mu):
         raise SupportSearchExhausted(f"negative path flow {f.min():.3e} at demand {mu}")
     f = np.maximum(f, 0.0)
     c_path = A @ f + d
@@ -563,7 +568,7 @@ def _grade(ps: PathSet, cost_list: EdgeCosts, flows: np.ndarray, demands,
     named, the first failed row raises :class:`CertificateFailure` instead.
 
     Flows and demand must be finite. No flow may sit below zero by more
-    than the dust 1e-9*max(1, demand), and negative flows are graded as
+    than the dust (see :func:`_dust`), and negative flows are graded as
     zero; flows must sum to the demand, used paths must sit within tol of
     the minimum path cost, and total cost must equal mu*lambda. One cost
     evaluation on the stack of loads, no solve. Each row's loads and path
@@ -593,7 +598,7 @@ def _grade(ps: PathSet, cost_list: EdgeCosts, flows: np.ndarray, demands,
         if low < 0:
             f = flows[i]
             violations += [f"path {'|'.join(ps.paths[p])} has negative flow {f[p]:.12g}"
-                           for p in (f < -1e-9 * max(1.0, demand)).nonzero()[0]]
+                           for p in (f < -_dust(demand)).nonzero()[0]]
         if abs(mu_i - demand) > tol * max(1.0, demand):
             violations.append(f"path flows sum to {mu_i:.12g}, demand is {demand:.12g}")
         if any_dear:
@@ -619,8 +624,13 @@ def _dear_path(path: tuple[str, ...], cost: float, lam: float) -> str:
 
 def _in_path_order(ps: PathSet, paths, flows) -> np.ndarray:
     """Flows given per path of ``paths`` (the last axis of ``flows``), in
-    ``ps.paths`` order; other paths carry none."""
-    column = {p: k for k, p in enumerate(paths)}
+    ``ps.paths`` order; other paths carry none. A path of ``paths`` that
+    ``ps`` does not hold, or one listed twice, raises ``ValueError``."""
+    column, known = {p: k for k, p in enumerate(paths)}, set(ps.paths)
+    for k, p in enumerate(paths):
+        if column[p] != k or p not in known:
+            why = "listed twice" if column[p] != k else "not a path of the network"
+            raise ValueError(f"path {'|'.join(p)} is {why}")
     flows = np.asarray(flows, dtype=float)
     padded = np.concatenate([flows, np.zeros(flows.shape[:-1] + (1,))], axis=-1)
     return padded[..., [column.get(p, -1) for p in ps.paths]]
@@ -642,15 +652,13 @@ def verify_wardrop(net: Network, costs: dict[str, CostFunction],
 @dataclass(frozen=True)
 class RegularityReport:
     regular: bool
-    witnesses: tuple[str, ...]  # active edges carrying (numerically) zero load
+    witnesses: tuple[str, ...]  # active edges whose load is dust
 
 
 def check_regularity(sol: EquilibriumSolution) -> RegularityReport:
-    """A demand is regular when every active edge carries positive load.
-
-    ``sol`` must be the minimum-norm equilibrium (as returned by the
-    solvers); witnesses are the active edges with load <= 1e-7.
-    """
+    """A demand is regular when every active edge carries flow above the dust
+    (see :func:`_active`); ``sol`` must be the minimum-norm equilibrium, as
+    the solvers return it. Witnesses are the active edges whose load is dust."""
     load = dict(zip(sol.edge_ids, np.asarray(sol.edge_loads, dtype=float)))
-    witnesses = tuple(sorted(e for e in sol.active_edges if load[e] <= 1e-7))
+    witnesses = tuple(sorted(e for e in sol.active_edges if load[e] <= _dust(sol.demand)))
     return RegularityReport(regular=not witnesses, witnesses=witnesses)

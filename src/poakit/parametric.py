@@ -38,7 +38,9 @@ from .errors import SignViolation, SupportSearchExhausted, TraceFailure
 from .network import Network, PathSet, incidence
 from .equilibrium import (
     EquilibriumSolution,
+    _active_edge_set,
     _cost_list,
+    _dust,
     _grade,
     _in_path_order,
     _is_affine,
@@ -191,14 +193,6 @@ def _forward_events(w, z, A, d, mu_ref: float, tied: np.ndarray) -> list[float]:
     return sorted(events[events > mu_ref].tolist())
 
 
-def _optimal_paths(A, d, w, z, mu: float) -> np.ndarray:
-    """Indices of the paths whose cost sits at the common cost at demand mu
-    on the line."""
-    c = A @ (mu * w + z) + d
-    lam = float(c.min())
-    return (c <= lam + 1e-9 * max(1.0, lam)).nonzero()[0]
-
-
 def _pivot(A, d, mu_limit: float):
     """Equilibrium flow lines from demand 0 up to the first event at or past
     ``mu_limit`` (to within LIMIT_TOL).
@@ -219,7 +213,7 @@ def _pivot(A, d, mu_limit: float):
         c = A @ f + d
         lam = float(c.min())
         # equilibrium costs here are exact to roundoff, so the tie band sits
-        # well below the 1e-9 band that reads active sets off a line
+        # well below the 1e-9 band of the active-path rule
         tie = np.flatnonzero(c <= lam + 1e-10 * max(1.0, abs(lam)))
         f = np.where(f > 1e-12 * max(1.0, lo), f, 0.0)  # clear roundoff dust
         flowing = f[tie] > 0
@@ -300,20 +294,15 @@ def _ends(ps: PathSet, cost_list: EdgeCosts, mu_max: float, grow: bool):
     while grow and pieces[-1][0] >= reach * (1.0 - LIMIT_TOL):
         reach *= 2.0
 
-    def active(k: int) -> frozenset[str]:
-        lo, w, z = pieces[k]
-        hi = pieces[k + 1][0] if k + 1 < len(pieces) else reach
-        return frozenset(e for p in _optimal_paths(A, d, w, z, 0.5 * (lo + hi)).tolist()
-                         for e in ps.paths[p])
-
-    # group the pieces into segments of one active edge set
+    # group the pieces into segments of one active edge set, read at each midpoint
     groups: list[tuple[int, frozenset[str]]] = []  # (last piece, active set)
-    for k in range(len(pieces)):
-        act = active(k)
+    for k, (lo, w, z) in enumerate(pieces):
+        mid = 0.5 * (lo + (pieces[k + 1][0] if k + 1 < len(pieces) else reach))
+        f = mid * w + z
+        act = _active_edge_set(ps, A @ f + d, f, mid)
         if groups and groups[-1][1] == act:
-            groups[-1] = (k, act)
-        else:
-            groups.append((k, act))
+            groups.pop()
+        groups.append((k, act))
     first = groups[-2][0] + 1 if len(groups) > 1 else 0  # last segment's first line
     while grow and pieces[first][0] >= mu_max * (1.0 - LIMIT_TOL):
         mu_max *= 2.0
@@ -368,8 +357,7 @@ def segment_solution(net: Network, costs: dict[str, CostFunction],
     """
     ps = PathSet.build(net)
     f = _in_path_order(ps, seg.paths, seg.flows(mu))
-    dust = 1e-9 * max(1.0, mu)
-    f[(f < 0) & (f >= -dust)] = 0.0
+    f[(f < 0) & (f >= -_dust(mu))] = 0.0
     sol = _package(ps, _cost_list(net, costs), float(mu), f)
     return replace(sol, active_edges=seg.active_edges)
 
@@ -466,9 +454,10 @@ def _document_violations(trace: AffineTrace, ps: PathSet, cost_list: EdgeCosts,
     to be one. Its segments must tile (0, mu_max], each with the ``alpha``,
     ``beta`` and ``gamma`` of its flow line (see :func:`segment_social_costs`,
     whose :class:`SignViolation` passes through) to tol*max(1, |alpha|,
-    |beta|, |gamma|) and, as ``active_edges``, the edges of the paths tied
-    at its midpoint on the line. Its breakpoints must be the segments' inner
-    boundaries in order, each with the active sets of its two segments."""
+    |beta|, |gamma|) and, as ``active_edges``, those of its flow line at its
+    midpoint (see :func:`~poakit.equilibrium._active`). Its breakpoints must
+    be the segments' inner boundaries in order, each with the active sets of
+    its two segments."""
     segs = trace.segments
     if not segs:
         return ["the trace has no segments"]
@@ -484,8 +473,9 @@ def _document_violations(trace: AffineTrace, ps: PathSet, cost_list: EdgeCosts,
             shown = [", ".join(f"{x:.12g}" for x in xs) for xs in (saved, line)]
             violations.append(f"{name} has alpha, beta, gamma = {shown[0]}, "
                               f"its flow line gives {shown[1]}")
-        tied = _optimal_paths(A, d, seg.w, seg.z, 0.5 * (seg.mu_lo + seg.mu_hi))
-        active = frozenset(e for p in tied.tolist() for e in ps.paths[p])
+        mid = 0.5 * (seg.mu_lo + seg.mu_hi)
+        f = seg.flows(mid)
+        active = _active_edge_set(ps, A @ f + d, f, mid)
         if active != seg.active_edges:
             violations.append(f"{name} has active_edges {sorted(seg.active_edges)}, its flow "
                               f"line ties the paths over {sorted(active)}")

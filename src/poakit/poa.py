@@ -108,12 +108,12 @@ def _certify(builds, mus, f_eq: np.ndarray, f_opt: np.ndarray):
 
 def _point(builds, mu: float, f_eq: np.ndarray, f_opt: np.ndarray) -> PoAPoint:
     """Point at demand mu from equilibrium and optimum path flows, certified
-    by :func:`_certify`; lambda, sc_eq and the active set come from the
-    equilibrium grade."""
+    by :func:`_certify`; lambda, sc_eq and, with ``f_eq``, the active set
+    come from the equilibrium grade."""
     (eq,), (sc_opt,) = _certify(builds, [mu], f_eq[None, :], f_opt[None, :])
     return PoAPoint(mu=mu, lam=eq.lam, sc_eq=eq.social_cost, sc_opt=sc_opt,
                     poa=poa_ratio(eq.social_cost, sc_opt),
-                    active_edges=_active_edge_set(builds[0], eq.path_costs, eq.lam))
+                    active_edges=_active_edge_set(builds[0], eq.path_costs, f_eq, mu))
 
 
 def _trace_flows(trace: AffineTrace, mu: float) -> tuple[np.ndarray, np.ndarray]:

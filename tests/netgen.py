@@ -54,6 +54,22 @@ def layered_affine_network(rng: np.random.Generator, widths=(3, 3, 3),
     return net, costs
 
 
+def nested(k: int):
+    """The paper's nested network nested_k, whose breakpoints number
+    2^(k+1) - 2: vertices O = v0, v1 ... v2k, D = v(2k+1); cost x on each
+    vi -> v(i+1) with i != k, constant 0 on vk -> v(k+1), and for j = 1 ... k
+    constant 10^(k-j) on v(j-1) -> v(2k+1-j) and on vj -> v(2k+2-j). k = 2
+    and 3 are the nested2 and nested3 fixtures, edge for edge."""
+    names = ["O", *(f"v{i}" for i in range(1, 2 * k + 1)), "D"]
+    arcs = {(i, i + 1): Affine(0.0 if i == k else 1.0, 0.0) for i in range(2 * k + 1)}
+    for j in range(1, k + 1):
+        arcs[j - 1, 2 * k + 1 - j] = arcs[j, 2 * k + 2 - j] = Affine(0.0, float(10 ** (k - j)))
+    ids = {(i, h): f"{names[i]}-{names[h]}" for i, h in arcs}
+    edges = tuple(Edge(ids[i, h], names[i], names[h]) for i, h in sorted(arcs))
+    return (Network(tuple(names), edges, "O", "D"),
+            {ids[arc]: cost for arc, cost in arcs.items()})
+
+
 def relabel(net: Network, costs, rng: np.random.Generator):
     """Isomorphic copy with fresh edge ids in a shuffled edge list. Paths are
     enumerated in edge-id order, so the solvers see the paths reordered."""

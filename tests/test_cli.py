@@ -304,10 +304,13 @@ class TestVerify:
         checked, graded = self.per_end_grades(path, doc)
         assert out["checked"] == checked
         assert [v for v in out["violations"] if v.startswith("mu=")] == graded
-        # the moved rate changes the first segment's social-cost line too
+        # the moved rate changes the first segment's social-cost line too, and
+        # the flow it moves onto an untied path makes that path active
         lines = [v for v in out["violations"] if not v.startswith("mu=")]
-        assert [v.split(" =")[0] for v in lines] == (
-            ["segment (0, 1] has alpha, beta, gamma"] if corrupt else [])
+        starts = (["segment (0, 1] has alpha, beta, gamma", "segment (0, 1] has active_edges"]
+                  if corrupt else [])
+        assert len(lines) == len(starts)
+        assert all(v.startswith(start) for v, start in zip(lines, starts)), lines
         assert out["meta"]["tolerances"] == {"tol": 1e-8}
 
     def test_solution_needs_only_demand_and_path_flows(self, tmp_path, capsys):
@@ -373,17 +376,20 @@ class TestSavedDocuments:
             segments[3]["active_edges"] = ["O-v1"]
             breakpoints[2]["active_after"] = breakpoints[3]["active_before"] = ["O-v1"]
         elif fault == "merged-chord":
-            # one chord from the equilibrium at 1 to the one at 3, with the
-            # active set of (1, 2] and its own alpha, beta and gamma, so that
-            # only the grade of its ends can fail it
+            # one chord from the equilibrium at 1 to the one at 3, with its own
+            # alpha, beta and gamma and the active set its midpoint reads, so
+            # that only the grade of its ends can fail it. At the midpoint the
+            # chord carries flow on every path either end uses, so that set is
+            # the union of the two segments' sets
             first, second = segments[1], segments[2]
             lo, hi = first["mu_lo"], second["mu_hi"]
             w = {k: (hi * second["w"][k] + second["z"][k] - lo * first["w"][k]
                      - first["z"][k]) / (hi - lo) for k in first["w"]}
             z = {k: lo * first["w"][k] + first["z"][k] - lo * w[k] for k in first["w"]}
-            segments[1:3] = [{**first, "mu_hi": hi, "w": w, "z": z}]
+            merged = sorted({*first["active_edges"], *second["active_edges"]})
+            segments[1:3] = [{**first, "mu_hi": hi, "w": w, "z": z, "active_edges": merged}]
             del breakpoints[1]
-            breakpoints[1]["active_before"] = first["active_edges"]
+            breakpoints[0]["active_after"] = breakpoints[1]["active_before"] = merged
             net, costs = load_network(fixture("fig1"))
             chord = trace_from_json(doc["trace"]).segments[1]
             (segments[1]["alpha"], segments[1]["beta"],
@@ -399,6 +405,29 @@ class TestSavedDocuments:
             assert any(v.startswith(text) for v in report["violations"]), (text, report)
         if fault == "merged-chord":
             assert len(report["violations"]) == 1, report
+
+    @pytest.mark.parametrize("flag, fault", [("--trace", "unknown-path"),
+                                             ("--solution", "unknown-path"),
+                                             ("--solution", "repeated-path")])
+    def test_document_names_only_network_paths(self, flag, fault, fig1_documents, tmp_path,
+                                               capsys):
+        # each edit adds flow 0 only, so every grade would still pass
+        doc = json.loads(json.dumps(fig1_documents[flag]))
+        if flag == "--trace":
+            for seg in doc["trace"]["segments"]:
+                seg["w"]["O-v1|nowhere"] = seg["z"]["O-v1|nowhere"] = 0.0
+            named = "path O-v1|nowhere is not a path of the network"
+        elif fault == "unknown-path":
+            doc["paths"].append({"edges": ["O-v1", "nowhere"], "flow": 0.0})
+            named = "path O-v1|nowhere is not a path of the network"
+        else:
+            used = next(p for p in doc["paths"] if p["flow"] > 0)
+            doc["paths"].insert(0, {"edges": used["edges"], "flow": 0.0})
+            named = f"path {'|'.join(used['edges'])} is listed twice"
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["verify", "--network", fixture("fig1"), flag, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"poakit: error: {named}\n")
 
     # (flag, path to the field changed, its new value, the name the error gives);
     # an empty path replaces the whole document by a list holding it

@@ -411,6 +411,14 @@ def test_zero_load_active_edge_is_nonregular():
     assert check_regularity(solve_affine_exact(net, costs, 3.0)).regular
 
 
+def test_regularity_counts_flow_above_the_dust():
+    # fig1's breakpoint 1 is not regular; just past it O-v2 carries about
+    # 1e-8, which is flow, not dust
+    net, costs = fixture("fig1")
+    assert check_regularity(solve_equilibrium(net, costs, 1.0)).witnesses == ("O-v2",)
+    assert check_regularity(solve_equilibrium(net, costs, 1.0 + 1e-8)).regular
+
+
 def test_parallel_and_single_edge_regular():
     net, costs = fixture("parallel_quad")
     assert check_regularity(solve_equilibrium(net, costs, 2.0)).regular

@@ -25,7 +25,7 @@ from poakit.parametric import (
     trace_to_json,
 )
 
-from netgen import layered_affine_network, random_affine_network, relabel
+from netgen import layered_affine_network, nested, random_affine_network, relabel
 
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -184,6 +184,38 @@ def test_three_level_nested_breakpoints():
     assert len(trace.breakpoints) == len(expect)
     assert np.allclose(trace.breakpoint_demands, expect, atol=1e-7)
     assert trace.complete
+
+
+# -- the paper's nested family: exponentially many breakpoints -------------------
+
+
+_NESTED_CACHE: dict = {}
+
+
+def nested_trace(k):
+    """Completed trace of nested_k, computed once per test run."""
+    if k not in _NESTED_CACHE:
+        _NESTED_CACHE[k] = trace_to_completion(*nested(k))
+    return _NESTED_CACHE[k]
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_nested_breakpoints(k):
+    trace = nested_trace(k)
+    got = np.array(trace.breakpoint_demands)
+    assert trace.complete
+    assert len(got) == 2 ** (k + 1) - 2
+    # the exact breakpoints are integers; the traced ones sit within this many ulps
+    whole = np.round(got)
+    assert whole.min() >= 1
+    assert (np.abs(got - whole) <= 2 ** 15 * np.spacing(whole)).all()
+    # each level keeps the breakpoints of the one below and adds as many again
+    if k > 2:
+        below = nested_trace(k - 1).breakpoint_demands
+        np.testing.assert_allclose(got[:len(below)], below, rtol=1e-9, atol=0)
+    if k <= 3:
+        np.testing.assert_allclose(got, full_trace(f"nested{k}")[2].breakpoint_demands,
+                                   rtol=1e-9, atol=0)
 
 
 # -- small closed-form cases ------------------------------------------------------

@@ -33,7 +33,7 @@ from poakit.poa import (
     poa_ratio,
 )
 
-from netgen import layered_affine_network, random_affine_network
+from netgen import layered_affine_network, nested, random_affine_network
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -391,6 +391,31 @@ class TestSweep:
             assert float(cells[0]) == row.mu
             assert float(cells[4]) == row.poa
             assert cells[5] == row.active_hash
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-7, 3e-8, 1e-8])
+def test_every_reader_takes_the_active_set_of_the_breakpoints(gap):
+    # parallel edges x + 1 and x + 1 + gap: e2 enters at demand gap, and at
+    # gap/2 for the optimum, however small the gap
+    net = Network(("O", "D"), (Edge("e1", "O", "D"), Edge("e2", "O", "D")), "O", "D")
+    costs = {"e1": Affine(1.0, 1.0), "e2": Affine(1.0, 1.0 + gap)}
+    (bp,) = trace_affine(net, costs, 1.0).breakpoints
+    assert (bp.active_before, bp.active_after) == ({"e1"}, {"e1", "e2"})
+    for scale, active in ((0.5, {"e1"}), (2.0, {"e1", "e2"})):
+        mu = scale * bp.mu
+        assert solve_equilibrium(net, costs, mu).active_edges == active
+        assert compute_poa(net, costs, mu).active_edges == active
+        assert sweep_poa(net, costs, 0.0, mu, 2)[-1].active_edges == active
+        assert solve_optimum(net, costs, 0.5 * mu).active_edges == active
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_nested_maximum(k):
+    # the paper's nested_k peaks at 384/303, at demand 6*10^(k-2)
+    mx = find_poa_max(*nested(k))
+    assert mx.value == pytest.approx(384 / 303, rel=1e-12, abs=0)
+    assert mx.mu == pytest.approx(6 * 10 ** (k - 2), rel=1e-9, abs=0)
+    assert mx.at_breakpoint
 
 
 def test_random_networks_stay_in_affine_bounds():
