@@ -24,8 +24,10 @@ from dataclasses import replace
 
 import numpy as np
 
+from .costs import _checked, _field
 from .equilibrium import (
     DEFAULT_TOL,
+    GRADE_TOL,
     MAX_ITER,
     EquilibriumSolution,
     _cost_list,
@@ -42,9 +44,7 @@ from .network import PathSet, load_network
 from .parametric import (
     MU_START,
     _breakpoint_rows,
-    _checked,
     _document_violations,
-    _field,
     _trace,
     optimum_breakpoints,
     trace_affine,
@@ -53,6 +53,8 @@ from .parametric import (
 )
 from .poa import (
     DECLARE_ONE_TOL,
+    GRID_SLACK,
+    N_GRID,
     classify_segments,
     find_poa_max,
     poa_ratio,
@@ -189,7 +191,7 @@ def cmd_verify(net, costs, args) -> dict:
         segments = tuple(replace(seg, paths=ps.paths, w=_in_path_order(ps, seg.paths, seg.w),
                                  z=_in_path_order(ps, seg.paths, seg.z)) for seg in trace.segments)
         violations = _document_violations(replace(trace, segments=segments), ps, cost_list,
-                                          costs, args.tol)
+                                          args.tol)
         demands = [mu for seg in segments for mu in (seg.mu_lo, seg.mu_hi)]
         flows = [seg.flows(mu) for seg in segments for mu in (seg.mu_lo, seg.mu_hi)]
     elif args.solution is not None:
@@ -282,10 +284,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--max-demand", type=_POSITIVE, default=None,
                    help="analysis window; default covers every breakpoint")
-    p.add_argument("--grid", type=_number(int, 1), default=1000,
-                   help="verification grid size (default 1000)")
-    p.add_argument("--grid-slack", type=_FINITE, default=1e-7,
-                   help="allowed grid excess over the anchored max (default 1e-7)")
+    p.add_argument("--grid", type=_number(int, 1), default=N_GRID,
+                   help=f"verification grid size (default {N_GRID})")
+    p.add_argument("--grid-slack", type=_FINITE, default=GRID_SLACK,
+                   help=f"allowed grid excess over the anchored max (default {GRID_SLACK:g})")
     p.set_defaults(func=cmd_analyze, equal_tol=DECLARE_ONE_TOL,
                    echo=("grid", "grid_slack", "equal_tol"))
 
@@ -300,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="trace JSON; grades each segment at its two ends, every path "
                         "used at either end counted as used at both, and checks its "
                         "alpha, beta, gamma and active_edges against its flow line")
-    p.add_argument("--tol", type=_NONNEGATIVE, default=1e-8)
+    p.add_argument("--tol", type=_NONNEGATIVE, default=GRADE_TOL)
     p.set_defaults(func=cmd_verify, echo=("tol",))
 
     return ap
@@ -325,9 +327,6 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"poakit: error: malformed JSON: {exc.msg} at line {exc.lineno} "
               f"column {exc.colno}", file=sys.stderr)
-        return EXIT_INPUT
-    except KeyError as exc:
-        print(f"poakit: error: missing field {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (OSError, ValueError, PoakitError) as exc:
         print(f"poakit: error: {exc}", file=sys.stderr)

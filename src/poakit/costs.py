@@ -26,6 +26,7 @@ Evaluating any cost at a negative load raises :class:`NegativeLoad`.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -291,31 +292,49 @@ def cost_to_json(cost: CostFunction) -> dict:
     raise ValueError(f"cost {cost!r} has no JSON encoding")
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+_FLOAT_MAX = sys.float_info.max
 
 
-def _field(doc: dict, name: str, array: bool = False):
-    """Field ``name`` of a cost document: a JSON number (int or float, not
-    bool), or with ``array`` a JSON array of numbers, as a tuple."""
-    value = doc[name]
-    if not ((isinstance(value, list) and all(map(_is_number, value))) if array
-            else _is_number(value)):
-        want = "an array of numbers" if array else "a number"
-        raise ValueError(f"{doc['type']} cost field {name!r} must be {want}, got {value!r}")
-    return tuple(value) if array else value
+def _finite_number(v) -> bool:  # a JSON number, not bool, that a float holds finitely
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and -_FLOAT_MAX <= v <= _FLOAT_MAX
+
+
+_KINDS = {  # what a field of a document may hold, as its error names it
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "objects": (lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
+                "an array of objects"),
+    "name": (lambda v: isinstance(v, str), "a string"),
+    "names": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+              "an array of strings"),
+    "number": (_finite_number, "a finite number"),
+    "numbers": (lambda v: isinstance(v, list) and all(map(_finite_number, v)),
+                "an array of finite numbers"),
+    "boolean": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def _checked(value, name: str, kind: str = "number"):
+    """``value`` if it is of ``kind``, a number as a float; else ValueError naming ``name``."""
+    test, what = _KINDS[kind]
+    if not test(value):
+        raise ValueError(f"{name} must be {what}, got {value!r:.60}")
+    return float(value) if kind == "number" else value
+
+
+def _field(doc: dict, key: str, kind: str = "number"):
+    """Field ``key`` of a document by :func:`_checked`; a missing one raises ValueError."""
+    if key not in doc:
+        raise ValueError(f"missing field {key!r}")
+    return _checked(doc[key], f"field {key!r}", kind)
 
 
 def cost_from_json(doc: dict) -> CostFunction:
-    """Decode a cost function from its JSON dict; a field of the wrong JSON
-    type raises ``ValueError`` naming it."""
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise ValueError(f"cost document must be a dict with a 'type' key, got {doc!r}")
-    kind = doc["type"]
+    """Decode a cost function from its JSON dict, every field read by :func:`_field`."""
+    kind = _field(_checked(doc, "the cost document", "object"), "type", "name")
     if kind == "affine":
         return Affine(_field(doc, "a"), _field(doc, "b"))
     if kind == "poly":
-        return Polynomial(_field(doc, "coeffs", array=True))
+        return Polynomial(_field(doc, "coeffs", "numbers"))
     if kind == "pwl":
-        return PiecewiseLinear(_field(doc, "x", array=True), _field(doc, "y", array=True))
+        return PiecewiseLinear(_field(doc, "x", "numbers"), _field(doc, "y", "numbers"))
     raise ValueError(f"unknown cost type {kind!r}")

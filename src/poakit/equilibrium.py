@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
+GRADE_TOL = 1e-8  # relative band of a graded used path over the cheapest path
 MAX_ITER = 10 ** 6
 # the active-set kernel gives up after this many pivots per variable, plus one
 PIVOTS_PER_VARIABLE = 50
@@ -562,7 +563,7 @@ class WardropReport:
 
 
 def _grade(ps: PathSet, cost_list: EdgeCosts, flows: np.ndarray, demands,
-           tol: float = 1e-8, game: str | None = None) -> list[WardropReport]:
+           tol: float = GRADE_TOL, game: str | None = None) -> list[WardropReport]:
     """Grade each row of ``flows`` on a built path set as an equilibrium at
     the matching entry of ``demands``; one report per row. With ``game``
     named, the first failed row raises :class:`CertificateFailure` instead.
@@ -637,7 +638,7 @@ def _in_path_order(ps: PathSet, paths, flows) -> np.ndarray:
 
 
 def verify_wardrop(net: Network, costs: dict[str, CostFunction],
-                   sol: EquilibriumSolution, tol: float = 1e-8) -> WardropReport:
+                   sol: EquilibriumSolution, tol: float = GRADE_TOL) -> WardropReport:
     """Check the equilibrium conditions of a solution, report-only.
 
     No path flow may be negative beyond roundoff dust; used paths must sit

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostFunction, cost_from_json, cost_to_json
+from .costs import CostFunction, _checked, _field, cost_from_json, cost_to_json
 from .errors import NoPath, PathExplosion
 
 __all__ = [
@@ -158,27 +158,22 @@ class PathSet:
 
 
 def network_from_json(doc: dict) -> tuple[Network, dict[str, CostFunction]]:
-    """Build a network and its edge costs from a JSON document."""
-    try:
-        if not isinstance(doc["vertices"], list):
-            raise ValueError(f"field 'vertices' must be an array, got {doc['vertices']!r}")
-        edges = tuple(Edge(id=str(e["id"]), tail=str(e["tail"]), head=str(e["head"]))
-                      for e in doc["edges"])
-        net = Network(
-            vertices=tuple(str(v) for v in doc["vertices"]),
-            edges=edges,
-            origin=str(doc["origin"]),
-            destination=str(doc["destination"]),
-        )
-        costs = {}
-        for e in doc["edges"]:
-            try:
-                costs[str(e["id"])] = cost_from_json(e["cost"])
-            except ValueError as exc:
-                raise ValueError(f"edge {str(e['id'])!r}: {exc}") from exc
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed network document: {exc}") from exc
-    return net, costs
+    """Build a network and its edge costs from a JSON document; a missing or ill-typed field
+    raises ``ValueError`` naming it and its edge, by id or, when the id is bad, by index."""
+    _checked(doc, "the network document", "object")
+    edges, costs = [], {}
+    for i, e in enumerate(_field(doc, "edges", "objects")):
+        eid = None
+        try:
+            eid = _field(e, "id", "name")
+            edges.append(Edge(eid, _field(e, "tail", "name"), _field(e, "head", "name")))
+            costs[eid] = cost_from_json(_field(e, "cost", "object"))
+        except ValueError as exc:
+            where = f"edges[{i}]" if eid is None else f"edge {eid!r}"
+            raise ValueError(f"{where}: {exc}") from exc
+    return Network(vertices=tuple(_field(doc, "vertices", "names")), edges=tuple(edges),
+                   origin=_field(doc, "origin", "name"),
+                   destination=_field(doc, "destination", "name")), costs
 
 
 def network_to_json(net: Network, costs: dict[str, CostFunction]) -> dict:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .costs import CostFunction, EdgeCosts
+from .costs import CostFunction, EdgeCosts, _checked, _field
 from .errors import SignViolation, SupportSearchExhausted, TraceFailure
 from .network import Network, PathSet, incidence
 from .equilibrium import (
@@ -405,39 +405,21 @@ def _breakpoint_rows(breakpoints) -> list[dict]:
              "active_after": sorted(b.active_after)} for b in breakpoints]
 
 
-_KINDS = {  # what a field of a saved document may hold, as its error names it
-    "object": (lambda v: isinstance(v, dict), "an object"),
-    "objects": (lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
-                "an array of objects"),
-    "names": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-              "an array of strings"),
-    "number": (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
-}
-
-
-def _checked(value, name: str, kind: str = "number"):
-    """``value`` if it is of ``kind``, a number as a float; else ValueError naming ``name``."""
-    test, what = _KINDS[kind]
-    if not test(value):
-        raise ValueError(f"{name} must be {what}, got {value!r:.60}")
-    return float(value) if kind == "number" else value
-
-
-def _field(doc: dict, key: str, kind: str = "number"):
-    return _checked(doc[key], f"field {key!r}", kind)
-
-
 def trace_from_json(doc: dict) -> AffineTrace:
-    """The trace a :func:`trace_to_json` document holds, every field checked."""
+    """The trace a :func:`trace_to_json` document holds, every field checked;
+    a segment's ``z`` must name the paths its ``w`` names."""
     _checked(doc, "field 'trace'", "object")
     segments = []
     for s in _field(doc, "segments", "objects"):
         w, z = _field(s, "w", "object"), _field(s, "z", "object")
-        paths = tuple(tuple(k.split("|")) for k in w)
+        if w.keys() != z.keys():
+            raise ValueError("field 'z' must name the paths of field 'w'; "
+                             f"{sorted(w.keys() ^ z.keys())!r:.60} is in only one of them")
         segments.append(TraceSegment(
-            mu_lo=_field(s, "mu_lo"), mu_hi=_field(s, "mu_hi"), paths=paths,
-            w=np.array([_checked(w[_path_key(p)], "field 'w'") for p in paths]),
-            z=np.array([_checked(z[_path_key(p)], "field 'z'") for p in paths]),
+            mu_lo=_field(s, "mu_lo"), mu_hi=_field(s, "mu_hi"),
+            paths=tuple(tuple(k.split("|")) for k in w),
+            w=np.array([_checked(v, "field 'w'") for v in w.values()]),
+            z=np.array([_checked(z[k], "field 'z'") for k in w]),
             alpha=_field(s, "alpha"), beta=_field(s, "beta"), gamma=_field(s, "gamma"),
             active_edges=frozenset(_field(s, "active_edges", "names"))))
     breakpoints = tuple(Breakpoint(mu=_field(b, "mu"),
@@ -445,19 +427,20 @@ def trace_from_json(doc: dict) -> AffineTrace:
                                    active_after=frozenset(_field(b, "active_after", "names")))
                         for b in _field(doc, "breakpoints", "objects"))
     return AffineTrace(segments=tuple(segments), breakpoints=breakpoints,
-                       mu_max=_field(doc, "mu_max"), complete=bool(doc["complete"]))
+                       mu_max=_field(doc, "mu_max"), complete=_field(doc, "complete", "boolean"))
 
 
 def _document_violations(trace: AffineTrace, ps: PathSet, cost_list: EdgeCosts,
-                         costs: dict[str, CostFunction], tol: float) -> list[str]:
+                         tol: float) -> list[str]:
     """How a trace read from a document, its segments on ``ps.paths``, fails
     to be one. Its segments must tile (0, mu_max], each with the ``alpha``,
-    ``beta`` and ``gamma`` of its flow line (see :func:`segment_social_costs`,
-    whose :class:`SignViolation` passes through) to tol*max(1, |alpha|,
-    |beta|, |gamma|) and, as ``active_edges``, those of its flow line at its
-    midpoint (see :func:`~poakit.equilibrium._active`). Its breakpoints must
-    be the segments' inner boundaries in order, each with the active sets of
-    its two segments."""
+    ``beta`` and ``gamma`` of its flow line on the one path quadratic of
+    ``ps`` (see :func:`_signed_coefficients`, whose :class:`SignViolation`
+    passes through) to tol*max(1, |alpha|, |beta|, |gamma|) and, as
+    ``active_edges``, those of its flow line at its midpoint (see
+    :func:`~poakit.equilibrium._active`). Its breakpoints must be the
+    segments' inner boundaries in order, each with the active sets of its
+    two segments."""
     segs = trace.segments
     if not segs:
         return ["the trace has no segments"]
@@ -468,7 +451,8 @@ def _document_violations(trace: AffineTrace, ps: PathSet, cost_list: EdgeCosts,
         if not seg.mu_lo == lo < seg.mu_hi:
             violations.append(f"{name} should be nonempty and start at {lo:.12g}")
         lo = seg.mu_hi
-        line, saved = segment_social_costs(seg, costs), (seg.alpha, seg.beta, seg.gamma)
+        line = _signed_coefficients(A, d, seg.w, seg.z, seg.mu_lo, seg.mu_hi)
+        saved = (seg.alpha, seg.beta, seg.gamma)
         if max(abs(x - y) for x, y in zip(line, saved)) > tol * max(1.0, *map(abs, line)):
             shown = [", ".join(f"{x:.12g}" for x in xs) for xs in (saved, line)]
             violations.append(f"{name} has alpha, beta, gamma = {shown[0]}, "
@@ -477,8 +461,8 @@ def _document_violations(trace: AffineTrace, ps: PathSet, cost_list: EdgeCosts,
         f = seg.flows(mid)
         active = _active_edge_set(ps, A @ f + d, f, mid)
         if active != seg.active_edges:
-            violations.append(f"{name} has active_edges {sorted(seg.active_edges)}, its flow "
-                              f"line ties the paths over {sorted(active)}")
+            violations.append(f"{name} has active_edges {sorted(seg.active_edges)}, the "
+                              f"active-path rule reads {sorted(active)} at its midpoint")
     if lo != trace.mu_max:
         violations.append(f"the segments end at {lo:.12g}, mu_max is {trace.mu_max:.12g}")
     bounds = [Breakpoint(a.mu_hi, a.active_edges, b.active_edges) for a, b in zip(segs, segs[1:])]

@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 DECLARE_ONE_TOL = 1e-9
+N_GRID, GRID_SLACK = 1000, 1e-7  # find_poa_max's check grid: its size, its excess allowed
 
 
 def active_set_hash(active_edges) -> str:
@@ -286,8 +287,8 @@ class PoAMaximum:
 
 
 def find_poa_max(net: Network, costs: dict[str, CostFunction],
-                 mu_max: float | None = None, n_grid: int = 1000,
-                 grid_slack: float = 1e-7,
+                 mu_max: float | None = None, n_grid: int = N_GRID,
+                 grid_slack: float = GRID_SLACK,
                  curve: PoACurve | None = None) -> PoAMaximum:
     """Global maximum of the ratio curve, anchored at breakpoints.
 

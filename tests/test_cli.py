@@ -354,7 +354,8 @@ class TestSavedDocuments:
         ("no-segments", ["the trace has no segments"]),
         ("coefficients", ["segment (3, 4] has alpha, beta, gamma = 99, 1.5, -50, "
                           "its flow line gives 1.5, 1.5, -0.125"]),
-        ("active-edges", ["segment (3, 4] has active_edges ['O-v1'], its flow line ties"]),
+        ("active-edges", ["segment (3, 4] has active_edges ['O-v1'], the active-path rule "
+                          "reads"]),
         # both ends pass a plain grade; the path the chord's far end uses does
         # not sit at the common cost at its near end, where its flow is 0
         ("merged-chord", ["mu=1: used path O-v1|v1-v3|v3-D costs 4, common cost is 3"]),
@@ -429,6 +430,28 @@ class TestSavedDocuments:
         assert cli.main(["verify", "--network", fixture("fig1"), flag, str(path)]) == 1
         assert capsys.readouterr() == ("", f"poakit: error: {named}\n")
 
+    # each edit leaves w, and so every grade, as it was; the loader must reject it
+    @pytest.mark.parametrize("fault, named", [
+        ("z-names-more", "field 'z' must name the paths of field 'w'; ['O-v1|nowhere']"),
+        ("z-names-fewer", "field 'z' must name the paths of field 'w'; ['O-v1|v1-D']"),
+        ("complete-missing", "missing field 'complete'"),
+    ], ids=["z-names-more", "z-names-fewer", "complete-missing"])
+    def test_trace_fields_are_read_whole(self, fault, named, fig1_documents, tmp_path, capsys):
+        doc = json.loads(json.dumps(fig1_documents["--trace"]))
+        trace = doc["trace"]
+        if fault == "z-names-more":
+            for seg in trace["segments"]:
+                seg["z"]["O-v1|nowhere"] = 5.0
+        elif fault == "z-names-fewer":
+            del trace["segments"][0]["z"]["O-v1|v1-D"]
+        else:
+            del trace["complete"]
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["verify", "--network", fixture("fig1"), "--trace", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"poakit: error: {named}"), err
+
     # (flag, path to the field changed, its new value, the name the error gives);
     # an empty path replaces the whole document by a list holding it
     @pytest.mark.parametrize("flag, where, value, named", [
@@ -439,6 +462,7 @@ class TestSavedDocuments:
         ("--trace", (), None, "the --trace document"),
         ("--trace", ("trace", "segments", 5, "mu_hi"), "1e400", "field 'mu_hi'"),
         ("--trace", ("trace", "breakpoints", 0, "mu"), math.nan, "field 'mu'"),
+        ("--trace", ("trace", "complete"), "no", "field 'complete'"),
         ("--solution", (), None, "the --solution document"),
         ("--solution", ("paths",), 3, "field 'paths'"),
         ("--solution", ("paths", 0, "flow"), None, "field 'flow'"),
@@ -446,8 +470,8 @@ class TestSavedDocuments:
         ("--solution", ("paths", 1, "edges"), 7, "field 'edges'"),
         ("--solution", ("demand",), math.inf, "field 'demand'"),
     ], ids=["segments-string", "mu_lo-null", "active_edges-number", "trace-array",
-            "trace-in-a-list", "mu_hi-1e400", "mu-nan", "solution-in-a-list", "paths-number",
-            "flow-null", "flow-nan", "edges-number", "demand-infinity"])
+            "trace-in-a-list", "mu_hi-1e400", "mu-nan", "complete-string", "solution-in-a-list",
+            "paths-number", "flow-null", "flow-nan", "edges-number", "demand-infinity"])
     def test_malformed_document_is_input_error(self, flag, where, value, named,
                                                fig1_documents, tmp_path):
         doc = json.loads(json.dumps(fig1_documents[flag]))
@@ -687,7 +711,7 @@ class TestExitCodes:
         assert "no equilibrium direction" in capsys.readouterr().err
 
     def test_programming_error_is_not_a_solver_failure(self, monkeypatch):
-        for error in (RuntimeError, ZeroDivisionError):
+        for error in (RuntimeError, ZeroDivisionError, KeyError):
             def bug(*args, **kwargs):
                 raise error("bug")
 

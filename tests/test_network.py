@@ -1,6 +1,8 @@
 """Network validation, path enumeration, JSON."""
 
+import functools
 import json
+import operator
 import os
 
 import pytest
@@ -201,3 +203,48 @@ def test_non_finite_cost_names_edge_and_field(tmp_path):
     with pytest.raises(ValueError, match="field 'vertices' must be an array"):
         load_network(str(path))
     assert cli.main(["solve", "--network", str(path), "--demand", "1"]) == 1  # input error
+
+
+FIG1 = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "fig1.json")
+_DELETE = object()
+
+
+# (path to the field changed in fig1, its new value or _DELETE, the start of the
+# error); an empty path replaces the whole document by a list holding it
+@pytest.mark.parametrize("where, value, named", [
+    (("edges",), {"a": 1}, "field 'edges' must be an array of objects"),
+    (("edges",), 3, "field 'edges' must be an array of objects"),
+    (("edges",), [1], "field 'edges' must be an array of objects"),
+    (("edges", 2, "id"), None, "edges[2]: field 'id' must be a string"),
+    (("edges", 2, "id"), [1], "edges[2]: field 'id' must be a string"),
+    (("edges", 2, "id"), 7, "edges[2]: field 'id' must be a string"),
+    (("edges", 2, "tail"), 1, "edge 'v1-D': field 'tail' must be a string"),
+    (("origin",), None, "field 'origin' must be a string"),
+    (("vertices", 1), {"name": "v1"}, "field 'vertices' must be an array of strings"),
+    (("vertices",), _DELETE, "missing field 'vertices'"),
+    (("edges", 2, "cost"), _DELETE, "edge 'v1-D': missing field 'cost'"),
+    (("edges", 2, "cost", "a"), _DELETE, "edge 'v1-D': missing field 'a'"),
+    (("edges", 2, "cost", "type"), 1, "edge 'v1-D': field 'type' must be a string"),
+    ((), None, "the network document must be an object"),
+], ids=["edges-object", "edges-number", "edges-holding-a-number", "id-null", "id-array",
+        "id-number", "tail-number", "origin-null", "vertex-object", "no-vertices", "no-cost",
+        "no-cost-a", "cost-type-number", "document-in-a-list"])
+def test_malformed_network_names_its_field(where, value, named, tmp_path, capsys):
+    with open(FIG1, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if where:
+        *outer, last = where
+        parent = functools.reduce(operator.getitem, outer, doc)
+        if value is _DELETE:
+            del parent[last]
+        else:
+            parent[last] = value
+    else:
+        doc = [doc]
+    with pytest.raises(ValueError) as raised:
+        network_from_json(doc)
+    assert str(raised.value).startswith(named)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["breakpoints", "--network", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"poakit: error: {raised.value}\n")
