@@ -20,7 +20,6 @@ from .network import (
     Edge,
     Network,
     PathSet,
-    dump_network,
     enumerate_paths,
     load_network,
 )
@@ -40,7 +39,6 @@ from .parametric import (
     Breakpoint,
     TraceSegment,
     optimum_breakpoints,
-    segment_social_costs,
     segment_solution,
     trace_affine,
     trace_from_json,

@@ -193,6 +193,7 @@ class EdgeCosts(CostFunction):
     and ``constant`` mark the costs of degree at most 1 and 0, read off
     their coefficients (pwl costs are neither); ``a`` and ``b`` are the
     slope and intercept columns, meaningful where ``affine`` is set.
+    ``is_marginal`` marks the layer that :meth:`marginal` builds.
     """
 
     def __init__(self, costs: Mapping[str, CostFunction]):
@@ -214,7 +215,7 @@ class EdgeCosts(CostFunction):
                    np.array([isinstance(c, Affine) for c in costs.values()], dtype=bool),
                    [(j, c) for j, _, c in pwl], False)
 
-    def _fill(self, ids, coef, polynomial, closed, pwl, pwl_marginal) -> None:
+    def _fill(self, ids, coef, polynomial, closed, pwl, is_marginal) -> None:
         k = np.arange(1.0, len(coef) + 1.0)[:, None]
         self.ids = ids
         self._coef = coef
@@ -228,7 +229,7 @@ class EdgeCosts(CostFunction):
         self.b, self.a = coef[0], coef[1]
         self._half_a = 0.5 * self.a
         self._pwl = pwl
-        self._pwl_marginal = pwl_marginal  # pwl columns hold c + x*c' of their records
+        self.is_marginal = is_marginal  # pwl columns hold c + x*c' of their records
 
     def marginal(self) -> "EdgeCosts":
         """The marginal costs c + x*c' of the same edges: row k of the
@@ -236,7 +237,7 @@ class EdgeCosts(CostFunction):
         c + x*c', whose integral is x*c and whose derivative is 2*c' (it
         jumps at interior knots, so no record holds it). A coefficient that
         overflows raises ``ValueError``."""
-        if self._pwl_marginal and self._pwl:
+        if self.is_marginal and self._pwl:
             raise NotImplementedError("marginal of a marginal cost is not supported")
         with np.errstate(over="ignore"):
             coef = self._coef * np.arange(1.0, len(self._coef) + 1.0)[:, None]
@@ -260,7 +261,7 @@ class EdgeCosts(CostFunction):
         for j, c in self._pwl:  # edge j is row j of the transpose
             xj = x.T[j:j + 1]
             value = np.interp(xj, c._xs, c._ys)
-            out.T[j:j + 1] = value + xj * _left_slope(c, xj) if self._pwl_marginal else value
+            out.T[j:j + 1] = value + xj * _left_slope(c, xj) if self.is_marginal else value
         return out
 
     def primitive(self, x):
@@ -268,7 +269,7 @@ class EdgeCosts(CostFunction):
         out = np.where(self._closed, self._half_a * x * x + self.b * x, _horner(self._prim, x))
         for j, c in self._pwl:
             xj = x.T[j:j + 1]
-            out.T[j:j + 1] = (xj * np.interp(xj, c._xs, c._ys) if self._pwl_marginal
+            out.T[j:j + 1] = (xj * np.interp(xj, c._xs, c._ys) if self.is_marginal
                               else _pwl_integral(c, xj))
         return out
 
@@ -277,7 +278,7 @@ class EdgeCosts(CostFunction):
         out = _horner(self._der, x)
         for j, c in self._pwl:
             slope = _left_slope(c, x.T[j:j + 1])
-            out.T[j:j + 1] = 2.0 * slope if self._pwl_marginal else slope
+            out.T[j:j + 1] = 2.0 * slope if self.is_marginal else slope
         return out
 
 
@@ -325,7 +326,10 @@ def _field(doc: dict, key: str, kind: str = "number"):
     """Field ``key`` of a document by :func:`_checked`; a missing one raises ValueError."""
     if key not in doc:
         raise ValueError(f"missing field {key!r}")
-    return _checked(doc[key], f"field {key!r}", kind)
+    value = doc[key]
+    if not _KINDS[kind][0](value):  # the name is formatted only for a value that fails
+        return _checked(value, f"field {key!r}", kind)
+    return float(value) if kind == "number" else value
 
 
 def cost_from_json(doc: dict) -> CostFunction:

@@ -7,9 +7,9 @@ marginal-cost game whose equilibria are the social optima.
 Solvers:
 
 - :func:`solve_equilibrium`  exact on all-affine costs, else projected
-  Newton steps on the potential (one kernel call each on its second-order
-  model); then a minimum-norm selection among equilibrium path flows, over
-  the active paths.
+  Newton steps on the potential (one call each of :mod:`poakit.kernel` on
+  its second-order model); then a minimum-norm selection among equilibrium
+  path flows, over the active paths.
 - :func:`solve_optimum`      the same on marginal costs, priced in the
   original costs.
 - :func:`solve_affine_exact` the same, for all-affine costs only.
@@ -26,14 +26,6 @@ loads, costs, lambda and total cost off a stack of flow vectors, with one
 cost evaluation; every solution returned is read off the grade of its own
 flows, and a failed grade raises :class:`CertificateFailure`.
 
-One primal active-set kernel, :func:`_simplex_qp`, solves every quadratic
-program here: min 1/2 x'Hx + g'x subject to Cx = r and x >= 0. With C = 1'
-it is the exact affine solve (H, g the path quadratic), each Newton step
-(H, g the potential's second-order model) and the tracer's direction
-problem past an event; with H = I, g = 0 and C an orthonormal basis of the
-equations that fix the equilibrium set on the tied paths, it is the
-minimum-norm selection.
-
 Every solve reads its costs through one :class:`~poakit.costs.EdgeCosts` in
 edge order: each load vector is evaluated, integrated or differentiated in
 one call, not edge by edge. Each public call builds it and the path set
@@ -49,6 +41,7 @@ import numpy as np
 
 from .costs import CostFunction, EdgeCosts
 from .errors import BisectionFailure, CertificateFailure, NonConvergence, SupportSearchExhausted
+from .kernel import _rank, _simplex_qp
 from .network import Network, PathSet
 
 __all__ = [
@@ -66,8 +59,6 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 GRADE_TOL = 1e-8  # relative band of a graded used path over the cheapest path
 MAX_ITER = 10 ** 6
-# the active-set kernel gives up after this many pivots per variable, plus one
-PIVOTS_PER_VARIABLE = 50
 
 
 @dataclass(frozen=True)
@@ -106,6 +97,11 @@ def _cost_list(net: Network, costs: dict[str, CostFunction]) -> EdgeCosts:
 
 def _is_affine(cost_list: EdgeCosts) -> bool:
     return bool(cost_list.affine.all())
+
+
+def _game(cost_list: EdgeCosts) -> str:
+    """The game whose costs ``cost_list`` holds, as its errors name it."""
+    return "marginal-cost" if cost_list.is_marginal else "equilibrium"
 
 
 # Edge sums run left to right over Python floats (``sum``), not pairwise as
@@ -276,8 +272,8 @@ def _newton(ps: PathSet, cost_list, mu: float, tol: float, max_iter: int) -> np.
         return x, c_edge, c_path, value, gap
 
     def failure(why):
-        return NonConvergence(f"relative duality gap {gap_rel:.3e} above tol {tol:.1e} "
-                              f"after {it} iterations ({why})")
+        return NonConvergence(f"the {_game(cost_list)} game at mu={mu!r}: relative duality gap "
+                              f"{gap_rel:.3e} above tol {tol:.1e} after {it} iterations ({why})")
 
     x, c_edge, c_path, value, gap = evaluate(f)
     it = 0
@@ -335,7 +331,7 @@ def _min_norm_flows(ps: PathSet, cost_list: EdgeCosts, f: np.ndarray,
     held = [(cost_list.b * const) @ Z_T] if const.any() else []
     C = np.vstack([np.ones((1, n)), Z_T[~const], *held])
     _, sv, Vt = np.linalg.svd(C, full_matrices=False)
-    B = Vt[:int((sv > 1e-10 * sv[0]).sum())]
+    B = Vt[:_rank(sv)]
     if len(B) == n:
         return f  # the constraints pin the flows
     out = np.zeros(ps.n_paths)
@@ -346,12 +342,12 @@ def _min_norm_flows(ps: PathSet, cost_list: EdgeCosts, f: np.ndarray,
 # -- public solvers -------------------------------------------------------------
 
 
-def _package(ps: PathSet, cost_list: EdgeCosts, mu: float, f: np.ndarray,
-             game: str = "equilibrium") -> EquilibriumSolution:
+def _package(ps: PathSet, cost_list: EdgeCosts, mu: float, f: np.ndarray) -> EquilibriumSolution:
     """The solution with path flows ``f`` at demand mu, every number but the
     potential and the duality gap read off their grade (see :func:`_grade`);
-    a failed grade raises :class:`CertificateFailure` naming ``game``."""
-    (report,) = _grade(ps, cost_list, f[None, :], [mu], game=game)
+    a failed grade raises :class:`CertificateFailure` naming the game of
+    ``cost_list`` (see :func:`_game`)."""
+    (report,) = _grade(ps, cost_list, f[None, :], [mu], game=_game(cost_list))
     x, c_path, lam = report.edge_loads, report.path_costs, report.lam
     return EquilibriumSolution(
         demand=mu,
@@ -391,13 +387,13 @@ def _flows(ps: PathSet, cost_list: EdgeCosts, mu: float, tol: float = DEFAULT_TO
 
 
 def _solve(ps: PathSet, cost_list: EdgeCosts, mu: float, tol: float = DEFAULT_TOL,
-           max_iter: int = MAX_ITER, game: str = "equilibrium") -> EquilibriumSolution:
+           max_iter: int = MAX_ITER) -> EquilibriumSolution:
     """The flows of :func:`_flows`, minimum-norm selected and packaged."""
     f = _flows(ps, cost_list, mu, tol, max_iter)
     if mu == 0:
-        return _package(ps, cost_list, 0.0, f, game)
+        return _package(ps, cost_list, 0.0, f)
     (report,) = _grade(ps, cost_list, f[None, :], [mu])
-    return _package(ps, cost_list, mu, _min_norm_flows(ps, cost_list, f, report.path_costs), game)
+    return _package(ps, cost_list, mu, _min_norm_flows(ps, cost_list, f, report.path_costs))
 
 
 def solve_equilibrium(net: Network, costs: dict[str, CostFunction], mu: float,
@@ -421,88 +417,8 @@ def solve_optimum(net: Network, costs: dict[str, CostFunction], mu: float,
     marginals), otherwise as in :func:`solve_equilibrium`."""
     _check_demand(mu)
     ps, cost_list, marginal_list = _builds(net, costs)
-    eq = _solve(ps, marginal_list, mu, tol, max_iter, "marginal-cost")
+    eq = _solve(ps, marginal_list, mu, tol, max_iter)
     return OptimumSolution(**{**vars(eq), "social_cost": _social(cost_list, eq.edge_loads)})
-
-
-def _simplex_qp(H: np.ndarray, g: np.ndarray, C: np.ndarray, r: np.ndarray,
-                x0: np.ndarray, free: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """min 1/2 x'Hx + g'x subject to Cx = r and x >= 0 off ``free``, from a
-    feasible x0.
-
-    Primal active-set method for positive semidefinite H (Nocedal & Wright,
-    ch. 16). Each pivot solves the equality-constrained problem on the
-    working set S (the variables allowed off zero) through the KKT system
-    [H_SS -C_S'; C_S 0], by SVD, so that dependent rows of C_S do no harm.
-    Where the system is singular in x, its null space holds zero-curvature
-    directions along which the objective is linear; if one of them descends,
-    the subproblem is unbounded and a null-space step moves along it to the
-    first bound. The entering variable has the most negative reduced cost
-    (Dantzig's pricing, ties to the smallest index); the leaving one is the
-    first to block, smallest index on ties. Only a zero-length ratio step
-    (one that moves no variable by more than the flow tolerance) leaves the
-    objective where it was, so after the first one the call enters by
-    Bland's rule (smallest index) instead, which rules out cycling through
-    degenerate pivots. Returns (x, nu), nu being the multipliers of
-    Cx = r, so that Hx + g - C'nu is zero on S and nonnegative off it.
-    Raises :class:`SupportSearchExhausted` once PIVOTS_PER_VARIABLE*(n+1)
-    pivots pass without an optimum, or when the working set empties while
-    r is not zero.
-    """
-    n = len(g)
-    bounded = np.ones(n, dtype=bool) if free is None else ~free
-    max_pivots = PIVOTS_PER_VARIABLE * (n + 1)
-    x = np.array(x0, dtype=float)
-    flow_tol = 1e-12 * max(1.0, float(np.abs(x).max(initial=0.0)))
-    S = ~bounded | (x > flow_tol)
-    x[~S] = 0.0  # dust starts at its bound
-    k = len(r)
-    bland = False
-    for _ in range(max_pivots):
-        idx = S.nonzero()[0]
-        m = len(idx)
-        if not m and r.any():
-            raise SupportSearchExhausted("the working set emptied while Cx = r is not zero")
-        C_S = C[:, idx]
-        kkt = np.zeros((m + k, m + k))
-        kkt[:m, :m] = H[idx[:, None], idx]
-        kkt[:m, m:] = -C_S.T
-        kkt[m:, :m] = C_S
-        U, sv, Vt = np.linalg.svd(kkt)
-        rank = np.count_nonzero(sv > 1e-10 * sv[0])
-        descends = False
-        if rank < m + k:  # only a singular system has zero-curvature directions
-            grad = (H @ x + g)[idx]
-            null = Vt[rank:, :m]  # zero-curvature directions (p, 0)
-            slope = null @ grad
-            descends = np.abs(slope).max() > 1e-12 * max(1.0, np.abs(grad).max())
-        if descends:
-            p = -(null.T @ slope)  # descends linearly until a bound blocks
-        else:
-            rhs = np.concatenate([-g[idx], r])
-            y = Vt[:rank].T @ ((U[:, :rank].T @ rhs) / sv[:rank])
-            full, nu = y[:m], y[m:]
-            if full[bounded[idx]].min(initial=0.0) >= -flow_tol:
-                x[idx] = full
-                s = H @ x + g - C.T @ nu
-                entering = ~S & (s < -1e-11 * max(1.0, np.abs(nu).max()))
-                j = entering.argmax() if bland else np.where(entering, s, np.inf).argmin()
-                if not entering[j]:
-                    return x, nu
-                S[j] = True
-                continue
-            p = full - x[idx]
-        blocking = bounded[idx] & (p < 0)
-        if not blocking.any():
-            raise SupportSearchExhausted("objective unbounded along a null-space direction")
-        ratios = np.full(m, np.inf)
-        ratios[blocking] = np.maximum(x[idx][blocking], 0.0) / -p[blocking]
-        j = int(np.argmin(ratios))
-        bland = bland or ratios[j] * np.abs(p).max() <= flow_tol  # a step of dust
-        x[idx] += ratios[j] * p
-        x[idx[j]] = 0.0
-        S[idx[j]] = False
-    raise SupportSearchExhausted(f"active-set search took over {max_pivots} pivots")
 
 
 def _affine_flows(ps: PathSet, cost_list: EdgeCosts, mu: float) -> np.ndarray:

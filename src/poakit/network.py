@@ -24,9 +24,7 @@ __all__ = [
     "Network",
     "PathSet",
     "enumerate_paths",
-    "incidence",
     "load_network",
-    "dump_network",
 ]
 
 DEFAULT_PATH_CAP = 4096
@@ -118,16 +116,6 @@ def enumerate_paths(net: Network, cap: int | None = None) -> list[tuple[str, ...
     return paths
 
 
-def incidence(paths, edge_ids) -> np.ndarray:
-    """Edge-path incidence: entry [e, p] is 1 when path p uses edge_ids[e]."""
-    index = {eid: i for i, eid in enumerate(edge_ids)}
-    Z = np.zeros((len(edge_ids), len(paths)))
-    for p, path in enumerate(paths):
-        for eid in path:
-            Z[index[eid], p] = 1.0
-    return Z
-
-
 @dataclass(frozen=True)
 class PathSet:
     """Paths of a network plus the edge-path incidence matrix.
@@ -143,7 +131,12 @@ class PathSet:
     @classmethod
     def build(cls, net: Network) -> "PathSet":
         paths = tuple(enumerate_paths(net))
-        return cls(net=net, paths=paths, incidence=incidence(paths, net.edge_ids))
+        index = {eid: i for i, eid in enumerate(net.edge_ids)}
+        Z = np.zeros((len(index), len(paths)))
+        for p, path in enumerate(paths):
+            for eid in path:
+                Z[index[eid], p] = 1.0
+        return cls(net=net, paths=paths, incidence=Z)
 
     @property
     def n_paths(self) -> int:
@@ -193,10 +186,3 @@ def load_network(path: str) -> tuple[Network, dict[str, CostFunction]]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     return network_from_json(doc)
-
-
-def dump_network(path: str, net: Network, costs: dict[str, CostFunction]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_json(net, costs), fh, indent=2, sort_keys=True,
-                  ensure_ascii=False)
-        fh.write("\n")

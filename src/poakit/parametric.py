@@ -35,7 +35,7 @@ import numpy as np
 
 from .costs import CostFunction, EdgeCosts, _checked, _field
 from .errors import SignViolation, SupportSearchExhausted, TraceFailure
-from .network import Network, PathSet, incidence
+from .network import Network, PathSet
 from .equilibrium import (
     EquilibriumSolution,
     _active_edge_set,
@@ -47,8 +47,8 @@ from .equilibrium import (
     _min_norm_flows,
     _package,
     _path_quadratic,
-    _simplex_qp,
 )
+from .kernel import _simplex_qp
 
 __all__ = [
     "TraceSegment",
@@ -56,7 +56,6 @@ __all__ = [
     "AffineTrace",
     "trace_affine",
     "trace_to_completion",
-    "segment_social_costs",
     "segment_solution",
     "optimum_breakpoints",
     "trace_to_json",
@@ -152,20 +151,6 @@ def _signed_coefficients(A, d, w, z, mu_lo: float, mu_hi: float) -> tuple[float,
             f"segment ({mu_lo:.6g}, {mu_hi:.6g}] has alpha={alpha:.3e}, "
             f"beta={beta:.3e}, gamma={gamma:.3e}")
     return alpha, beta, gamma
-
-
-def segment_social_costs(seg: TraceSegment, costs: dict[str, CostFunction]):
-    """Social-cost coefficients of a segment: (alpha, beta, gamma).
-
-    Equilibrium social cost is alpha*mu + beta*mu^2 on the segment; optimum
-    social cost is gamma + alpha*mu + beta*mu^2 while 2*mu stays inside.
-    Raises :class:`SignViolation` if alpha or beta is negative or gamma is
-    positive beyond tolerance, which signals a mis-traced segment.
-    """
-    edge_ids = sorted({e for p in seg.paths for e in p})
-    A, d = _path_quadratic(incidence(seg.paths, edge_ids),
-                           EdgeCosts({e: costs[e] for e in edge_ids}))
-    return _signed_coefficients(A, d, seg.w, seg.z, seg.mu_lo, seg.mu_hi)
 
 
 # -- the tracer ----------------------------------------------------------------

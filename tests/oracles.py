@@ -32,8 +32,9 @@ import numpy as np
 from poakit import (Affine, BisectionFailure, CostFunction, NegativeLoad, Network, PathSet,
                     PiecewiseLinear, Polynomial)
 from poakit.equilibrium import (DEFAULT_TOL, MAX_ITER, EquilibriumSolution, OptimumSolution,
-                                _cost_list, _first_root, _grade, _min_norm_flows, _newton,
-                                _package, _social)
+                                _cost_list, _first_root, _grade, _in_path_order, _min_norm_flows,
+                                _newton, _package, _path_quadratic, _social)
+from poakit.parametric import _signed_coefficients
 
 
 class TooManyPaths(Exception):
@@ -111,6 +112,15 @@ def brute_social(net: Network, costs: dict[str, CostFunction], mu: float,
 def cost_lipschitz_bound(costs: dict[str, CostFunction], mu: float) -> float:
     """Bound on every edge cost over loads in [0, mu] (costs are nondecreasing)."""
     return max(float(reference(c).evaluate(mu)) for c in costs.values()) if costs else 0.0
+
+
+def segment_coefficients(net: Network, costs: dict[str, CostFunction], seg):
+    """(alpha, beta, gamma) of a segment's flow line on the network's own path
+    quadratic, sign-checked as the tracer checks them (SignViolation)."""
+    ps = PathSet.build(net)
+    A, d = _path_quadratic(ps.incidence, _cost_list(net, costs))
+    w, z = _in_path_order(ps, seg.paths, np.array([seg.w, seg.z]))
+    return _signed_coefficients(A, d, w, z, seg.mu_lo, seg.mu_hi)
 
 
 def _newton_solution(ps: PathSet, cost_list, mu: float) -> EquilibriumSolution:

@@ -18,7 +18,6 @@ from poakit import (
     enumerate_paths,
     find_poa_max,
     load_network,
-    segment_social_costs,
     solve_equilibrium,
     solve_optimum,
     trace_affine,
@@ -27,7 +26,7 @@ from poakit import (
 from poakit.costs import Polynomial
 
 from netgen import random_affine_network, random_sp_network
-from oracles import brute_beckmann, brute_social
+from oracles import brute_beckmann, brute_social, segment_coefficients
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -123,7 +122,7 @@ def test_criterion_06_segment_sign_contracts_on_fixtures():
             assert seg.beta >= -1e-9, (name, seg.mu_lo, seg.beta)
             assert seg.gamma <= 1e-9, (name, seg.mu_lo, seg.gamma)
             # recomputation from the flow line must agree and pass its own check
-            a, b, g = segment_social_costs(seg, costs)
+            a, b, g = segment_coefficients(net, costs, seg)
             assert a == pytest.approx(seg.alpha, rel=1e-9, abs=1e-9)
             assert b == pytest.approx(seg.beta, rel=1e-9, abs=1e-9)
             assert g == pytest.approx(seg.gamma, rel=1e-9, abs=1e-9)

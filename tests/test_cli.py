@@ -21,7 +21,7 @@ from poakit import (CertificateFailure, NoPath, PathSet, PoakitError, Polynomial
 from poakit.network import network_from_json, network_to_json
 
 from netgen import layered_affine_network
-from oracles import newton_optimum
+from oracles import newton_optimum, segment_coefficients
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 FIXTURES = os.path.join(ROOT, "fixtures")
@@ -394,7 +394,7 @@ class TestSavedDocuments:
             net, costs = load_network(fixture("fig1"))
             chord = trace_from_json(doc["trace"]).segments[1]
             (segments[1]["alpha"], segments[1]["beta"],
-             segments[1]["gamma"]) = parametric.segment_social_costs(chord, costs)
+             segments[1]["gamma"]) = segment_coefficients(net, costs, chord)
         else:
             segments.clear()
         path = tmp_path / "trace.json"
@@ -681,6 +681,17 @@ class TestExitCodes:
                                "--demand", "3", "--max-iter", "0")
         assert code == 2
         assert "duality gap" in err
+
+    def test_stalled_newton_names_its_game_and_demand(self, capsys):
+        # the marginal costs of wheatstone_pwl jump at its knots; the sweep's
+        # optimum at mu 4.5 cannot be certified
+        assert cli.main(["sweep", "--network", fixture("wheatstone_pwl"), "--from", "0",
+                         "--to", "12", "--samples", "25"]) == 2
+        err = capsys.readouterr().err
+        assert "the marginal-cost game at mu=4.5: relative duality gap" in err, err
+        assert cli.main(["solve", "--network", fixture("parallel_quad"), "--demand", "3",
+                         "--max-iter", "0"]) == 2
+        assert "the equilibrium game at mu=3.0: relative duality gap" in capsys.readouterr().err
 
     def test_emptied_working_set_is_solver_failure(self, tmp_path, capsys):
         # degree-4 costs at heavy traffic empty the kernel's working set

@@ -13,19 +13,19 @@ import pytest
 import poakit
 from poakit import (Affine, BisectionFailure, Edge, Network, NonConvergence, PathSet,
                     Polynomial, SupportSearchExhausted, load_network)
-from poakit import equilibrium
+from poakit import equilibrium, kernel
 from poakit.equilibrium import (
     _cost_list,
     _first_root,
     _min_norm_flows,
     _path_quadratic,
-    _simplex_qp,
     check_regularity,
     solve_affine_exact,
     solve_equilibrium,
     solve_optimum,
     verify_wardrop,
 )
+from poakit.kernel import _simplex_qp
 
 from netgen import layered_affine_network, random_affine_network, random_sp_network
 from oracles import newton_equilibrium, reference, sp_recursion
@@ -237,7 +237,7 @@ def test_kernel_pivot_cap(monkeypatch):
     ps, cost_list, A, d = braess_quadratic()
     f = np.array([1.8, 0.2, 0.8, 0.2])  # an equilibrium at demand 3, not min-norm
     assert not np.allclose(_min_norm_flows(ps, cost_list, f, A @ f + d), f)
-    monkeypatch.setattr(equilibrium, "PIVOTS_PER_VARIABLE", 0)
+    monkeypatch.setattr(kernel, "PIVOTS_PER_VARIABLE", 0)
     with pytest.raises(SupportSearchExhausted, match="pivots"):
         _simplex_qp(A, d, np.ones((1, 4)), np.array([3.0]), np.array([3.0, 0, 0, 0]))
     # a capped selection raises rather than passing its input off as selected

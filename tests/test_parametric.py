@@ -17,7 +17,6 @@ from poakit.parametric import (
     Breakpoint,
     TraceSegment,
     optimum_breakpoints,
-    segment_social_costs,
     segment_solution,
     trace_affine,
     trace_from_json,
@@ -26,6 +25,7 @@ from poakit.parametric import (
 )
 
 from netgen import layered_affine_network, nested, random_affine_network, relabel
+from oracles import segment_coefficients
 
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -167,7 +167,7 @@ class TestNestedTrace:
     def test_equilibrium_social_cost_on_middle_segment(self):
         # on (2, 6] the total cost is mu + 2.5 mu^2; at mu=4 that is 44
         seg = self.trace.segment_at(4.0)
-        alpha, beta, _ = segment_social_costs(seg, self.costs)
+        alpha, beta, _ = segment_coefficients(self.net, self.costs, seg)
         assert alpha * 4.0 + beta * 16.0 == pytest.approx(44.0, abs=1e-8)
 
     def test_interior_points_reproduce_lines(self):
@@ -362,7 +362,7 @@ def test_optimum_breakpoints_empty_and_single():
 def test_sign_contracts_on_every_segment(name):
     net, costs, trace = full_trace(name)
     for seg in trace.segments:
-        alpha, beta, gamma = segment_social_costs(seg, costs)
+        alpha, beta, gamma = segment_coefficients(net, costs, seg)
         assert alpha >= -1e-9
         assert beta >= -1e-9
         assert gamma <= 1e-9
@@ -376,7 +376,7 @@ def test_sign_violation_raised_on_corrupt_segment():
                        w=-seg.w, z=seg.z, alpha=seg.alpha, beta=seg.beta,
                        gamma=seg.gamma, active_edges=seg.active_edges)
     with pytest.raises(SignViolation):
-        segment_social_costs(bad, costs)
+        segment_coefficients(net, costs, bad)
 
 
 def test_optimum_social_cost_matches_gamma_formula():
@@ -457,7 +457,7 @@ def test_random_networks_trace_cleanly():
             right = trace.segments[i + 1].lam(bp.mu)
             assert abs(left - right) <= 1e-8 * max(1.0, abs(left))
         for seg in trace.segments:
-            alpha, beta, gamma = segment_social_costs(seg, costs)
+            alpha, beta, gamma = segment_coefficients(net, costs, seg)
             for t in (0.2, 0.8):
                 mu = seg.mu_lo + t * (seg.mu_hi - seg.mu_lo)
                 if mu <= 0:

@@ -706,10 +706,12 @@ def test_nonaffine_sweep_rows_are_compute_poa_points(name, lo, hi, n, adaptive):
 
 
 def test_retired_names_are_gone():
-    # the series-parallel solver and decomposition, and the sweep's row record
+    # the series-parallel solver and decomposition, the sweep's row record,
+    # and the second path quadratic with the writer no command used
     retired = ("NotSP", "SPLeaf", "SPParallel", "SPSeries", "decompose_series_parallel",
-               "sp_equilibrium", "SweepRow", "write_sweep_csv", "sp_terminals")
-    for module in (poakit, network):
+               "sp_equilibrium", "SweepRow", "write_sweep_csv", "sp_terminals",
+               "segment_social_costs", "dump_network", "incidence")
+    for module in (poakit, network, parametric):
         assert [name for name in retired if hasattr(module, name)] == [], module.__name__
 
 
