@@ -39,7 +39,6 @@ from .parametric import (
     Breakpoint,
     TraceSegment,
     optimum_breakpoints,
-    segment_solution,
     trace_affine,
     trace_from_json,
     trace_to_completion,

@@ -75,7 +75,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _number(kind: type, low: float = -math.inf, above: bool = False):
+def _number(kind: type, low: float, above: bool = False):
     """argparse type: a finite ``kind`` at least ``low``, or above it with ``above``."""
     bound = ("positive" if above else "nonnegative") if low == 0 else f"at least {low}"
 
@@ -91,7 +91,6 @@ def _number(kind: type, low: float = -math.inf, above: bool = False):
     return parse
 
 
-_FINITE = _number(float)
 _POSITIVE = _number(float, 0.0, above=True)
 _NONNEGATIVE = _number(float, 0.0)
 
@@ -135,7 +134,7 @@ def cmd_solve(net, costs, args) -> dict:
     sol = solve_equilibrium(net, costs, args.demand, args.tol, args.max_iter)
     opt = solve_optimum(net, costs, args.demand, args.tol, args.max_iter)
     return {**_solution_doc(sol, "equilibrium"),
-            "poa": poa_ratio(sol.social_cost, opt.social_cost, args.equal_tol)}
+            "poa": poa_ratio(sol.social_cost, opt.social_cost)}
 
 
 def cmd_optimum(net, costs, args) -> dict:
@@ -171,7 +170,7 @@ def cmd_sweep(net, costs, args) -> dict | str:
 
 def cmd_analyze(net, costs, args) -> dict:
     curve = classify_segments(net, costs, args.max_demand)
-    mx = find_poa_max(net, costs, n_grid=args.grid, grid_slack=args.grid_slack, curve=curve)
+    mx = find_poa_max(net, costs, curve=curve)
     return {"pieces": [vars(p) for p in curve.pieces],
             "eq_breakpoints": list(curve.eq_breakpoints),
             "opt_breakpoints": list(curve.opt_breakpoints),
@@ -242,10 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"relative duality-gap target (default {DEFAULT_TOL:g})")
     p.add_argument("--max-iter", type=_number(int, 0), default=MAX_ITER,
                    help=f"Newton iteration budget (default {MAX_ITER})")
-    p.add_argument("--equal-tol", type=_NONNEGATIVE, default=DECLARE_ONE_TOL,
-                   help="relative band for declaring the ratio exactly one "
-                        f"(default {DECLARE_ONE_TOL:g})")
-    p.set_defaults(func=cmd_solve, echo=("tol", "max_iter", "equal_tol"))
+    # solve, sweep and analyze echo the fixed band within which a ratio is declared one
+    p.set_defaults(func=cmd_solve, equal_tol=DECLARE_ONE_TOL, echo=("tol", "max_iter", "equal_tol"))
 
     p = sub.add_parser("optimum", help="social optimum at one demand (JSON)")
     common(p)
@@ -276,7 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adaptive", action="store_true",
                    help="insert midpoints wherever the active set changes")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    # sweep and analyze echo the fixed band within which a ratio is declared one
     p.set_defaults(func=cmd_sweep, equal_tol=DECLARE_ONE_TOL, echo=("equal_tol",))
 
     p = sub.add_parser("analyze",
@@ -284,12 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--max-demand", type=_POSITIVE, default=None,
                    help="analysis window; default covers every breakpoint")
-    p.add_argument("--grid", type=_number(int, 1), default=N_GRID,
-                   help=f"verification grid size (default {N_GRID})")
-    p.add_argument("--grid-slack", type=_FINITE, default=GRID_SLACK,
-                   help=f"allowed grid excess over the anchored max (default {GRID_SLACK:g})")
-    p.set_defaults(func=cmd_analyze, equal_tol=DECLARE_ONE_TOL,
-                   echo=("grid", "grid_slack", "equal_tol"))
+    p.set_defaults(func=cmd_analyze, grid=N_GRID, grid_slack=GRID_SLACK,
+                   equal_tol=DECLARE_ONE_TOL, echo=("grid", "grid_slack", "equal_tol"))
 
     p = sub.add_parser("verify",
                        help="re-check equilibrium conditions; exit 3 on violation")

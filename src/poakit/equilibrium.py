@@ -212,13 +212,11 @@ class _FlatSlope(Exception):
     """A line search's slope read zero at the step ``args[0]``."""
 
 
-def _line_search(cost_list, loads, costs, delta, hi):
-    """Minimizer of t -> potential(loads + t*delta) on [0, hi]: its slope's
+def _line_search(cost_list, loads, costs, delta):
+    """Minimizer of t -> potential(loads + t*delta) on [0, 1]: its slope's
     first root. ``costs`` are the edge costs at ``loads``, which give the
     slope at 0. A slope sum_e c_e*delta_e no larger than its rounding level
     n*eps*sum_e |c_e*delta_e| counts as zero, and its t is returned."""
-    if hi <= 0:
-        return 0.0
     level = len(delta) * np.finfo(float).eps
 
     def dphi(t, c_edge=None):
@@ -234,10 +232,10 @@ def _line_search(cost_list, loads, costs, delta, hi):
         slope_lo = dphi(0.0, costs)
         if slope_lo > 0:
             return 0.0
-        slope_hi = dphi(float(hi))
+        slope_hi = dphi(1.0)
         if slope_hi < 0:
-            return float(hi)
-        return _first_root(dphi, 0.0, slope_lo, float(hi), slope_hi, 1e-14 * max(1.0, hi))
+            return 1.0
+        return _first_root(dphi, 0.0, slope_lo, 1.0, slope_hi, 1e-14)
     except _FlatSlope as flat:
         return flat.args[0]
 
@@ -287,7 +285,7 @@ def _newton(ps: PathSet, cost_list, mu: float, tol: float, max_iter: int) -> np.
         H = Z.T * cost_list.derivative(x) @ Z
         y, _ = _simplex_qp(H, c_path - H @ f, ones, total, f)
         d = y - f
-        t = _line_search(cost_list, x, c_edge, Z @ d, 1.0)
+        t = _line_search(cost_list, x, c_edge, Z @ d)
         short = t * np.abs(d).max() <= 1e-13 * mu
         step = np.maximum(f + (1.0 if short else t) * d, 0.0)
         step *= mu / step.sum()

@@ -73,23 +73,22 @@ class Network:
         return sorted((e for e in self.edges if e.tail == vertex), key=lambda e: e.id)
 
 
-def enumerate_paths(net: Network, cap: int | None = None) -> list[tuple[str, ...]]:
+def enumerate_paths(net: Network) -> list[tuple[str, ...]]:
     """All simple origin-destination paths as tuples of edge ids.
 
     Paths come out in lexicographic order of their edge-id sequences. Raises
     :class:`NoPath` when none exists and :class:`PathExplosion` when more
-    than ``cap`` paths would be produced. Without ``cap`` the limit is
-    ``POA_MAX_PATHS`` when set (a positive integer, else ``ValueError``),
-    otherwise ``DEFAULT_PATH_CAP``.
+    paths than the cap would be produced. The cap is ``POA_MAX_PATHS`` when
+    set (a positive integer, else ``ValueError``), otherwise
+    ``DEFAULT_PATH_CAP``.
     """
-    if cap is None:
-        raw = os.environ.get("POA_MAX_PATHS", str(DEFAULT_PATH_CAP))
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(f"POA_MAX_PATHS must be an integer, got {raw!r}") from None
-        if cap <= 0:
-            raise ValueError(f"POA_MAX_PATHS must be positive, got {cap}")
+    raw = os.environ.get("POA_MAX_PATHS", str(DEFAULT_PATH_CAP))
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"POA_MAX_PATHS must be an integer, got {raw!r}") from None
+    if cap <= 0:
+        raise ValueError(f"POA_MAX_PATHS must be positive, got {cap}")
     out = {v: net.out_edges(v) for v in net.vertices}
     paths: list[tuple[str, ...]] = []
     trail: list[str] = []

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +37,11 @@ from .costs import CostFunction, EdgeCosts, _checked, _field
 from .errors import SignViolation, SupportSearchExhausted, TraceFailure
 from .network import Network, PathSet
 from .equilibrium import (
-    EquilibriumSolution,
     _active_edge_set,
     _cost_list,
-    _dust,
     _grade,
-    _in_path_order,
     _is_affine,
     _min_norm_flows,
-    _package,
     _path_quadratic,
 )
 from .kernel import _simplex_qp
@@ -56,7 +52,6 @@ __all__ = [
     "AffineTrace",
     "trace_affine",
     "trace_to_completion",
-    "segment_solution",
     "optimum_breakpoints",
     "trace_to_json",
     "trace_from_json",
@@ -125,7 +120,7 @@ class AffineTrace:
         for seg in self.segments:
             if mu <= seg.mu_hi or seg is self.segments[-1]:
                 return seg
-        raise ValueError(f"demand {mu} beyond traced range {self.mu_max}")
+        raise ValueError("the trace has no segments")
 
 
 # -- segment algebra -----------------------------------------------------------
@@ -329,22 +324,6 @@ def trace_to_completion(net: Network, costs: dict[str, CostFunction],
     """Trace until no event remains; ``mu_max`` is the smallest
     mu_start * 2**k beyond the last breakpoint."""
     return trace_affine(net, costs, mu_start, grow=True)
-
-
-def segment_solution(net: Network, costs: dict[str, CostFunction],
-                     seg: TraceSegment, mu: float) -> EquilibriumSolution:
-    """Equilibrium at ``mu`` from a segment's flow line, matched to paths by key.
-
-    The line is an equilibrium on the segment's own interval, not in
-    general past it. Endpoint roundoff dust in the flows is clipped, and
-    the flows are graded at ``mu``: a line read where it is no equilibrium
-    raises :class:`CertificateFailure`.
-    """
-    ps = PathSet.build(net)
-    f = _in_path_order(ps, seg.paths, seg.flows(mu))
-    f[(f < 0) & (f >= -_dust(mu))] = 0.0
-    sol = _package(ps, _cost_list(net, costs), float(mu), f)
-    return replace(sol, active_edges=seg.active_edges)
 
 
 def optimum_breakpoints(breakpoints: tuple[Breakpoint, ...]) -> tuple[Breakpoint, ...]:

@@ -85,10 +85,10 @@ class PoAPoint:
         return active_set_hash(self.active_edges)
 
 
-def poa_ratio(sc_eq: float, sc_opt: float, tol: float = DECLARE_ONE_TOL) -> float:
-    """sc_eq / sc_opt, declared exactly 1.0 when the two agree to ``tol``
-    relative, so equality regions test clean."""
-    if abs(sc_eq - sc_opt) <= tol * max(abs(sc_opt), 1e-300):
+def poa_ratio(sc_eq: float, sc_opt: float) -> float:
+    """sc_eq / sc_opt, declared exactly 1.0 when the two agree to
+    ``DECLARE_ONE_TOL`` relative, so equality regions test clean."""
+    if abs(sc_eq - sc_opt) <= DECLARE_ONE_TOL * max(abs(sc_opt), 1e-300):
         return 1.0
     return sc_eq / sc_opt
 
@@ -130,7 +130,7 @@ def compute_poa(net: Network, costs: dict[str, CostFunction], mu: float) -> PoAP
     equilibrium of the marginal-cost game), each solved once, exactly when
     every cost is affine. Both solves' flows are graded as they are (see
     :func:`_point`), with no selection among equilibria. The ratio follows
-    :func:`poa_ratio` at its default tolerance.
+    :func:`poa_ratio`.
     """
     _check_demand(mu)
     ps, cost_list, marginal_list = builds = _builds(net, costs)
@@ -187,7 +187,6 @@ class PoACurve:
         for piece in self.pieces:
             if mu <= piece.mu_hi or piece is self.pieces[-1]:
                 return piece
-        raise ValueError(f"demand {mu} beyond curve range {self.mu_max}")
 
     def value(self, mu: float) -> float:
         return self.piece_at(mu).value(mu)
@@ -287,18 +286,16 @@ class PoAMaximum:
 
 
 def find_poa_max(net: Network, costs: dict[str, CostFunction],
-                 mu_max: float | None = None, n_grid: int = N_GRID,
-                 grid_slack: float = GRID_SLACK,
-                 curve: PoACurve | None = None) -> PoAMaximum:
+                 mu_max: float | None = None, curve: PoACurve | None = None) -> PoAMaximum:
     """Global maximum of the ratio curve, anchored at breakpoints.
 
     Every merged breakpoint and the right endpoint are read off the curve's
     trace and graded in both games (see :func:`_certify`), all at once on
     the curve's path set and cost build; a failed grade raises
     :class:`CertificateFailure`.
-    A dense grid over the curve formulas then cross-checks that no interior
-    demand beats the anchored maximum; if one does by more than
-    ``grid_slack`` the piece structure is inconsistent and
+    A grid of ``N_GRID`` demands over the curve formulas then cross-checks
+    that no interior demand beats the anchored maximum; if one does by more
+    than ``GRID_SLACK`` the piece structure is inconsistent and
     :class:`GridExceedsBreakpointMax` is raised; a grid demand whose optimum
     cost is not positive raises :class:`NonpositiveOptimum`.
     """
@@ -320,7 +317,7 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
         if better or (tie and prefer):
             best_mu, best_val, best_bp = mu, val, is_bp and mu in eq_set
     # curve.value at every grid demand in one pass, in the same operation order
-    grid = np.linspace(mu_max / n_grid, mu_max, n_grid)
+    grid = np.linspace(mu_max / N_GRID, mu_max, N_GRID)
     pieces = curve.pieces
     k = np.minimum(np.searchsorted([p.mu_hi for p in pieces], grid, side="left"),
                    len(pieces) - 1)
@@ -332,7 +329,7 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
         pieces[k[i]].value(grid[i])  # raises NonpositiveOptimum, naming the piece
     grid_vals = (a * grid + b * grid * grid) / den
     gi = int(np.argmax(grid_vals))
-    if grid_vals[gi] > best_val + grid_slack:
+    if grid_vals[gi] > best_val + GRID_SLACK:
         raise GridExceedsBreakpointMax(
             f"grid value {grid_vals[gi]:.12g} at mu={grid[gi]:.12g} exceeds "
             f"breakpoint maximum {best_val:.12g}")

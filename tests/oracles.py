@@ -123,6 +123,14 @@ def segment_coefficients(net: Network, costs: dict[str, CostFunction], seg):
     return _signed_coefficients(A, d, w, z, seg.mu_lo, seg.mu_hi)
 
 
+def segment_report(net: Network, costs: dict[str, CostFunction], seg, mu: float):
+    """The grade at ``mu`` of a segment's flow line, matched to the network's
+    paths by key; flows below zero by no more than the dust grade as zero."""
+    ps = PathSet.build(net)
+    f = _in_path_order(ps, seg.paths, seg.flows(mu))
+    return _grade(ps, _cost_list(net, costs), f[None, :], [mu])[0]
+
+
 def _newton_solution(ps: PathSet, cost_list, mu: float) -> EquilibriumSolution:
     f = _newton(ps, cost_list, mu, DEFAULT_TOL, MAX_ITER)
     (report,) = _grade(ps, cost_list, f[None, :], [mu])

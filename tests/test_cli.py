@@ -359,8 +359,11 @@ class TestSavedDocuments:
         # both ends pass a plain grade; the path the chord's far end uses does
         # not sit at the common cost at its near end, where its flow is 0
         ("merged-chord", ["mu=1: used path O-v1|v1-v3|v3-D costs 4, common cost is 3"]),
+        ("mu-max-past-the-end", ["the segments end at 20, mu_max is 21"]),
+        ("missing-breakpoint", ["no breakpoint at the segment boundary mu=7"]),
     ], ids=["moved-breakpoint", "wrong-breakpoints", "missing-segment", "no-segments",
-            "coefficients", "active-edges", "merged-chord"])
+            "coefficients", "active-edges", "merged-chord", "mu-max-past-the-end",
+            "missing-breakpoint"])
     def test_tampered_trace_exits_three(self, fault, named, fig1_documents, tmp_path, capsys):
         doc = json.loads(json.dumps(fig1_documents["--trace"]))
         segments, breakpoints = doc["trace"]["segments"], doc["trace"]["breakpoints"]
@@ -395,6 +398,10 @@ class TestSavedDocuments:
             chord = trace_from_json(doc["trace"]).segments[1]
             (segments[1]["alpha"], segments[1]["beta"],
              segments[1]["gamma"]) = segment_coefficients(net, costs, chord)
+        elif fault == "mu-max-past-the-end":
+            doc["trace"]["mu_max"] += 1.0
+        elif fault == "missing-breakpoint":
+            breakpoints.pop()  # the one at 7
         else:
             segments.clear()
         path = tmp_path / "trace.json"
@@ -603,10 +610,7 @@ class TestExitCodes:
         ("trace", "--max-demand", "inf"),
         ("breakpoints", "--max-demand", "nan"),
         ("analyze", "--max-demand", "0"),
-        ("analyze", "--grid", "0"),
-        ("analyze", "--grid-slack", "nan"),
         ("solve", "--demand", "1", "--tol", "nan"),
-        ("solve", "--demand", "1", "--equal-tol", "nan"),
         ("solve", "--demand", "1", "--max-iter", "-1"),
         ("sweep", "--to", "2", "--samples", "3", "--from", "-1"),
         ("sweep", "--from", "0", "--samples", "3", "--to", "inf"),
@@ -623,6 +627,24 @@ class TestExitCodes:
         assert f"argument {flag}:" in err
         if flag.endswith("demand") and float(value) <= 0:
             assert "positive" in err
+
+    def test_verify_needs_one_mode(self, capsys):
+        assert cli.main(["verify", "--network", fixture("fig1")]) == 1
+        assert capsys.readouterr().err == ("poakit: error: exactly one of --demand, --solution, "
+                                           "--trace is required\n")
+
+    # the check grid and the band of a ratio declared one are constants, not flags
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--grid", "10"),
+        ("analyze", "--grid-slack", "1e-7"),
+        ("solve", "--demand", "1", "--equal-tol", "1e-6"),
+    ], ids=" ".join)
+    def test_removed_flag_is_input_error(self, argv, capsys):
+        command, *rest = argv
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--network", fixture("fig1"), *rest])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_non_finite_result_is_input_error(self):
         # parallel_quad and wheatstone_pwl overflow inside the Newton loop

@@ -70,7 +70,8 @@ def test_pwl_primitive_trapezoid():
     (lambda: Polynomial((1.0, float("nan"))), "'coeffs'"),
     (lambda: PiecewiseLinear((0, float("nan")), (1, 2)), "'x'"),
     (lambda: PiecewiseLinear((0, 1), (1, float("-inf"))), "'y'"),
-], ids=["affine-a", "affine-b", "poly-inf", "poly-nan", "pwl-x", "pwl-y"])
+    (lambda: Affine(10 ** 400, 0), "'a' must be finite, got an integer past the float range"),
+], ids=["affine-a", "affine-b", "poly-inf", "poly-nan", "pwl-x", "pwl-y", "affine-huge-int"])
 def test_non_finite_parameters_rejected(make, field):
     with pytest.raises(ValueError, match=field):
         make()
@@ -106,6 +107,9 @@ def test_marginal_pwl_evaluates_and_integrates():
     # primitive of c + x c' is x c(x)
     assert at(c, 3, "primitive", marginal=True) == pytest.approx(15.0)
     assert at(c, 0, "primitive", marginal=True) == 0.0
+    # c + x*c' jumps at interior knots, so it has no marginal of its own
+    with pytest.raises(NotImplementedError):
+        EdgeCosts({"e": c}).marginal().marginal()
 
 
 def test_negative_load_rejected():
@@ -128,6 +132,12 @@ def test_invalid_parameters_rejected():
         PiecewiseLinear((0, 0), (1, 2))  # knots not strictly increasing
     with pytest.raises(ValueError):
         PiecewiseLinear((0, 1), (2, 1))  # decreasing cost
+    with pytest.raises(ValueError, match="matching nonempty knot lists"):
+        PiecewiseLinear((), ())
+    with pytest.raises(ValueError, match="knots must lie at nonnegative loads"):
+        PiecewiseLinear((-1, 1), (0, 1))
+    with pytest.raises(ValueError, match="cost must be nonnegative"):
+        PiecewiseLinear((0, 1), (-1, 1))
 
 
 def test_vectorized_evaluation():
@@ -148,6 +158,8 @@ def test_json_round_trip():
         cost_from_json({"type": "mystery"})
     with pytest.raises(ValueError):
         cost_from_json([1, 2, 3])
+    with pytest.raises(ValueError, match="has no JSON encoding"):
+        cost_to_json(object())
 
 
 affine_costs = st.builds(Affine, st.floats(0, 10), st.floats(0, 10))

@@ -271,6 +271,26 @@ def test_kernel_falls_back_to_blands_rule_after_a_zero_length_step(monkeypatch):
     assert working_sets == [[1, 5], [1, 3, 5], [1, 3], [0, 1, 3], [0, 3], [0, 3, 4]]
 
 
+@pytest.mark.parametrize("answer, message", [
+    # the kernel's flows dip below zero by more than the dust
+    (lambda x0: np.where(x0 > 0, x0 + 3e-3, -1e-3), "negative path flow -1.000e-03"),
+    # all the demand left on the cheapest path at zero load, dearer than the rest at 5
+    (lambda x0: x0, "fails the equal-cost test at demand 5.0"),
+], ids=["negative-flow", "unequal-costs"])
+def test_exact_solve_rejects_a_wrong_kernel_answer(answer, message, monkeypatch):
+    net, costs = fixture("fig1")
+    monkeypatch.setattr(equilibrium, "_simplex_qp",
+                        lambda A, d, C, r, x0: (answer(x0), np.array([0.0])))
+    with pytest.raises(SupportSearchExhausted, match=message):
+        solve_affine_exact(net, costs, 5.0)
+
+
+def test_solvers_name_the_edges_without_a_cost():
+    net, _ = fixture("fig1")
+    with pytest.raises(ValueError, match=r"no cost given for edges \['O-v1'"):
+        solve_equilibrium(net, {}, 1.0)
+
+
 def test_kernel_raises_when_the_working_set_empties():
     # heavy traffic on degree-4 costs: the first Newton step of the optimum
     # empties the kernel's working set while the demand row asks for flow
@@ -491,6 +511,12 @@ def test_first_root_takes_muller_steps_on_a_quadratic():
     root = first_root(g, 0.0, 1.0, 1e-14)
     assert abs(root - (math.sqrt(18.6) - 3.0) / 4.0) <= 1e-14
     assert len(calls) <= 5
+
+
+def test_first_root_ends_on_adjacent_floats_at_zero_xtol():
+    # no step fits between lo and hi once they are adjacent floats; the last
+    # point with g < 0 is returned
+    assert first_root(lambda t: t - 0.3, 0.0, 1.0, 0.0) == 0.29999999999999993
 
 
 def test_first_root_rejects_nan():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poakit import PathSet, load_network
+from poakit import PathSet, SupportSearchExhausted, load_network
 from poakit.equilibrium import _cost_list, _path_quadratic
 from poakit.kernel import _kkt_step, _rank, _simplex_qp
 
@@ -129,6 +129,14 @@ def test_kkt_step_returns_a_descending_zero_curvature_direction(s):
     assert np.abs(H @ p).max() <= rounding
     assert abs(C @ p)[0] <= rounding
     assert (s * g) @ p < 0
+
+
+def test_kernel_raises_on_an_unbounded_objective():
+    # g'p < 0 along p = (1, -1), which H does not curve and no bound stops,
+    # since both variables are free
+    with pytest.raises(SupportSearchExhausted, match="unbounded along a null-space direction"):
+        _simplex_qp(np.zeros((2, 2)), np.array([-1.0, 1.0]), np.ones((1, 2)), np.ones(1),
+                    np.array([1.0, 0.0]), free=np.array([True, True]))
 
 
 def test_rank_counts_singular_values_above_1e_10_of_the_largest():

@@ -19,7 +19,6 @@ from poakit import (
     enumerate_paths,
     find_poa_max,
     load_network,
-    segment_solution,
     solve_affine_exact,
     solve_equilibrium,
     solve_optimum,
@@ -58,6 +57,8 @@ def test_validation_rejects_bad_networks():
         Network(("O", "D"), (Edge("e", "O", "D"), Edge("e", "O", "D")), "O", "D")
     with pytest.raises(ValueError):
         Network(("O", "O", "D"), (Edge("e", "O", "D"),), "O", "D")
+    with pytest.raises(ValueError, match="origin or destination is not a vertex"):
+        Network(("O", "D"), (Edge("e", "O", "D"),), "X", "D")
 
 
 def test_wheatstone_paths_lexicographic():
@@ -87,7 +88,7 @@ def test_no_path_raises():
         enumerate_paths(net)
 
 
-def test_path_cap_enforced():
+def test_path_cap_enforced(monkeypatch):
     # k parallel pairs in series give 2**k paths
     k = 6
     vertices = ["v0"] + [f"v{i}" for i in range(1, k + 1)]
@@ -96,16 +97,17 @@ def test_path_cap_enforced():
         edges.append(Edge(f"a{i}", f"v{i}", f"v{i+1}"))
         edges.append(Edge(f"b{i}", f"v{i}", f"v{i+1}"))
     net = Network(tuple(vertices), tuple(edges), "v0", f"v{k}")
-    assert len(enumerate_paths(net, cap=64)) == 64
+    monkeypatch.setenv("POA_MAX_PATHS", "64")
+    assert len(enumerate_paths(net)) == 64
+    monkeypatch.setenv("POA_MAX_PATHS", "63")
     with pytest.raises(PathExplosion):
-        enumerate_paths(net, cap=63)
+        enumerate_paths(net)
 
 
 def test_every_entry_point_honours_the_environment_cap(monkeypatch):
     net, costs = load_network(os.path.join(os.path.dirname(__file__), os.pardir,
                                            "fixtures", "fig1.json"))
     sol = solve_equilibrium(net, costs, 5.0)
-    seg = trace_affine(net, costs, 10.0).segments[0]
     monkeypatch.setenv("POA_MAX_PATHS", "2")
     calls = {
         "solve_equilibrium": lambda: solve_equilibrium(net, costs, 5.0),
@@ -114,7 +116,6 @@ def test_every_entry_point_honours_the_environment_cap(monkeypatch):
         "verify_wardrop": lambda: verify_wardrop(net, costs, sol),
         "trace_affine": lambda: trace_affine(net, costs, 10.0),
         "trace_to_completion": lambda: trace_to_completion(net, costs),
-        "segment_solution": lambda: segment_solution(net, costs, seg, 0.5),
         "compute_poa": lambda: compute_poa(net, costs, 5.0),
         "classify_segments": lambda: classify_segments(net, costs),
         "find_poa_max": lambda: find_poa_max(net, costs),
@@ -123,8 +124,6 @@ def test_every_entry_point_honours_the_environment_cap(monkeypatch):
     for name, call in calls.items():
         with pytest.raises(PathExplosion, match="more than 2 "):
             call()
-    # an explicit cap still wins over the environment
-    assert len(enumerate_paths(net, cap=64)) > 2
 
 
 @pytest.mark.parametrize("raw, message", [

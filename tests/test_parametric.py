@@ -6,9 +6,10 @@ import os
 import numpy as np
 import pytest
 
+from poakit import parametric
 from poakit.costs import Affine
-from poakit.equilibrium import solve_affine_exact, verify_wardrop
-from poakit.errors import SignViolation
+from poakit.equilibrium import solve_affine_exact
+from poakit.errors import SignViolation, SupportSearchExhausted, TraceFailure
 from poakit.equilibrium import _cost_list
 from poakit.network import Network, Edge, PathSet, load_network, network_from_json
 from poakit.parametric import (
@@ -17,7 +18,6 @@ from poakit.parametric import (
     Breakpoint,
     TraceSegment,
     optimum_breakpoints,
-    segment_solution,
     trace_affine,
     trace_from_json,
     trace_to_completion,
@@ -25,7 +25,7 @@ from poakit.parametric import (
 )
 
 from netgen import layered_affine_network, nested, random_affine_network, relabel
-from oracles import segment_coefficients
+from oracles import segment_coefficients, segment_report
 
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -107,8 +107,7 @@ class TestSevenEdgeTrace:
         for seg in self.trace.segments:
             for t in (0.1, 0.3, 0.5, 0.7, 0.9):
                 mu = seg.mu_lo + t * (seg.mu_hi - seg.mu_lo)
-                sol = segment_solution(self.net, self.costs, seg, mu)
-                assert verify_wardrop(self.net, self.costs, sol).ok, (seg.mu_lo, mu)
+                assert segment_report(self.net, self.costs, seg, mu).ok, (seg.mu_lo, mu)
 
     def test_unused_paths_have_zero_line(self):
         # paths priced above lambda on a segment carry identically zero flow
@@ -277,8 +276,7 @@ def test_braess_selection_kink_is_not_a_breakpoint():
         if mu == 0:
             continue
         assert seg.flows(mu).min() >= -1e-9
-        sol = segment_solution(net, costs, seg, mu)
-        assert verify_wardrop(net, costs, sol).ok, mu
+        assert segment_report(net, costs, seg, mu).ok, mu
 
 
 def test_braess_segment_lines_are_min_norm_chords():
@@ -438,6 +436,24 @@ def test_segment_at_matches_ownership():
     assert trace.segment_at(trace.breakpoints[0].mu + 1e-6) is trace.segments[1]
     with pytest.raises(ValueError):
         trace.segment_at(0.0)
+    empty = AffineTrace(segments=(), breakpoints=(), mu_max=1.0, complete=False)
+    with pytest.raises(ValueError, match="the trace has no segments"):
+        empty.segment_at(0.5)
+
+
+def test_tracer_failures_are_trace_failures(monkeypatch):
+    net, costs = tracked("nested3")  # 14 breakpoints
+    monkeypatch.setattr(parametric, "MAX_EVENTS", 3)
+    with pytest.raises(TraceFailure, match="tracer found no end after 3 events"):
+        trace_to_completion(net, costs)
+    monkeypatch.undo()
+
+    def exhausted(*args, **kwargs):
+        raise SupportSearchExhausted("no pivot left")
+
+    monkeypatch.setattr(parametric, "_simplex_qp", exhausted)
+    with pytest.raises(TraceFailure, match="no equilibrium direction past demand 0.0: no pivot"):
+        trace_affine(net, costs, 10.0)
 
 
 # -- randomized structure checks ------------------------------------------------------
@@ -462,5 +478,4 @@ def test_random_networks_trace_cleanly():
                 mu = seg.mu_lo + t * (seg.mu_hi - seg.mu_lo)
                 if mu <= 0:
                     continue
-                sol = segment_solution(net, costs, seg, mu)
-                assert verify_wardrop(net, costs, sol).ok, (seg.mu_lo, mu)
+                assert segment_report(net, costs, seg, mu).ok, (seg.mu_lo, mu)

@@ -249,6 +249,8 @@ class TestCurvePieces:
         assert curve.piece_at(0.25).mu_hi == pytest.approx(0.5)
         assert curve.piece_at(0.75).mu_lo == pytest.approx(0.5)
         assert curve.piece_at(25.0) is curve.pieces[-1]
+        # past the curve's end the last piece still answers
+        assert curve.piece_at(30.0) is curve.pieces[-1]
 
     def test_classify_rejects_interior_maximum(self):
         # mu/(1+mu^2) peaks inside the interval; the contracts forbid that shape
@@ -321,11 +323,12 @@ class TestMaximum:
         mx = find_poa_max(net, {"e": Affine(2.0, 3.0)})
         assert mx.value == pytest.approx(1.0, abs=1e-12)
 
-    def test_negative_slack_trips_grid_check(self):
+    def test_negative_slack_trips_grid_check(self, monkeypatch):
         # sanity check on the guard itself: an impossible slack must raise
         net, costs = pigou_instance()
+        monkeypatch.setattr(poa, "GRID_SLACK", -1.0)
         with pytest.raises(GridExceedsBreakpointMax):
-            find_poa_max(net, costs, mu_max=3.0, grid_slack=-1.0)
+            find_poa_max(net, costs, mu_max=3.0)
 
     @pytest.mark.parametrize("name", ("fig1", "nested2", "nested3", "braess_direct"))
     def test_grid_is_the_pointwise_curve(self, name):
@@ -707,10 +710,11 @@ def test_nonaffine_sweep_rows_are_compute_poa_points(name, lo, hi, n, adaptive):
 
 def test_retired_names_are_gone():
     # the series-parallel solver and decomposition, the sweep's row record,
-    # and the second path quadratic with the writer no command used
+    # the second path quadratic with the writer no command used, and the
+    # segment packager no library code called
     retired = ("NotSP", "SPLeaf", "SPParallel", "SPSeries", "decompose_series_parallel",
                "sp_equilibrium", "SweepRow", "write_sweep_csv", "sp_terminals",
-               "segment_social_costs", "dump_network", "incidence")
+               "segment_social_costs", "dump_network", "incidence", "segment_solution")
     for module in (poakit, network, parametric):
         assert [name for name in retired if hasattr(module, name)] == [], module.__name__
 
