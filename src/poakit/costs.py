@@ -45,18 +45,6 @@ __all__ = [
 ]
 
 
-def _finite(kind: str, name: str, values) -> tuple[float, ...]:
-    """Coerce a cost field to floats, rejecting NaN and infinities."""
-    try:
-        out = tuple(float(v) for v in values)
-    except OverflowError:
-        raise ValueError(f"{kind} cost field {name!r} must be finite, got an integer "
-                         "past the float range") from None
-    if not all(math.isfinite(v) for v in out):
-        raise ValueError(f"{kind} cost field {name!r} must be finite, got {list(out)}")
-    return out
-
-
 class CostFunction:
     """Base of the three cost records and of :class:`EdgeCosts`; it has no
     methods. It names the type of a network's costs, and tools that find the
@@ -72,8 +60,8 @@ class Affine(CostFunction):
     b: float
 
     def __post_init__(self):
-        (a,) = _finite("affine", "a", (self.a,))
-        (b,) = _finite("affine", "b", (self.b,))
+        a = _checked(self.a, "affine cost field 'a'")
+        b = _checked(self.b, "affine cost field 'b'")
         if a < 0 or b < 0:
             raise ValueError(f"affine cost needs a, b >= 0, got ({a}, {b})")
         object.__setattr__(self, "a", a)
@@ -87,7 +75,7 @@ class Polynomial(CostFunction):
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        coeffs = _finite("polynomial", "coeffs", self.coeffs)
+        coeffs = _numbers(self.coeffs, "polynomial cost field 'coeffs'")
         if not coeffs:
             raise ValueError("polynomial cost needs at least one coefficient")
         if any(c < 0 for c in coeffs):
@@ -115,8 +103,8 @@ class PiecewiseLinear(CostFunction):
     _slopes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        xs = _finite("piecewise-linear", "x", self.x)
-        ys = _finite("piecewise-linear", "y", self.y)
+        xs = _numbers(self.x, "piecewise-linear cost field 'x'")
+        ys = _numbers(self.y, "piecewise-linear cost field 'y'")
         if len(xs) != len(ys) or len(xs) < 1:
             raise ValueError("piecewise-linear cost needs matching nonempty knot lists")
         if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -296,11 +284,14 @@ def cost_to_json(cost: CostFunction) -> dict:
 _FLOAT_MAX = sys.float_info.max
 
 
-def _finite_number(v) -> bool:  # a JSON number, not bool, that a float holds finitely
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and -_FLOAT_MAX <= v <= _FLOAT_MAX
+def _finite_number(v) -> bool:  # a Python or numpy int or float, not bool, held finitely
+    if isinstance(v, (float, np.floating)):
+        return math.isfinite(v)
+    return (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            and -_FLOAT_MAX <= v <= _FLOAT_MAX)
 
 
-_KINDS = {  # what a field of a document may hold, as its error names it
+_KINDS = {  # what a field or an argument may hold, as its error names it
     "object": (lambda v: isinstance(v, dict), "an object"),
     "objects": (lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v),
                 "an array of objects"),
@@ -308,6 +299,8 @@ _KINDS = {  # what a field of a document may hold, as its error names it
     "names": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
               "an array of strings"),
     "number": (_finite_number, "a finite number"),
+    "nonnegative": (lambda v: _finite_number(v) and v >= 0, "a finite nonnegative number"),
+    "positive": (lambda v: _finite_number(v) and v > 0, "a finite positive number"),
     "numbers": (lambda v: isinstance(v, list) and all(map(_finite_number, v)),
                 "an array of finite numbers"),
     "boolean": (lambda v: isinstance(v, bool), "true or false"),
@@ -315,21 +308,23 @@ _KINDS = {  # what a field of a document may hold, as its error names it
 
 
 def _checked(value, name: str, kind: str = "number"):
-    """``value`` if it is of ``kind``, a number as a float; else ValueError naming ``name``."""
+    """``value`` if it is of ``kind``, a number as a float; else ValueError naming ``name``.
+    The one checker of document fields, library arguments and cost record fields."""
     test, what = _KINDS[kind]
     if not test(value):
         raise ValueError(f"{name} must be {what}, got {value!r:.60}")
-    return float(value) if kind == "number" else value
+    return float(value) if kind in ("number", "nonnegative", "positive") else value
+
+
+def _numbers(values, name: str) -> tuple[float, ...]:  # a cost record's array field
+    return tuple(map(float, _checked(list(values), name, "numbers")))
 
 
 def _field(doc: dict, key: str, kind: str = "number"):
     """Field ``key`` of a document by :func:`_checked`; a missing one raises ValueError."""
     if key not in doc:
         raise ValueError(f"missing field {key!r}")
-    value = doc[key]
-    if not _KINDS[kind][0](value):  # the name is formatted only for a value that fails
-        return _checked(value, f"field {key!r}", kind)
-    return float(value) if kind == "number" else value
+    return _checked(doc[key], f"field {key!r}", kind)
 
 
 def cost_from_json(doc: dict) -> CostFunction:

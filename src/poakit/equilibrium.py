@@ -39,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostFunction, EdgeCosts
+from .costs import CostFunction, EdgeCosts, _checked
 from .errors import BisectionFailure, CertificateFailure, NonConvergence, SupportSearchExhausted
 from .kernel import _rank, _simplex_qp
-from .network import Network, PathSet
+from .network import Network, PathSet, _path_key
 
 __all__ = [
     "EquilibriumSolution",
@@ -362,11 +362,6 @@ def _package(ps: PathSet, cost_list: EdgeCosts, mu: float, f: np.ndarray) -> Equ
     )
 
 
-def _check_demand(mu: float) -> None:
-    if not (math.isfinite(mu) and mu >= 0):
-        raise ValueError(f"demand must be finite and nonnegative, got {mu}")
-
-
 def _builds(net: Network, costs: dict[str, CostFunction]):
     """Path set, costs and marginal costs c + x*c', the optimum's game."""
     ps, cost_list = PathSet.build(net), _cost_list(net, costs)
@@ -396,7 +391,7 @@ def _solve(ps: PathSet, cost_list: EdgeCosts, mu: float, tol: float = DEFAULT_TO
 
 def solve_equilibrium(net: Network, costs: dict[str, CostFunction], mu: float,
                       tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> EquilibriumSolution:
-    """Minimum-norm Wardrop equilibrium at a finite demand mu >= 0.
+    """Minimum-norm Wardrop equilibrium at a finite demand mu >= 0, read as a float.
 
     Exact when every cost is affine. Otherwise Newton steps on the
     active-set kernel (see :func:`_newton`) run from the cheapest free-flow
@@ -404,7 +399,7 @@ def solve_equilibrium(net: Network, costs: dict[str, CostFunction], mu: float,
     ``max_iter`` of them, and raise :class:`NonConvergence` when the gap
     cannot be certified; ``tol`` and ``max_iter`` apply to that case only.
     """
-    _check_demand(mu)
+    mu = _checked(mu, "demand", "nonnegative")
     return _solve(PathSet.build(net), _cost_list(net, costs), mu, tol, max_iter)
 
 
@@ -413,7 +408,7 @@ def solve_optimum(net: Network, costs: dict[str, CostFunction], mu: float,
     """Social optimum at demand mu: the equilibrium of the marginal-cost game,
     priced in the original costs; exact when every cost is affine (so are the
     marginals), otherwise as in :func:`solve_equilibrium`."""
-    _check_demand(mu)
+    mu = _checked(mu, "demand", "nonnegative")
     ps, cost_list, marginal_list = _builds(net, costs)
     eq = _solve(ps, marginal_list, mu, tol, max_iter)
     return OptimumSolution(**{**vars(eq), "social_cost": _social(cost_list, eq.edge_loads)})
@@ -426,22 +421,26 @@ def _affine_flows(ps: PathSet, cost_list: EdgeCosts, mu: float) -> np.ndarray:
     over the demand simplex by the active-set kernel, which solves the
     equal-cost linear system of each candidate support directly. The answer
     is accepted when used paths share one cost, no unused path is cheaper
-    and no flow is negative; otherwise :class:`SupportSearchExhausted` is
-    raised, which signals numerical degeneracy.
+    and no flow is negative, each test failing on NaN; otherwise
+    :class:`SupportSearchExhausted` is raised, which signals numerical
+    degeneracy. A non-finite flow, cost or lambda (the demand is past what
+    the costs hold in a float) raises ``ValueError``, as in :func:`_newton`.
     """
     A, d = _path_quadratic(ps.incidence, cost_list)
     f0 = np.zeros(ps.n_paths)
     f0[np.argmin(d)] = mu  # start on the cheapest path at zero load
     f, nu = _simplex_qp(A, d, np.ones((1, ps.n_paths)), np.array([mu]), f0)
     lam = float(nu[0])
-    if f.min() < -_dust(mu):
+    c_path = A @ np.maximum(f, 0.0) + d
+    if not (np.isfinite(f).all() and np.isfinite(c_path).all() and math.isfinite(lam)):
+        raise ValueError(f"the costs at demand {mu!r} overflow to a non-finite path flow or cost")
+    if not f.min() >= -_dust(mu):
         raise SupportSearchExhausted(f"negative path flow {f.min():.3e} at demand {mu}")
     f = np.maximum(f, 0.0)
-    c_path = A @ f + d
     # a true support solution matches to machine precision, so both cost
     # checks can sit far below solver tolerances
     cost_tol = 1e-10 * max(1.0, abs(lam))
-    if np.abs(c_path[f > 0] - lam).max() > cost_tol or c_path.min() < lam - cost_tol:
+    if not (np.abs(c_path[f > 0] - lam).max() <= cost_tol and c_path.min() >= lam - cost_tol):
         raise SupportSearchExhausted(
             f"active-set solution fails the equal-cost test at demand {mu}")
     return f
@@ -451,7 +450,7 @@ def solve_affine_exact(net: Network, costs: dict[str, CostFunction],
                        mu: float) -> EquilibriumSolution:
     """Exact equilibrium for all-affine costs (see :func:`_affine_flows`):
     :func:`solve_equilibrium` with a ``ValueError`` for any other cost."""
-    _check_demand(mu)
+    mu = _checked(mu, "demand", "nonnegative")
     cost_list = _cost_list(net, costs)
     if not _is_affine(cost_list):
         raise ValueError("solve_affine_exact requires every cost to be affine")
@@ -512,7 +511,7 @@ def _grade(ps: PathSet, cost_list: EdgeCosts, flows: np.ndarray, demands,
             violations.append("path flows or the demand are not finite")
         if low < 0:
             f = flows[i]
-            violations += [f"path {'|'.join(ps.paths[p])} has negative flow {f[p]:.12g}"
+            violations += [f"path {_path_key(ps.paths[p])} has negative flow {f[p]:.12g}"
                            for p in (f < -_dust(demand)).nonzero()[0]]
         if abs(mu_i - demand) > tol * max(1.0, demand):
             violations.append(f"path flows sum to {mu_i:.12g}, demand is {demand:.12g}")
@@ -534,7 +533,7 @@ def _grade(ps: PathSet, cost_list: EdgeCosts, flows: np.ndarray, demands,
 
 
 def _dear_path(path: tuple[str, ...], cost: float, lam: float) -> str:
-    return f"used path {'|'.join(path)} costs {cost:.12g}, common cost is {lam:.12g}"
+    return f"used path {_path_key(path)} costs {cost:.12g}, common cost is {lam:.12g}"
 
 
 def _in_path_order(ps: PathSet, paths, flows) -> np.ndarray:
@@ -545,7 +544,7 @@ def _in_path_order(ps: PathSet, paths, flows) -> np.ndarray:
     for k, p in enumerate(paths):
         if column[p] != k or p not in known:
             why = "listed twice" if column[p] != k else "not a path of the network"
-            raise ValueError(f"path {'|'.join(p)} is {why}")
+            raise ValueError(f"path {_path_key(p)} is {why}")
     flows = np.asarray(flows, dtype=float)
     padded = np.concatenate([flows, np.zeros(flows.shape[:-1] + (1,))], axis=-1)
     return padded[..., [column.get(p, -1) for p in ps.paths]]

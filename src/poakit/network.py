@@ -32,7 +32,7 @@ DEFAULT_PATH_CAP = 4096
 
 @dataclass(frozen=True)
 class Edge:
-    """One directed edge. Ids are unique strings; self-loops are rejected."""
+    """One directed edge. Ids are unique strings without '|'; self-loops are rejected."""
 
     id: str
     tail: str
@@ -56,6 +56,8 @@ class Network:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate edge ids")
         for e in self.edges:
+            if "|" in e.id:
+                raise ValueError(f"edge id {e.id!r} holds '|', which joins the edge ids of a path")
             if e.tail == e.head:
                 raise ValueError(f"edge {e.id!r} is a self-loop")
             if e.tail not in vset or e.head not in vset:
@@ -91,25 +93,17 @@ def enumerate_paths(net: Network) -> list[tuple[str, ...]]:
         raise ValueError(f"POA_MAX_PATHS must be positive, got {cap}")
     out = {v: net.out_edges(v) for v in net.vertices}
     paths: list[tuple[str, ...]] = []
-    trail: list[str] = []
-    visited = {net.origin}
-
-    def walk(vertex: str):
+    # on a stack, so no path is too deep to walk: (edge ids so far, last vertex, vertices seen)
+    stack = [((), net.origin, frozenset([net.origin]))]
+    while stack:
+        trail, vertex, seen = stack.pop()
         if vertex == net.destination:
             if len(paths) >= cap:
                 raise PathExplosion(f"more than {cap} origin-destination paths")
-            paths.append(tuple(trail))
-            return
-        for e in out[vertex]:
-            if e.head in visited:
-                continue
-            visited.add(e.head)
-            trail.append(e.id)
-            walk(e.head)
-            trail.pop()
-            visited.remove(e.head)
-
-    walk(net.origin)
+            paths.append(trail)
+        else:  # pushed in reverse, so the smallest edge id is walked first
+            stack += [((*trail, e.id), e.head, seen | {e.head})
+                      for e in reversed(out[vertex]) if e.head not in seen]
     if not paths:
         raise NoPath(f"no path from {net.origin!r} to {net.destination!r}")
     return paths
@@ -144,6 +138,11 @@ class PathSet:
     @property
     def n_edges(self) -> int:
         return len(self.net.edges)
+
+
+def _path_key(path: tuple[str, ...]) -> str:
+    """A path's edge ids joined by '|', which no edge id holds, so that it names one path."""
+    return "|".join(path)
 
 
 # -- JSON ---------------------------------------------------------------------

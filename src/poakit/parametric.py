@@ -35,7 +35,7 @@ import numpy as np
 
 from .costs import CostFunction, EdgeCosts, _checked, _field
 from .errors import SignViolation, SupportSearchExhausted, TraceFailure
-from .network import Network, PathSet
+from .network import Network, PathSet, _path_key
 from .equilibrium import (
     _active_edge_set,
     _cost_list,
@@ -114,8 +114,8 @@ class AffineTrace:
         return tuple(b.mu for b in self.breakpoints)
 
     def segment_at(self, mu: float) -> TraceSegment:
-        """Segment owning demand mu; breakpoints belong to the left segment."""
-        if mu <= 0:
+        """Segment owning demand mu > 0 (NaN raises); breakpoints belong to the left one."""
+        if not mu > 0:  # NaN too
             raise ValueError(f"demand must be positive, got {mu}")
         for seg in self.segments:
             if mu <= seg.mu_hi or seg is self.segments[-1]:
@@ -234,8 +234,7 @@ def trace_affine(net: Network, costs: dict[str, CostFunction], mu_max: float,
     :class:`CertificateFailure`. With ``grow`` set, ``mu_max`` is doubled
     until it lies beyond the last breakpoint, and the trace is complete.
     """
-    if not (math.isfinite(mu_max) and mu_max > 0):
-        raise ValueError(f"mu_max must be finite and positive, got {mu_max}")
+    mu_max = _checked(mu_max, "mu_max", "positive")
     ps, cost_list = PathSet.build(net), _cost_list(net, costs)
     A, d, ends, mu_max, complete = _ends(ps, cost_list, mu_max, grow)
     mus, found, acts = zip(*ends)
@@ -337,10 +336,6 @@ def optimum_breakpoints(breakpoints: tuple[Breakpoint, ...]) -> tuple[Breakpoint
 
 
 # -- serialization ---------------------------------------------------------------
-
-
-def _path_key(path: tuple[str, ...]) -> str:
-    return "|".join(path)
 
 
 def trace_to_json(trace: AffineTrace) -> dict:

@@ -30,13 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostFunction
+from .costs import CostFunction, _checked
 from .errors import ClassificationConflict, GridExceedsBreakpointMax, NonpositiveOptimum
 from .network import Network
 from .equilibrium import (
     _active_edge_set,
     _builds,
-    _check_demand,
     _flows,
     _grade,
     _is_affine,
@@ -124,7 +123,7 @@ def _trace_flows(trace: AffineTrace, mu: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def compute_poa(net: Network, costs: dict[str, CostFunction], mu: float) -> PoAPoint:
-    """Price of anarchy at a single demand.
+    """Price of anarchy at a single demand, a finite nonnegative number read as a float.
 
     One path set and cost build serves the equilibrium and the optimum (the
     equilibrium of the marginal-cost game), each solved once, exactly when
@@ -132,7 +131,7 @@ def compute_poa(net: Network, costs: dict[str, CostFunction], mu: float) -> PoAP
     :func:`_point`), with no selection among equilibria. The ratio follows
     :func:`poa_ratio`.
     """
-    _check_demand(mu)
+    mu = _checked(mu, "demand", "nonnegative")
     ps, cost_list, marginal_list = builds = _builds(net, costs)
     return _point(builds, mu, _flows(ps, cost_list, mu), _flows(ps, marginal_list, mu))
 
@@ -182,7 +181,7 @@ class PoACurve:
     builds: tuple = field(repr=False, compare=False)
 
     def piece_at(self, mu: float) -> PoAPiece:
-        if mu <= 0:
+        if not mu > 0:  # NaN too
             raise ValueError(f"demand must be positive, got {mu}")
         for piece in self.pieces:
             if mu <= piece.mu_hi or piece is self.pieces[-1]:
@@ -239,10 +238,10 @@ def classify_segments(net: Network, costs: dict[str, CostFunction],
     is an equilibrium at every demand past its last breakpoint, so that
     trace covers every breakpoint on both sides. The curve keeps the trace
     it read and that build, for :func:`find_poa_max` to read and grade its
-    candidates. Costs that are not all affine raise ``ValueError``.
+    candidates. Non-affine costs, or a ``mu_max`` not finite and positive, raise ``ValueError``.
     """
-    if mu_max is not None and not (math.isfinite(mu_max) and mu_max > 0):
-        raise ValueError(f"mu_max must be finite and positive, got {mu_max}")
+    if mu_max is not None:
+        mu_max = _checked(mu_max, "mu_max", "positive")
     builds = _builds(net, costs)
     ps, cost_list, _ = builds
     if mu_max is None:
@@ -286,8 +285,8 @@ class PoAMaximum:
 
 
 def find_poa_max(net: Network, costs: dict[str, CostFunction],
-                 mu_max: float | None = None, curve: PoACurve | None = None) -> PoAMaximum:
-    """Global maximum of the ratio curve, anchored at breakpoints.
+                 *, curve: PoACurve | None = None) -> PoAMaximum:
+    """Global maximum of ``curve`` (default: the whole ratio curve), anchored at breakpoints.
 
     Every merged breakpoint and the right endpoint are read off the curve's
     trace and graded in both games (see :func:`_certify`), all at once on
@@ -300,7 +299,7 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
     cost is not positive raises :class:`NonpositiveOptimum`.
     """
     if curve is None:
-        curve = classify_segments(net, costs, mu_max)
+        curve = classify_segments(net, costs)
     mu_max = curve.mu_max
     eq_set = set(curve.eq_breakpoints)
     candidates = [(mu, True) for mu in curve.merged_breakpoints if mu <= mu_max]
@@ -356,8 +355,8 @@ def sweep_poa(net: Network, costs: dict[str, CostFunction], mu_lo: float,
     """
     if not (0 <= mu_lo < mu_hi < math.inf):
         raise ValueError(f"need 0 <= mu_lo < mu_hi < inf, got [{mu_lo}, {mu_hi}]")
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 2):  # bool is below 2
+        raise ValueError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
     builds = _builds(net, costs)
     ps, cost_list, marginal_list = builds
     trace = _trace(ps, cost_list, 2.0 * mu_hi, grow=False) if _is_affine(cost_list) else None

@@ -807,6 +807,30 @@ class TestExitCodes:
                              env_extra={"POA_MAX_PATHS": "64"})
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["solve", "optimum", "verify"])
+    @pytest.mark.parametrize("name", ["fig1", "parallel_quad"])
+    def test_a_demand_past_what_the_costs_hold_is_input_error(self, command, name):
+        # at 1e308 the flows or costs overflow the float range: the affine
+        # solve and Newton report it alike, not as a traceback
+        code, out, err = run_cli(command, "--network", fixture(name), "--demand", "1e308")
+        assert (code, out) == (1, "")
+        assert err.startswith("poakit: error: the costs at demand 1e+308 overflow to a non-finite")
+        assert "Traceback" not in err
+
+    def test_an_edge_id_holding_a_bar_is_input_error(self, tmp_path):
+        # '|' joins the edge ids of a saved path, so no edge id may hold it
+        with open(fixture("fig1"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for e in doc["edges"]:
+            e["id"] = f"{e['tail']}|{e['head']}"
+        path = tmp_path / "bar.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (["breakpoints"], ["trace", "--max-demand", "20"]):
+            code, out, err = run_cli(*argv, "--network", str(path))
+            assert (code, out) == (1, ""), argv
+            assert err == ("poakit: error: edge id 'O|v1' holds '|', which joins the edge ids "
+                           "of a path\n")
+
 
 def test_readme_examples_run(tmp_path):
     """README's Python block, network document and command lines run as

@@ -70,11 +70,27 @@ def test_pwl_primitive_trapezoid():
     (lambda: Polynomial((1.0, float("nan"))), "'coeffs'"),
     (lambda: PiecewiseLinear((0, float("nan")), (1, 2)), "'x'"),
     (lambda: PiecewiseLinear((0, 1), (1, float("-inf"))), "'y'"),
-    (lambda: Affine(10 ** 400, 0), "'a' must be finite, got an integer past the float range"),
-], ids=["affine-a", "affine-b", "poly-inf", "poly-nan", "pwl-x", "pwl-y", "affine-huge-int"])
+    (lambda: Affine(10 ** 400, 0), "'a' must be a finite number, got 1000000"),
+    # a number is a Python or numpy int or float, never a string or a bool
+    (lambda: Affine("1", 0), "affine cost field 'a' must be a finite number, got '1'"),
+    (lambda: Affine(True, 0), "affine cost field 'a' must be a finite number, got True"),
+    (lambda: Affine(0, np.bool_(True)), "affine cost field 'b' must be a finite number"),
+    (lambda: Polynomial((1.0, "2")), "polynomial cost field 'coeffs' must be an array of finite"),
+    (lambda: PiecewiseLinear((0, 1), (1, None)), "piecewise-linear cost field 'y' must be an"),
+], ids=["affine-a", "affine-b", "poly-inf", "poly-nan", "pwl-x", "pwl-y", "affine-huge-int",
+        "affine-string", "affine-bool", "affine-numpy-bool", "poly-string", "pwl-none"])
 def test_non_finite_parameters_rejected(make, field):
     with pytest.raises(ValueError, match=field):
         make()
+
+
+def test_numpy_numbers_are_read_as_floats():
+    for a in (np.int64(3), np.float64(3), np.float32(3), 3):
+        c = Affine(a, np.int32(1))
+        assert (type(c.a), type(c.b), c) == (float, float, Affine(3.0, 1.0))
+    p = PiecewiseLinear(np.array([0, 2]), np.array([1.0, 5.0]))
+    assert p.x == (0.0, 2.0) and type(p.x[0]) is float
+    assert Polynomial(np.array([1, 2])).coeffs == (1.0, 2.0)
 
 
 def _same_layer(got: EdgeCosts, want: EdgeCosts, loads) -> None:
@@ -286,7 +302,7 @@ def test_edge_costs_reject_a_cost_that_is_not_a_record():
 
 def test_marginal_layer_rejects_an_overflowing_coefficient():
     for cost in (Polynomial((0.0, 1e308)), Affine(1e308, 0.0)):
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="must be (a|an array of) finite number"):
             reference(cost).marginal()
         with pytest.raises(ValueError, match="overflows"):
             EdgeCosts({"e": cost}).marginal()

@@ -4,7 +4,9 @@ import functools
 import json
 import operator
 import os
+import sys
 
+import numpy as np
 import pytest
 
 from poakit import (
@@ -80,6 +82,51 @@ def test_paths_are_simple():
         destination="D",
     )
     assert enumerate_paths(net) == [("e1", "e2", "e4")]
+
+
+def test_a_path_longer_than_the_recursion_limit_is_walked():
+    n = sys.getrecursionlimit() + 200
+    names = ("O", *(f"v{i}" for i in range(1, n)), "D")
+    ids = tuple(f"e{i:05d}" for i in range(n))
+    net = Network(names, tuple(Edge(e, names[i], names[i + 1]) for i, e in enumerate(ids)),
+                  "O", "D")
+    assert enumerate_paths(net) == [ids]
+    sol = solve_equilibrium(net, {e: Affine(1.0, 0.0) for e in ids}, 1.0)
+    assert sol.cost == float(n)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_paths_match_a_recursive_walk_in_lexicographic_order(seed):
+    # random digraphs with cycles and parallel edges, edge ids shuffled
+    rng = np.random.default_rng((48, seed))
+    vertices = ("O", "a", "b", "c", "D")
+    pairs = [(t, h) for t in vertices for h in vertices if t != h]
+    picks = rng.choice(len(pairs), size=int(rng.integers(12, 24)))
+    edges = tuple(Edge(f"e{k}", *pairs[i])
+                  for k, i in zip(rng.permutation(len(picks)), picks))
+    net = Network(vertices, edges, "O", "D")
+    want = []
+
+    def walk(vertex, trail, seen):
+        if vertex == "D":
+            want.append(trail)
+            return
+        for e in edges:
+            if e.tail == vertex and e.head not in seen:
+                walk(e.head, (*trail, e.id), seen | {e.head})
+
+    walk("O", (), {"O"})
+    if not want:
+        with pytest.raises(NoPath):
+            enumerate_paths(net)
+        return
+    assert enumerate_paths(net) == sorted(want)
+
+
+def test_an_edge_id_holding_a_bar_is_rejected():
+    # saved traces key a path by its edge ids joined with '|' (the CLI test reads a file)
+    with pytest.raises(ValueError, match=r"edge id 'O\|D' holds '\|'"):
+        Network(("O", "D"), (Edge("O|D", "O", "D"),), "O", "D")
 
 
 def test_no_path_raises():

@@ -436,6 +436,9 @@ def test_segment_at_matches_ownership():
     assert trace.segment_at(trace.breakpoints[0].mu + 1e-6) is trace.segments[1]
     with pytest.raises(ValueError):
         trace.segment_at(0.0)
+    # NaN fails the one comparison too, instead of reading the last segment
+    with pytest.raises(ValueError, match="demand must be positive, got nan"):
+        trace.segment_at(float("nan"))
     empty = AffineTrace(segments=(), breakpoints=(), mu_max=1.0, complete=False)
     with pytest.raises(ValueError, match="the trace has no segments"):
         empty.segment_at(0.5)

@@ -251,6 +251,9 @@ class TestCurvePieces:
         assert curve.piece_at(25.0) is curve.pieces[-1]
         # past the curve's end the last piece still answers
         assert curve.piece_at(30.0) is curve.pieces[-1]
+        for lookup in (curve.piece_at, curve.value):
+            with pytest.raises(ValueError, match="demand must be positive, got nan"):
+                lookup(math.nan)
 
     def test_classify_rejects_interior_maximum(self):
         # mu/(1+mu^2) peaks inside the interval; the contracts forbid that shape
@@ -312,7 +315,7 @@ class TestMaximum:
 
     def test_nested2_maximum(self):
         net, costs = tracked("nested2")
-        mx = find_poa_max(net, costs, mu_max=25.0)
+        mx = find_poa_max(net, costs, curve=classify_segments(net, costs, 25.0))
         assert mx.mu == pytest.approx(6.0, abs=1e-9)
         assert mx.value == pytest.approx(float(Fraction(384, 303)), abs=1e-9)
         assert mx.at_breakpoint
@@ -328,7 +331,7 @@ class TestMaximum:
         net, costs = pigou_instance()
         monkeypatch.setattr(poa, "GRID_SLACK", -1.0)
         with pytest.raises(GridExceedsBreakpointMax):
-            find_poa_max(net, costs, mu_max=3.0)
+            find_poa_max(net, costs, curve=classify_segments(net, costs, 3.0))
 
     @pytest.mark.parametrize("name", ("fig1", "nested2", "nested3", "braess_direct"))
     def test_grid_is_the_pointwise_curve(self, name):
@@ -377,6 +380,10 @@ class TestSweep:
             sweep_poa(net, costs, 2.0, 2.0, 10)
         with pytest.raises(ValueError, match="n_samples"):
             sweep_poa(net, costs, 0.0, 2.0, 1)
+        for n in (2.5, math.nan, True, "3"):
+            with pytest.raises(ValueError, match="n_samples must be an integer of at least 2"):
+                sweep_poa(net, costs, 0.0, 2.0, n)
+        assert sweep_poa(net, costs, 0.0, 2.0, np.int64(3)) == sweep_poa(net, costs, 0.0, 2.0, 3)
 
     def test_csv_format_and_determinism(self):
         net, costs = pigou_instance()
@@ -509,7 +516,8 @@ DEMAND_ENTRY_POINTS = {
     "compute_poa": lambda net, costs, v: compute_poa(net, costs, v),
     "trace_affine": lambda net, costs, v: trace_affine(net, costs, v),
     "classify_segments": lambda net, costs, v: classify_segments(net, costs, v),
-    "find_poa_max": lambda net, costs, v: find_poa_max(net, costs, v),
+    "find_poa_max": lambda net, costs, v: find_poa_max(
+        net, costs, curve=classify_segments(net, costs, v)),
     "sweep_poa mu_lo": lambda net, costs, v: sweep_poa(net, costs, v, 2.0, 3),
     "sweep_poa mu_hi": lambda net, costs, v: sweep_poa(net, costs, 0.5, v, 3),
 }
@@ -521,6 +529,30 @@ def test_non_finite_demand_rejected(entry, value):
     net, costs = pigou_instance()
     with pytest.raises(ValueError, match=re.escape(str(value))):
         DEMAND_ENTRY_POINTS[entry](net, costs, value)
+
+
+@pytest.mark.parametrize("value", [-1.0, True, "3"], ids=repr)
+@pytest.mark.parametrize("entry", [e for e in DEMAND_ENTRY_POINTS if not e.startswith("sweep")])
+def test_a_demand_that_is_no_number_is_rejected(entry, value):
+    # windows must be positive, demands nonnegative; each error names its argument
+    net, costs = pigou_instance()
+    window = entry in ("trace_affine", "classify_segments", "find_poa_max")
+    named = "mu_max must be a finite positive" if window else "demand must be a finite nonnegative"
+    with pytest.raises(ValueError, match=f"{named} number, got {re.escape(repr(value))}"):
+        DEMAND_ENTRY_POINTS[entry](net, costs, value)
+
+
+@pytest.mark.parametrize("name", ["fig1", "parallel_quad"])
+@pytest.mark.parametrize("value", [np.int64(3), np.float64(3), np.int32(3), 3], ids=repr)
+def test_numpy_demands_are_read_as_floats(name, value):
+    net, costs = tracked(name)
+
+    def bits(pt, sol):
+        return ([x.hex() for x in (pt.mu, pt.lam, pt.sc_eq, pt.sc_opt, pt.poa, sol.demand,
+                                   sol.cost, sol.social_cost)], sol.path_flows.tobytes())
+
+    want = bits(compute_poa(net, costs, 3.0), solve_equilibrium(net, costs, 3.0))
+    assert bits(compute_poa(net, costs, value), solve_equilibrium(net, costs, value)) == want
 
 
 # -- values read off the trace, graded -----------------------------------------------
