@@ -4,7 +4,6 @@ from .costs import Affine, CostFunction, PiecewiseLinear, Polynomial, cost_from_
 from .errors import (
     BisectionFailure,
     CertificateFailure,
-    ClassificationConflict,
     GridExceedsBreakpointMax,
     NegativeLoad,
     NoPath,

@@ -58,6 +58,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 GRADE_TOL = 1e-8  # relative band of a graded used path over the cheapest path
+NEWTON_BAND = 0.1 * GRADE_TOL  # relative band of Newton's used paths, a tenth of the grade's
 MAX_ITER = 10 ** 6
 
 
@@ -246,13 +247,14 @@ def _newton(ps: PathSet, cost_list, mu: float, tol: float, max_iter: int) -> np.
     Path-based projected Newton, a sequential QP (Bertsekas & Gafni 1983):
     at flows f the kernel minimizes the potential's second-order model
     1/2 y'Hy + g'y over the simplex, with H = Z' diag(c'(x)) Z and
-    g = c_path - H f, and a line search on [0, 1] moves toward y. Exact in
-    one step on affine costs. Starts from the cheapest free-flow path vertex
-    and stops once the relative duality gap is at most ``tol``. Near the
-    optimum rounding can leave the line search short of moving the flows;
-    the full step is then taken if it shrinks the gap without raising the
-    potential. Raises :class:`NonConvergence` if it does not (stalled), or
-    after ``max_iter`` iterations.
+    g = c_path - H f, and a line search on [0, 1] moves toward y. Starts
+    from the cheapest free-flow path vertex and stops, on affine costs too,
+    once the relative gap is at most ``tol`` and the used paths cost within
+    NEWTON_BAND of lambda, which a small gap does not imply on flat costs.
+    Near the optimum rounding can leave the line search short of moving the
+    flows; the full step is then taken if it shrinks the gap without raising
+    the potential. Raises :class:`NonConvergence` if it does not (stalled),
+    or after ``max_iter`` iterations.
     """
     Z = ps.incidence
     ones, total = np.ones((1, ps.n_paths)), np.array([mu])
@@ -278,7 +280,9 @@ def _newton(ps: PathSet, cost_list, mu: float, tol: float, max_iter: int) -> np.
     while True:
         gap_rel = gap / max(abs(value), 1e-12)
         if gap_rel <= tol or gap <= 1e-15 * max(1.0, mu):
-            return f
+            lam = float(c_path.min())
+            if (c_path[f > GRADE_TOL * max(1.0, mu)] <= lam + NEWTON_BAND * max(1.0, lam)).all():
+                return f
         if it == max_iter:
             raise failure("iteration budget exhausted")
         it += 1

@@ -48,11 +48,6 @@ class SignViolation(PoakitError):
     exit_code = 3
 
 
-class ClassificationConflict(PoakitError):
-    """A PoA piece's derivative numerator changes sign from + to -."""
-    exit_code = 3
-
-
 class NonpositiveOptimum(PoakitError):
     """A PoA piece's optimum cost, its ratio's denominator, is not positive."""
     exit_code = 3

@@ -27,9 +27,11 @@ optimum social-cost quadratic gamma + alpha*mu + beta*mu^2.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -115,12 +117,16 @@ class AffineTrace:
 
     def segment_at(self, mu: float) -> TraceSegment:
         """Segment owning demand mu > 0 (NaN raises); breakpoints belong to the left one."""
-        if not mu > 0:  # NaN too
-            raise ValueError(f"demand must be positive, got {mu}")
-        for seg in self.segments:
-            if mu <= seg.mu_hi or seg is self.segments[-1]:
-                return seg
+        return _owner(self.segments, mu)
+
+
+def _owner(parts, mu: float):
+    """By bisection, the first of ``parts`` in demand order with mu_hi >= mu > 0, else the last."""
+    if not mu > 0:  # NaN too
+        raise ValueError(f"demand must be positive, got {mu}")
+    if not parts:
         raise ValueError("the trace has no segments")
+    return parts[bisect.bisect_left(parts, mu, 0, len(parts) - 1, key=attrgetter("mu_hi"))]
 
 
 # -- segment algebra -----------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import CostFunction, _checked
-from .errors import ClassificationConflict, GridExceedsBreakpointMax, NonpositiveOptimum
+from .errors import GridExceedsBreakpointMax, NonpositiveOptimum
 from .network import Network
 from .equilibrium import (
     _active_edge_set,
@@ -41,7 +41,7 @@ from .equilibrium import (
     _is_affine,
     _sums,
 )
-from .parametric import MU_START, SIGN_TOL, AffineTrace, _trace
+from .parametric import MU_START, AffineTrace, _owner, _trace, optimum_breakpoints
 
 __all__ = [
     "PoAPoint",
@@ -116,6 +116,13 @@ def _point(builds, mu: float, f_eq: np.ndarray, f_opt: np.ndarray) -> PoAPoint:
                     active_edges=_active_edge_set(builds[0], eq.path_costs, f_eq, mu))
 
 
+def _trace_twice(ps, cost_list, mu: float) -> AffineTrace:
+    """The trace out to 2*mu, which the optimum at mu reads; ValueError if 2*mu overflows."""
+    if not math.isfinite(2.0 * mu):
+        raise ValueError(f"twice the demand {mu!r} overflows the float range")
+    return _trace(ps, cost_list, 2.0 * mu, grow=False)
+
+
 def _trace_flows(trace: AffineTrace, mu: float) -> tuple[np.ndarray, np.ndarray]:
     """Equilibrium and optimum flows at mu > 0 read off an affine trace
     covering 2*mu: the segment line at mu and half the line at 2*mu."""
@@ -176,16 +183,13 @@ class PoACurve:
     eq_breakpoints: tuple[float, ...]
     opt_breakpoints: tuple[float, ...]
     merged_breakpoints: tuple[float, ...]
+    merged_at_eq: tuple[bool, ...]  # whether each one's cluster holds an equilibrium breakpoint
     mu_max: float
     trace: AffineTrace
     builds: tuple = field(repr=False, compare=False)
 
     def piece_at(self, mu: float) -> PoAPiece:
-        if not mu > 0:  # NaN too
-            raise ValueError(f"demand must be positive, got {mu}")
-        for piece in self.pieces:
-            if mu <= piece.mu_hi or piece is self.pieces[-1]:
-                return piece
+        return _owner(self.pieces, mu)
 
     def value(self, mu: float) -> float:
         return self.piece_at(mu).value(mu)
@@ -200,16 +204,12 @@ def _classify(mu_lo: float, mu_hi: float, num_lin: float, num_quad: float,
     The sign of the derivative matches q(mu) = c0 + c1*mu + c2*mu^2 with
     c0 = num_lin*den_const, c1 = 2*num_quad*den_const,
     c2 = num_quad*den_lin - num_lin*den_quad. The segments' sign contract
-    num_lin, num_quad >= 0 >= den_const (to SIGN_TOL), whose breach raises
-    :class:`ClassificationConflict`, makes c0, c1 <= 0: by Descartes' rule
-    q then has one positive root at most, only if c2 > 0, where it turns
-    from negative to positive, so no piece peaks inside.
+    num_lin, num_quad >= 0 >= den_const, checked on every traced segment by
+    :func:`~poakit.parametric._signed_coefficients`, makes c0, c1 <= 0: by
+    Descartes' rule q then has one positive root at most, only if c2 > 0,
+    where it turns from negative to positive, so no piece peaks inside.
     """
     a, b, g, dd, e = num_lin, num_quad, den_const, den_lin, den_quad
-    band = SIGN_TOL * max(1.0, abs(a), abs(b), abs(g), abs(dd), abs(e))
-    if a < -band or b < -band or g > band:
-        raise ClassificationConflict(f"piece ({mu_lo:.6g}, {mu_hi:.6g}] breaks the sign "
-                                     f"contract: {num_lin=}, {num_quad=}, {den_const=}")
     c0, c1, c2 = a * g, 2.0 * b * g, b * dd - a * e
     # term magnitudes, for cancellation-aware zero tests
     s0, s1, s2 = abs(c0), abs(c1), abs(b * dd) + abs(a * e)
@@ -217,7 +217,7 @@ def _classify(mu_lo: float, mu_hi: float, num_lin: float, num_quad: float,
         return "constant", None
     pad = 1e-9 * max(1.0, mu_hi)
     lo, hi = mu_lo + pad, mu_hi - pad
-    disc = max(c1 * c1 - 4.0 * c2 * c0, 0.0)  # below 0 only if c0 > 0 inside the band
+    disc = max(c1 * c1 - 4.0 * c2 * c0, 0.0)  # below 0 only if c0 > 0 inside SIGN_TOL
     root = (-c1 + math.sqrt(disc)) / (2.0 * c2) if c2 > 0 else math.inf
     if lo < root < hi:
         return "valley", root
@@ -238,23 +238,25 @@ def classify_segments(net: Network, costs: dict[str, CostFunction],
     is an equilibrium at every demand past its last breakpoint, so that
     trace covers every breakpoint on both sides. The curve keeps the trace
     it read and that build, for :func:`find_poa_max` to read and grade its
-    candidates. Non-affine costs, or a ``mu_max`` not finite and positive, raise ``ValueError``.
+    candidates. Non-affine costs, or a ``mu_max`` not finite and positive or
+    whose double overflows, raise ``ValueError``.
     """
     if mu_max is not None:
         mu_max = _checked(mu_max, "mu_max", "positive")
-    builds = _builds(net, costs)
-    ps, cost_list, _ = builds
+    ps, cost_list, _ = builds = _builds(net, costs)
     if mu_max is None:
         trace = _trace(ps, cost_list, MU_START, grow=True)
         mu_max = 2.0 * (trace.breakpoint_demands[-1] if trace.breakpoints else 1.0) + 1.0
     else:
-        trace = _trace(ps, cost_list, 2.0 * mu_max, grow=False)
+        trace = _trace_twice(ps, cost_list, mu_max)
     eq_bps = tuple(b for b in trace.breakpoint_demands if b <= mu_max)
-    opt_bps = tuple(b / 2.0 for b in trace.breakpoint_demands if b / 2.0 <= mu_max)
-    merged: list[float] = []
-    for bp in sorted(eq_bps + opt_bps):
+    opt_bps = tuple(b.mu for b in optimum_breakpoints(trace.breakpoints) if b.mu <= mu_max)
+    merged, at_eq = [], []  # a cluster's first demand; whether it holds an equilibrium one
+    for bp, is_eq in sorted([(b, True) for b in eq_bps] + [(b, False) for b in opt_bps]):
         if not merged or bp - merged[-1] > 1e-9 * max(1.0, bp):
             merged.append(bp)
+            at_eq.append(False)
+        at_eq[-1] |= is_eq
     bounds = [0.0] + merged + ([mu_max] if not merged or merged[-1] < mu_max else [])
     pieces = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -265,8 +267,8 @@ def classify_segments(net: Network, costs: dict[str, CostFunction],
                             den_const=den.gamma, den_lin=den.alpha, den_quad=den.beta)
         shape, valley_mu = _classify(**coefficients)
         pieces.append(PoAPiece(**coefficients, shape=shape, valley_mu=valley_mu))
-    return PoACurve(pieces=tuple(pieces), eq_breakpoints=eq_bps,
-                    opt_breakpoints=opt_bps, merged_breakpoints=tuple(merged),
+    return PoACurve(pieces=tuple(pieces), eq_breakpoints=eq_bps, opt_breakpoints=opt_bps,
+                    merged_breakpoints=tuple(merged), merged_at_eq=tuple(at_eq),
                     mu_max=mu_max, trace=trace, builds=builds)
 
 
@@ -279,7 +281,7 @@ class PoAMaximum:
 
     mu: float
     value: float
-    at_breakpoint: bool
+    at_breakpoint: bool  # the maximum's merged demand holds an equilibrium breakpoint
     grid_mu: float      # argmax of the verification grid
     grid_value: float
 
@@ -301,25 +303,18 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
     if curve is None:
         curve = classify_segments(net, costs)
     mu_max = curve.mu_max
-    eq_set = set(curve.eq_breakpoints)
-    candidates = [(mu, True) for mu in curve.merged_breakpoints if mu <= mu_max]
-    candidates.append((mu_max, False))
-    mus = [mu for mu, _ in candidates]
+    mus = [*curve.merged_breakpoints, mu_max]
     f_eq, f_opt = zip(*(_trace_flows(curve.trace, mu) for mu in mus))
     eq, sc_opt = _certify(curve.builds, mus, np.array(f_eq), np.array(f_opt))
     best_mu, best_val, best_bp = None, -np.inf, False
-    for (mu, is_bp), eq_report, sc in zip(candidates, eq, sc_opt):
+    for mu, at_eq, eq_report, sc in zip(mus, [*curve.merged_at_eq, False], eq, sc_opt):
         val = poa_ratio(eq_report.social_cost, sc)
-        better = val > best_val + 1e-12
-        tie = abs(val - best_val) <= 1e-12
-        prefer = (is_bp and mu in eq_set) and not best_bp
-        if better or (tie and prefer):
-            best_mu, best_val, best_bp = mu, val, is_bp and mu in eq_set
+        if val > best_val + 1e-12 or (at_eq and not best_bp and abs(val - best_val) <= 1e-12):
+            best_mu, best_val, best_bp = mu, val, at_eq
     # curve.value at every grid demand in one pass, in the same operation order
     grid = np.linspace(mu_max / N_GRID, mu_max, N_GRID)
     pieces = curve.pieces
-    k = np.minimum(np.searchsorted([p.mu_hi for p in pieces], grid, side="left"),
-                   len(pieces) - 1)
+    k = np.searchsorted([p.mu_hi for p in pieces[:-1]], grid)  # the last owns the rest
     a, b, g, dd, e = np.array([(p.num_lin, p.num_quad, p.den_const, p.den_lin, p.den_quad)
                                for p in pieces]).T[:, k]
     den = g + dd * grid + e * grid * grid
@@ -353,13 +348,13 @@ def sweep_poa(net: Network, costs: dict[str, CostFunction], mu_lo: float,
     otherwise each row is solved as in :func:`compute_poa`. Every row's
     flows are graded (see :func:`_point`).
     """
-    if not (0 <= mu_lo < mu_hi < math.inf):
-        raise ValueError(f"need 0 <= mu_lo < mu_hi < inf, got [{mu_lo}, {mu_hi}]")
+    mu_lo, mu_hi = _checked(mu_lo, "mu_lo", "nonnegative"), _checked(mu_hi, "mu_hi", "positive")
+    if not mu_lo < mu_hi:
+        raise ValueError(f"need mu_lo < mu_hi, got [{mu_lo}, {mu_hi}]")
     if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 2):  # bool is below 2
         raise ValueError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
-    builds = _builds(net, costs)
-    ps, cost_list, marginal_list = builds
-    trace = _trace(ps, cost_list, 2.0 * mu_hi, grow=False) if _is_affine(cost_list) else None
+    ps, cost_list, marginal_list = builds = _builds(net, costs)
+    trace = _trace_twice(ps, cost_list, mu_hi) if _is_affine(cost_list) else None
 
     def row(mu):  # a trace has no segment at mu = 0
         if trace is None or mu == 0:

@@ -210,6 +210,20 @@ class TestCommands:
         assert doc["common_cost"] == pytest.approx(iterative.cost, rel=1e-12)
         assert sorted(doc["active_edges"]) == sorted(iterative.active_edges)
 
+    def test_newton_solution_of_a_flat_cost_passes_its_grade(self, tmp_path, capsys):
+        # O->m0 costing 1 + x^4, m0->D free, O->D a constant 1: Newton's gap test
+        # alone left the quartic path 1.25e-8 relative above lambda at demand 2.5
+        net, sol = tmp_path / "flat.json", tmp_path / "sol.json"
+        edges = [("e0", "O", "m0", [1, 0, 0, 0, 1]), ("e1", "O", "D", [1]), ("e2", "m0", "D", [0])]
+        net.write_text(json.dumps({
+            "vertices": ["O", "m0", "D"], "origin": "O", "destination": "D",
+            "edges": [{"id": i, "tail": t, "head": h, "cost": {"type": "poly", "coeffs": c}}
+                      for i, t, h, c in edges]}), encoding="utf-8")
+        assert cli.main(["solve", "--network", str(net), "--demand", "2.5",
+                         "--output", str(sol)]) == 0
+        assert cli.main(["verify", "--network", str(net), "--solution", str(sol)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
     def test_verify_fresh_solve(self):
         code, out, err = run_cli("verify", "--network", fixture("nested2"),
                                  "--demand", "4")
@@ -542,7 +556,7 @@ class TestExitCodes:
         "PoakitError": 1, "NoPath": 1, "PathExplosion": 1,
         "NonConvergence": 2, "SupportSearchExhausted": 2, "TraceFailure": 2,
         "BisectionFailure": 2,
-        "NegativeLoad": 3, "SignViolation": 3, "ClassificationConflict": 3,
+        "NegativeLoad": 3, "SignViolation": 3,
         "NonpositiveOptimum": 3, "GridExceedsBreakpointMax": 3, "CertificateFailure": 3,
     }
 
@@ -816,6 +830,16 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("poakit: error: the costs at demand 1e+308 overflow to a non-finite")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [("analyze", "--max-demand", "1e308"),
+                                      ("sweep", "--from", "0", "--to", "1e308", "--samples", "3")],
+                             ids=lambda argv: argv[0])
+    def test_a_trace_range_past_the_float_range_is_input_error(self, argv, capsys):
+        # the optimum at 1e308 is read off a trace out to twice it, which overflows
+        assert cli.main([argv[0], "--network", fixture("fig1"), *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "poakit: error: twice the demand 1e+308 overflows the float range\n"
 
     def test_an_edge_id_holding_a_bar_is_input_error(self, tmp_path):
         # '|' joins the edge ids of a saved path, so no edge id may hold it

@@ -12,12 +12,19 @@ import pytest
 
 import poakit
 from poakit import (Affine, BisectionFailure, Edge, Network, NonConvergence, PathSet,
-                    Polynomial, SupportSearchExhausted, load_network)
+                    Polynomial, SupportSearchExhausted, compute_poa, load_network)
 from poakit import equilibrium, kernel
 from poakit.equilibrium import (
+    DEFAULT_TOL,
+    GRADE_TOL,
+    MAX_ITER,
+    NEWTON_BAND,
+    _builds,
     _cost_list,
     _first_root,
+    _grade,
     _min_norm_flows,
+    _newton,
     _path_quadratic,
     check_regularity,
     solve_affine_exact,
@@ -332,6 +339,30 @@ def test_exhausted_iteration_budget_raises():
                            match=rf"after {budget} iterations \(iteration budget exhausted\)"):
             solve_equilibrium(net, costs, 12.0, max_iter=budget)
     assert verify_wardrop(net, costs, solve_equilibrium(net, costs, 12.0)).ok
+
+
+def flat_quartic():
+    """O->m0 costing 1 + x^4, m0->D free and O->D a constant 1: the quartic
+    path's cost is flat at zero load."""
+    net = Network(("O", "m0", "D"), (Edge("e0", "O", "m0"), Edge("e1", "O", "D"),
+                                     Edge("e2", "m0", "D")), "O", "D")
+    return net, {"e0": Polynomial((1.0, 0.0, 0.0, 0.0, 1.0)), "e1": Polynomial((1.0,)),
+                 "e2": Polynomial((0.0,))}
+
+
+@pytest.mark.parametrize("mu", [0.5, 2.5, 6.0, 10.0])
+def test_newton_ends_inside_the_grade_band(mu):
+    # a gap below tol let the flat quartic path carry a little flow above
+    # lambda: 1.25e-8 relative at mu 2.5, which the grade refused
+    net, costs = flat_quartic()
+    ps, cost_list, marginal_list = _builds(net, costs)
+    for game, game_costs in (("equilibrium", cost_list), ("marginal-cost", marginal_list)):
+        f = _newton(ps, game_costs, mu, DEFAULT_TOL, MAX_ITER)
+        (report,) = _grade(ps, game_costs, f[None, :], [mu], game=game)
+        used = f > GRADE_TOL * max(1.0, mu)
+        assert (report.slacks[used] <= NEWTON_BAND * max(1.0, report.lam)).all()
+    point = compute_poa(net, costs, mu)
+    assert (point.lam, point.poa) == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("index", range(33, 38))

@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 import poakit
-from poakit import cli, equilibrium, network, parametric, poa
+from poakit import cli, equilibrium, errors, network, parametric, poa
 from poakit.costs import Affine, EdgeCosts, Polynomial
 from poakit.equilibrium import _builds, solve_affine_exact, solve_equilibrium, solve_optimum
-from poakit.errors import (CertificateFailure, ClassificationConflict, GridExceedsBreakpointMax,
-                           NonpositiveOptimum)
+from poakit.errors import CertificateFailure, GridExceedsBreakpointMax, NonpositiveOptimum
 from poakit.network import Network, Edge, PathSet, load_network
 from poakit.parametric import trace_affine
 from poakit.poa import (
@@ -255,13 +254,6 @@ class TestCurvePieces:
             with pytest.raises(ValueError, match="demand must be positive, got nan"):
                 lookup(math.nan)
 
-    def test_classify_rejects_interior_maximum(self):
-        # mu/(1+mu^2) peaks inside the interval; the contracts forbid that shape
-        bad = dict(mu_lo=0.1, mu_hi=10.0, num_lin=1.0, num_quad=0.0,
-                   den_const=1.0, den_lin=0.0, den_quad=1.0)
-        with pytest.raises(ClassificationConflict):
-            _classify(**bad)
-
     # num_lin, num_quad, den_const, den_lin, den_quad whose slope has the sign
     # of q = -1 - 2*mu + 2*mu^2, negative up to its one positive root
     # (2 + sqrt(12))/4 = 1.366 and positive past it
@@ -319,6 +311,23 @@ class TestMaximum:
         assert mx.mu == pytest.approx(6.0, abs=1e-9)
         assert mx.value == pytest.approx(float(Fraction(384, 303)), abs=1e-9)
         assert mx.at_breakpoint
+
+    def test_maximum_at_an_optimum_copy_of_an_equilibrium_breakpoint(self):
+        # equilibrium breakpoints 2 and 4 up to roundoff; the optimum's copy of 4,
+        # halved to 1.999999999999997, sorts ahead of the equilibrium's own
+        # 2.000000000000003 and stands for both, and the maximum sits there
+        net = Network(("O", "m0", "D"), tuple(Edge(f"p{k}", "O", "m0") for k in range(4))
+                      + (Edge("q", "m0", "D"),), "O", "D")
+        costs = {"p0": Affine(2.0, 3.0), "p1": Affine(1.0, 3.0), "p2": Affine(1.0, 0.0),
+                 "p3": Affine(1.0, 2.0), "q": Affine(1.0, 2.0)}
+        curve = classify_segments(net, costs)
+        assert curve.eq_breakpoints == (2.000000000000003, 3.999999999999994)
+        assert curve.merged_breakpoints == (1.0000000000000016, 1.999999999999997,
+                                            3.999999999999994)
+        assert curve.merged_at_eq == (False, True, True)
+        mx = find_poa_max(net, costs, curve=curve)
+        assert (mx.mu, mx.value) == (1.999999999999997, 1.0434782608695643)
+        assert mx.at_breakpoint is True
 
     def test_single_edge_maximum_is_one(self):
         net = Network(vertices=("O", "D"), edges=(Edge("e", "O", "D"),),
@@ -378,6 +387,13 @@ class TestSweep:
             sweep_poa(net, costs, -0.5, 2.0, 10)
         with pytest.raises(ValueError, match="mu_lo"):
             sweep_poa(net, costs, 2.0, 2.0, 10)
+        # each end is read by the one checker of numbers a caller hands poakit
+        for lo in ("0", True, math.nan):
+            with pytest.raises(ValueError, match="mu_lo must be a finite nonnegative number"):
+                sweep_poa(net, costs, lo, 2.0, 3)
+        for hi in ("2", True, math.inf):
+            with pytest.raises(ValueError, match="mu_hi must be a finite positive number"):
+                sweep_poa(net, costs, 0.0, hi, 3)
         with pytest.raises(ValueError, match="n_samples"):
             sweep_poa(net, costs, 0.0, 2.0, 1)
         for n in (2.5, math.nan, True, "3"):
@@ -742,12 +758,14 @@ def test_nonaffine_sweep_rows_are_compute_poa_points(name, lo, hi, n, adaptive):
 
 def test_retired_names_are_gone():
     # the series-parallel solver and decomposition, the sweep's row record,
-    # the second path quadratic with the writer no command used, and the
-    # segment packager no library code called
+    # the second path quadratic with the writer no command used, the
+    # segment packager no library code called, and the classifier's second
+    # sign check, which every traced segment passes first
     retired = ("NotSP", "SPLeaf", "SPParallel", "SPSeries", "decompose_series_parallel",
                "sp_equilibrium", "SweepRow", "write_sweep_csv", "sp_terminals",
-               "segment_social_costs", "dump_network", "incidence", "segment_solution")
-    for module in (poakit, network, parametric):
+               "segment_social_costs", "dump_network", "incidence", "segment_solution",
+               "ClassificationConflict")
+    for module in (poakit, network, parametric, errors):
         assert [name for name in retired if hasattr(module, name)] == [], module.__name__
 
 
