@@ -35,7 +35,6 @@ from .equilibrium import (
     _dust,
     _grade,
     _in_path_order,
-    _solve,
     solve_equilibrium,
     solve_optimum,
 )
@@ -131,15 +130,14 @@ def _solution_doc(sol: EquilibriumSolution, kind: str) -> dict:
 
 
 def cmd_solve(net, costs, args) -> dict:
-    sol = solve_equilibrium(net, costs, args.demand, args.tol, args.max_iter)
-    opt = solve_optimum(net, costs, args.demand, args.tol, args.max_iter)
+    sol = solve_equilibrium(net, costs, args.demand)
+    opt = solve_optimum(net, costs, args.demand)
     return {**_solution_doc(sol, "equilibrium"),
             "poa": poa_ratio(sol.social_cost, opt.social_cost)}
 
 
 def cmd_optimum(net, costs, args) -> dict:
-    return _solution_doc(solve_optimum(net, costs, args.demand, args.tol, args.max_iter),
-                         "optimum")
+    return _solution_doc(solve_optimum(net, costs, args.demand), "optimum")
 
 
 def cmd_trace(net, costs, args) -> dict:
@@ -179,9 +177,8 @@ def cmd_analyze(net, costs, args) -> dict:
 
 
 def cmd_verify(net, costs, args) -> dict:
-    given = [x is not None for x in (args.demand, args.solution, args.trace)]
-    if sum(given) != 1:
-        raise ValueError("exactly one of --demand, --solution, --trace is required")
+    if (args.solution is None) == (args.trace is None):
+        raise ValueError("exactly one of --solution, --trace is required")
     ps, cost_list = PathSet.build(net), _cost_list(net, costs)
     violations = []
     if args.trace is not None:
@@ -189,21 +186,17 @@ def cmd_verify(net, costs, args) -> dict:
         trace = trace_from_json(doc.get("trace", doc))
         segments = tuple(replace(seg, paths=ps.paths, w=_in_path_order(ps, seg.paths, seg.w),
                                  z=_in_path_order(ps, seg.paths, seg.z)) for seg in trace.segments)
-        violations = _document_violations(replace(trace, segments=segments), ps, cost_list,
-                                          args.tol)
+        violations = _document_violations(replace(trace, segments=segments), ps, cost_list)
         demands = [mu for seg in segments for mu in (seg.mu_lo, seg.mu_hi)]
         flows = [seg.flows(mu) for seg in segments for mu in (seg.mu_lo, seg.mu_hi)]
-    elif args.solution is not None:
+    else:
         doc = _read_json(args.solution, "--solution")
         rows = _field(doc, "paths", "objects")
         paths = [tuple(_field(p, "edges", "names")) for p in rows]
         flows = [_in_path_order(ps, paths, [_field(p, "flow") for p in rows])]
         demands = [_field(doc, "demand")]
-    else:
-        demands = [args.demand]
-        flows = [_solve(ps, cost_list, args.demand).path_flows]
     flows = np.reshape(flows, (len(flows), ps.n_paths))
-    reports = _grade(ps, cost_list, flows, demands, args.tol)
+    reports = _grade(ps, cost_list, flows, demands)
     found = [list(report.violations) for report in reports]
     if args.trace is not None:
         # flows and path costs are affine on a segment: its ends pass only if all of
@@ -211,7 +204,7 @@ def cmd_verify(net, costs, args) -> dict:
         above = flows > np.array([_dust(mu) for mu in demands])[:, None]
         used = np.repeat(above.reshape(-1, 2, ps.n_paths).any(axis=1), 2, axis=0)
         for r, listed, s in zip(reports, found, used):
-            dear = (s & (r.slacks > args.tol * max(1.0, r.lam))).nonzero()[0]
+            dear = (s & (r.slacks > GRADE_TOL * max(1.0, r.lam))).nonzero()[0]
             listed += [v for p in dear
                        if (v := _dear_path(ps.paths[p], r.path_costs[p], r.lam)) not in listed]
     violations += [f"mu={mu:.12g}: {v}" for mu, vs in zip(demands, found) for v in vs]
@@ -237,20 +230,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="equilibrium at one demand (JSON)")
     common(p)
     p.add_argument("--demand", type=_POSITIVE, required=True)
-    p.add_argument("--tol", type=_NONNEGATIVE, default=DEFAULT_TOL,
-                   help=f"relative duality-gap target (default {DEFAULT_TOL:g})")
-    p.add_argument("--max-iter", type=_number(int, 0), default=MAX_ITER,
-                   help=f"Newton iteration budget (default {MAX_ITER})")
-    # solve, sweep and analyze echo the fixed band within which a ratio is declared one
-    p.set_defaults(func=cmd_solve, equal_tol=DECLARE_ONE_TOL, echo=("tol", "max_iter", "equal_tol"))
+    # solve and optimum echo Newton's stop test and budget; solve, sweep and
+    # analyze echo the fixed band within which a ratio is declared one
+    p.set_defaults(func=cmd_solve, tol=DEFAULT_TOL, max_iter=MAX_ITER, equal_tol=DECLARE_ONE_TOL,
+                   echo=("tol", "max_iter", "equal_tol"))
 
     p = sub.add_parser("optimum", help="social optimum at one demand (JSON)")
     common(p)
     p.add_argument("--demand", type=_POSITIVE, required=True)
-    p.add_argument("--tol", type=_NONNEGATIVE, default=DEFAULT_TOL)
-    p.add_argument("--max-iter", type=_number(int, 0), default=MAX_ITER,
-                   help=f"Newton iteration budget (default {MAX_ITER})")
-    p.set_defaults(func=cmd_optimum, echo=("tol", "max_iter"))
+    p.set_defaults(func=cmd_optimum, tol=DEFAULT_TOL, max_iter=MAX_ITER, echo=("tol", "max_iter"))
 
     p = sub.add_parser("trace",
                        help="piecewise equilibrium structure, affine costs (JSON)")
@@ -286,16 +274,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify",
                        help="re-check equilibrium conditions; exit 3 on violation")
     common(p)
-    p.add_argument("--demand", type=_POSITIVE, default=None,
-                   help="solve here and verify the result")
     p.add_argument("--solution", default=None,
                    help="solution JSON written by the solve command")
     p.add_argument("--trace", default=None,
                    help="trace JSON; grades each segment at its two ends, every path "
                         "used at either end counted as used at both, and checks its "
                         "alpha, beta, gamma and active_edges against its flow line")
-    p.add_argument("--tol", type=_NONNEGATIVE, default=GRADE_TOL)
-    p.set_defaults(func=cmd_verify, echo=("tol",))
+    # verify echoes the fixed grade band
+    p.set_defaults(func=cmd_verify, tol=GRADE_TOL, echo=("tol",))
 
     return ap
 

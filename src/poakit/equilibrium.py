@@ -56,10 +56,10 @@ __all__ = [
     "check_regularity",
 ]
 
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = 1e-10  # Newton's stop test on the relative duality gap
 GRADE_TOL = 1e-8  # relative band of a graded used path over the cheapest path
 NEWTON_BAND = 0.1 * GRADE_TOL  # relative band of Newton's used paths, a tenth of the grade's
-MAX_ITER = 10 ** 6
+MAX_ITER = 10 ** 6  # Newton's iteration budget
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ def _line_search(cost_list, loads, costs, delta):
         return flat.args[0]
 
 
-def _newton(ps: PathSet, cost_list, mu: float, tol: float, max_iter: int) -> np.ndarray:
+def _newton(ps: PathSet, cost_list, mu: float) -> np.ndarray:
     """Minimize the potential over the path-flow simplex of total mass mu.
 
     Path-based projected Newton, a sequential QP (Bertsekas & Gafni 1983):
@@ -249,12 +249,13 @@ def _newton(ps: PathSet, cost_list, mu: float, tol: float, max_iter: int) -> np.
     1/2 y'Hy + g'y over the simplex, with H = Z' diag(c'(x)) Z and
     g = c_path - H f, and a line search on [0, 1] moves toward y. Starts
     from the cheapest free-flow path vertex and stops, on affine costs too,
-    once the relative gap is at most ``tol`` and the used paths cost within
-    NEWTON_BAND of lambda, which a small gap does not imply on flat costs.
-    Near the optimum rounding can leave the line search short of moving the
-    flows; the full step is then taken if it shrinks the gap without raising
-    the potential. Raises :class:`NonConvergence` if it does not (stalled),
-    or after ``max_iter`` iterations.
+    once the relative gap is at most DEFAULT_TOL and the used paths cost
+    within NEWTON_BAND of lambda, which a small gap does not imply on flat
+    costs. Near the optimum rounding can leave the line search short of
+    moving the flows; the full step is then taken if it shrinks the gap
+    without raising the potential. Raises :class:`NonConvergence`, naming
+    the stop test that failed, if it does not (stalled), or after MAX_ITER
+    iterations; both constants are read when it runs.
     """
     Z = ps.incidence
     ones, total = np.ones((1, ps.n_paths)), np.array([mu])
@@ -272,18 +273,25 @@ def _newton(ps: PathSet, cost_list, mu: float, tol: float, max_iter: int) -> np.
         return x, c_edge, c_path, value, gap
 
     def failure(why):
-        return NonConvergence(f"the {_game(cost_list)} game at mu={mu!r}: relative duality gap "
-                              f"{gap_rel:.3e} above tol {tol:.1e} after {it} iterations ({why})")
+        if gap_met:
+            what = (f"a used path costs {(used.max() - lam) / max(1.0, lam):.3e} relative above "
+                    f"lambda, outside NEWTON_BAND {NEWTON_BAND:.1e}")
+        else:
+            what = f"relative duality gap {gap_rel:.3e} above tol {DEFAULT_TOL:.1e}"
+        return NonConvergence(f"the {_game(cost_list)} game at mu={mu!r}: {what} "
+                              f"after {it} iterations ({why})")
 
     x, c_edge, c_path, value, gap = evaluate(f)
     it = 0
     while True:
         gap_rel = gap / max(abs(value), 1e-12)
-        if gap_rel <= tol or gap <= 1e-15 * max(1.0, mu):
+        gap_met = gap_rel <= DEFAULT_TOL or gap <= 1e-15 * max(1.0, mu)
+        if gap_met:
             lam = float(c_path.min())
-            if (c_path[f > GRADE_TOL * max(1.0, mu)] <= lam + NEWTON_BAND * max(1.0, lam)).all():
+            used = c_path[f > GRADE_TOL * max(1.0, mu)]
+            if (used <= lam + NEWTON_BAND * max(1.0, lam)).all():
                 return f
-        if it == max_iter:
+        if it == MAX_ITER:
             raise failure("iteration budget exhausted")
         it += 1
         H = Z.T * cost_list.derivative(x) @ Z
@@ -372,49 +380,46 @@ def _builds(net: Network, costs: dict[str, CostFunction]):
     return ps, cost_list, cost_list.marginal()
 
 
-def _flows(ps: PathSet, cost_list: EdgeCosts, mu: float, tol: float = DEFAULT_TOL,
-           max_iter: int = MAX_ITER) -> np.ndarray:
+def _flows(ps: PathSet, cost_list: EdgeCosts, mu: float) -> np.ndarray:
     """Equilibrium path flows at demand mu >= 0 on a built path set and costs:
-    exact if all are affine, else :func:`_newton` under ``tol`` and ``max_iter``."""
+    exact if all are affine, else :func:`_newton`'s."""
     if mu == 0:
         return np.zeros(ps.n_paths)
     if _is_affine(cost_list):
         return _affine_flows(ps, cost_list, mu)
-    return _newton(ps, cost_list, mu, tol, max_iter)
+    return _newton(ps, cost_list, mu)
 
 
-def _solve(ps: PathSet, cost_list: EdgeCosts, mu: float, tol: float = DEFAULT_TOL,
-           max_iter: int = MAX_ITER) -> EquilibriumSolution:
+def _solve(ps: PathSet, cost_list: EdgeCosts, mu: float) -> EquilibriumSolution:
     """The flows of :func:`_flows`, minimum-norm selected and packaged."""
-    f = _flows(ps, cost_list, mu, tol, max_iter)
+    f = _flows(ps, cost_list, mu)
     if mu == 0:
         return _package(ps, cost_list, 0.0, f)
     (report,) = _grade(ps, cost_list, f[None, :], [mu])
     return _package(ps, cost_list, mu, _min_norm_flows(ps, cost_list, f, report.path_costs))
 
 
-def solve_equilibrium(net: Network, costs: dict[str, CostFunction], mu: float,
-                      tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> EquilibriumSolution:
+def solve_equilibrium(net: Network, costs: dict[str, CostFunction],
+                      mu: float) -> EquilibriumSolution:
     """Minimum-norm Wardrop equilibrium at a finite demand mu >= 0, read as a float.
 
     Exact when every cost is affine. Otherwise Newton steps on the
     active-set kernel (see :func:`_newton`) run from the cheapest free-flow
-    path until the relative duality gap is at most ``tol``, at most
-    ``max_iter`` of them, and raise :class:`NonConvergence` when the gap
-    cannot be certified; ``tol`` and ``max_iter`` apply to that case only.
+    path until the relative duality gap is at most DEFAULT_TOL, at most
+    MAX_ITER of them, and raise :class:`NonConvergence` when the gap cannot
+    be certified; both constants apply to that case only.
     """
     mu = _checked(mu, "demand", "nonnegative")
-    return _solve(PathSet.build(net), _cost_list(net, costs), mu, tol, max_iter)
+    return _solve(PathSet.build(net), _cost_list(net, costs), mu)
 
 
-def solve_optimum(net: Network, costs: dict[str, CostFunction], mu: float,
-                  tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> OptimumSolution:
+def solve_optimum(net: Network, costs: dict[str, CostFunction], mu: float) -> OptimumSolution:
     """Social optimum at demand mu: the equilibrium of the marginal-cost game,
     priced in the original costs; exact when every cost is affine (so are the
     marginals), otherwise as in :func:`solve_equilibrium`."""
     mu = _checked(mu, "demand", "nonnegative")
     ps, cost_list, marginal_list = _builds(net, costs)
-    eq = _solve(ps, marginal_list, mu, tol, max_iter)
+    eq = _solve(ps, marginal_list, mu)
     return OptimumSolution(**{**vars(eq), "social_cost": _social(cost_list, eq.edge_loads)})
 
 
@@ -480,18 +485,18 @@ class WardropReport:
 
 
 def _grade(ps: PathSet, cost_list: EdgeCosts, flows: np.ndarray, demands,
-           tol: float = GRADE_TOL, game: str | None = None) -> list[WardropReport]:
+           game: str | None = None) -> list[WardropReport]:
     """Grade each row of ``flows`` on a built path set as an equilibrium at
     the matching entry of ``demands``; one report per row. With ``game``
     named, the first failed row raises :class:`CertificateFailure` instead.
 
     Flows and demand must be finite. No flow may sit below zero by more
     than the dust (see :func:`_dust`), and negative flows are graded as
-    zero; flows must sum to the demand, used paths must sit within tol of
-    the minimum path cost, and total cost must equal mu*lambda. One cost
-    evaluation on the stack of loads, no solve. Each row's loads and path
-    costs are the products Z @ f and c @ Z of that row alone, so its
-    numbers do not depend on the rows graded with it.
+    zero; flows must sum to the demand, used paths must cost the minimum
+    path cost and total cost must equal mu*lambda, each to GRADE_TOL
+    relative. One cost evaluation on the stack of loads, no solve. Each
+    row's loads and path costs are the products Z @ f and c @ Z of that row
+    alone, so its numbers do not depend on the rows graded with it.
     """
     Z = ps.incidence
     lowest = flows.min(axis=1).tolist()
@@ -504,8 +509,8 @@ def _grade(ps: PathSet, cost_list: EdgeCosts, flows: np.ndarray, demands,
     lam = P.min(axis=1)
     slacks = P - lam[:, None]
     mu = F.sum(axis=1)
-    dear = ((F > (tol * np.maximum(1.0, mu))[:, None])
-            & (slacks > (tol * np.maximum(1.0, lam))[:, None]))
+    dear = ((F > (GRADE_TOL * np.maximum(1.0, mu))[:, None])
+            & (slacks > (GRADE_TOL * np.maximum(1.0, lam))[:, None]))
     reports = []
     for i, (demand, finite, low, mu_i, lam_i, social, any_dear) in enumerate(zip(
             demands, np.isfinite(flows).all(axis=1).tolist(), lowest, mu.tolist(), lam.tolist(),
@@ -517,12 +522,12 @@ def _grade(ps: PathSet, cost_list: EdgeCosts, flows: np.ndarray, demands,
             f = flows[i]
             violations += [f"path {_path_key(ps.paths[p])} has negative flow {f[p]:.12g}"
                            for p in (f < -_dust(demand)).nonzero()[0]]
-        if abs(mu_i - demand) > tol * max(1.0, demand):
+        if abs(mu_i - demand) > GRADE_TOL * max(1.0, demand):
             violations.append(f"path flows sum to {mu_i:.12g}, demand is {demand:.12g}")
         if any_dear:
             violations += [_dear_path(ps.paths[p], P[i, p], lam_i) for p in dear[i].nonzero()[0]]
         identity_err = abs(social - mu_i * lam_i)
-        if identity_err > tol * max(1.0, social):
+        if identity_err > GRADE_TOL * max(1.0, social):
             violations.append(
                 f"total cost {social:.12g} differs from mu*lambda {mu_i * lam_i:.12g}")
         if game and violations:
@@ -555,16 +560,17 @@ def _in_path_order(ps: PathSet, paths, flows) -> np.ndarray:
 
 
 def verify_wardrop(net: Network, costs: dict[str, CostFunction],
-                   sol: EquilibriumSolution, tol: float = GRADE_TOL) -> WardropReport:
+                   sol: EquilibriumSolution) -> WardropReport:
     """Check the equilibrium conditions of a solution, report-only.
 
     No path flow may be negative beyond roundoff dust; used paths must sit
-    within tol of the minimum path cost; no path may be cheaper than the
-    reported common cost; total cost must equal mu*lambda (see :func:`_grade`).
+    within GRADE_TOL of the minimum path cost; no path may be cheaper than
+    the reported common cost; total cost must equal mu*lambda (see
+    :func:`_grade`).
     """
     ps = PathSet.build(net)
     f = _in_path_order(ps, sol.paths, sol.path_flows)
-    return _grade(ps, _cost_list(net, costs), f[None, :], [sol.demand], tol)[0]
+    return _grade(ps, _cost_list(net, costs), f[None, :], [sol.demand])[0]
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .costs import CostFunction, EdgeCosts, _checked, _field
 from .errors import SignViolation, SupportSearchExhausted, TraceFailure
 from .network import Network, PathSet, _path_key
 from .equilibrium import (
+    GRADE_TOL,
     _active_edge_set,
     _cost_list,
     _grade,
@@ -395,13 +396,12 @@ def trace_from_json(doc: dict) -> AffineTrace:
                        mu_max=_field(doc, "mu_max"), complete=_field(doc, "complete", "boolean"))
 
 
-def _document_violations(trace: AffineTrace, ps: PathSet, cost_list: EdgeCosts,
-                         tol: float) -> list[str]:
+def _document_violations(trace: AffineTrace, ps: PathSet, cost_list: EdgeCosts) -> list[str]:
     """How a trace read from a document, its segments on ``ps.paths``, fails
     to be one. Its segments must tile (0, mu_max], each with the ``alpha``,
     ``beta`` and ``gamma`` of its flow line on the one path quadratic of
     ``ps`` (see :func:`_signed_coefficients`, whose :class:`SignViolation`
-    passes through) to tol*max(1, |alpha|, |beta|, |gamma|) and, as
+    passes through) to GRADE_TOL*max(1, |alpha|, |beta|, |gamma|) and, as
     ``active_edges``, those of its flow line at its midpoint (see
     :func:`~poakit.equilibrium._active`). Its breakpoints must be the
     segments' inner boundaries in order, each with the active sets of its
@@ -418,7 +418,7 @@ def _document_violations(trace: AffineTrace, ps: PathSet, cost_list: EdgeCosts,
         lo = seg.mu_hi
         line = _signed_coefficients(A, d, seg.w, seg.z, seg.mu_lo, seg.mu_hi)
         saved = (seg.alpha, seg.beta, seg.gamma)
-        if max(abs(x - y) for x, y in zip(line, saved)) > tol * max(1.0, *map(abs, line)):
+        if max(abs(x - y) for x, y in zip(line, saved)) > GRADE_TOL * max(1.0, *map(abs, line)):
             shown = [", ".join(f"{x:.12g}" for x in xs) for xs in (saved, line)]
             violations.append(f"{name} has alpha, beta, gamma = {shown[0]}, "
                               f"its flow line gives {shown[1]}")

@@ -86,8 +86,9 @@ class PoAPoint:
 
 def poa_ratio(sc_eq: float, sc_opt: float) -> float:
     """sc_eq / sc_opt, declared exactly 1.0 when the two agree to
-    ``DECLARE_ONE_TOL`` relative, so equality regions test clean."""
-    if abs(sc_eq - sc_opt) <= DECLARE_ONE_TOL * max(abs(sc_opt), 1e-300):
+    ``DECLARE_ONE_TOL`` relative, so equality regions test clean, and when
+    the optimum costs nothing, as at demand 0 or on free paths."""
+    if sc_opt == 0 or abs(sc_eq - sc_opt) <= DECLARE_ONE_TOL * abs(sc_opt):
         return 1.0
     return sc_eq / sc_opt
 

@@ -31,9 +31,9 @@ import numpy as np
 
 from poakit import (Affine, BisectionFailure, CostFunction, NegativeLoad, Network, PathSet,
                     PiecewiseLinear, Polynomial)
-from poakit.equilibrium import (DEFAULT_TOL, MAX_ITER, EquilibriumSolution, OptimumSolution,
-                                _cost_list, _first_root, _grade, _in_path_order, _min_norm_flows,
-                                _newton, _package, _path_quadratic, _social)
+from poakit.equilibrium import (EquilibriumSolution, OptimumSolution, _cost_list, _first_root,
+                                _grade, _in_path_order, _min_norm_flows, _newton, _package,
+                                _path_quadratic, _social)
 from poakit.parametric import _signed_coefficients
 
 
@@ -132,7 +132,7 @@ def segment_report(net: Network, costs: dict[str, CostFunction], seg, mu: float)
 
 
 def _newton_solution(ps: PathSet, cost_list, mu: float) -> EquilibriumSolution:
-    f = _newton(ps, cost_list, mu, DEFAULT_TOL, MAX_ITER)
+    f = _newton(ps, cost_list, mu)
     (report,) = _grade(ps, cost_list, f[None, :], [mu])
     return _package(ps, cost_list, mu, _min_norm_flows(ps, cost_list, f, report.path_costs))
 

@@ -1,6 +1,7 @@
 """Equilibrium and optimum solvers against hand-solved instances."""
 
 import dataclasses
+import inspect
 import math
 import os
 import re
@@ -15,9 +16,7 @@ from poakit import (Affine, BisectionFailure, Edge, Network, NonConvergence, Pat
                     Polynomial, SupportSearchExhausted, compute_poa, load_network)
 from poakit import equilibrium, kernel
 from poakit.equilibrium import (
-    DEFAULT_TOL,
     GRADE_TOL,
-    MAX_ITER,
     NEWTON_BAND,
     _builds,
     _cost_list,
@@ -327,7 +326,7 @@ def test_zero_demand_is_free_flow():
     assert sol.cost == pytest.approx(0.0, abs=1e-12)
 
 
-def test_exhausted_iteration_budget_raises():
+def test_exhausted_iteration_budget_raises(monkeypatch):
     # one Newton step is exact on affine costs; BPR costs
     # t0 (1 + 0.15 (x/capacity)^4) on an 18-path layered DAG take about ten
     rng = np.random.default_rng(0)
@@ -335,10 +334,31 @@ def test_exhausted_iteration_budget_raises():
     costs = {e.id: Polynomial((t0, 0.0, 0.0, 0.0, 0.15 * t0 / cap ** 4))
              for e in net.edges for t0, cap in [rng.uniform((1.0, 1.0), (5.0, 4.0))]}
     for budget in (0, 2):
+        monkeypatch.setattr(equilibrium, "MAX_ITER", budget)
         with pytest.raises(NonConvergence,
                            match=rf"after {budget} iterations \(iteration budget exhausted\)"):
-            solve_equilibrium(net, costs, 12.0, max_iter=budget)
+            solve_equilibrium(net, costs, 12.0)
+    monkeypatch.undo()
     assert verify_wardrop(net, costs, solve_equilibrium(net, costs, 12.0)).ok
+
+
+def test_failed_band_is_named_when_the_gap_passes(monkeypatch):
+    # no used path passes a band below zero, while parallel_quad's duality gap
+    # at mu 3 meets DEFAULT_TOL within the budget
+    monkeypatch.setattr(equilibrium, "NEWTON_BAND", -1.0)
+    monkeypatch.setattr(equilibrium, "MAX_ITER", 3)
+    net, costs = fixture("parallel_quad")
+    with pytest.raises(NonConvergence) as err:
+        solve_equilibrium(net, costs, 3.0)
+    assert re.match(r"the equilibrium game at mu=3\.0: a used path costs \S+ relative above "
+                    r"lambda, outside NEWTON_BAND -1\.0e\+00 after \d iterations", str(err.value))
+    assert "duality gap" not in str(err.value)
+
+
+def test_solvers_take_no_tolerance_or_budget():
+    # Newton's stop test and budget and the grade band are module constants
+    for entry in (solve_equilibrium, solve_optimum, verify_wardrop):
+        assert not {"tol", "max_iter"} & set(inspect.signature(entry).parameters), entry
 
 
 def flat_quartic():
@@ -357,7 +377,7 @@ def test_newton_ends_inside_the_grade_band(mu):
     net, costs = flat_quartic()
     ps, cost_list, marginal_list = _builds(net, costs)
     for game, game_costs in (("equilibrium", cost_list), ("marginal-cost", marginal_list)):
-        f = _newton(ps, game_costs, mu, DEFAULT_TOL, MAX_ITER)
+        f = _newton(ps, game_costs, mu)
         (report,) = _grade(ps, game_costs, f[None, :], [mu], game=game)
         used = f > GRADE_TOL * max(1.0, mu)
         assert (report.slacks[used] <= NEWTON_BAND * max(1.0, report.lam)).all()
@@ -676,7 +696,13 @@ def test_exact_solver_beyond_twenty_paths():
         iterative = newton_equilibrium(net, costs, mu)
         assert np.abs(exact.edge_loads - iterative.edge_loads).max() <= 1e-8
         assert exact.cost == pytest.approx(iterative.cost, abs=1e-8)
-        assert verify_wardrop(net, costs, exact, tol=1e-10).ok
+        # the grade's checks, read off its report in a band of 1e-10, not GRADE_TOL
+        report = verify_wardrop(net, costs, exact)
+        f, band = exact.path_flows, 1e-10
+        assert report.ok
+        assert abs(f.sum() - mu) <= band * max(1.0, mu)
+        assert (report.slacks[f > band * max(1.0, mu)] <= band * max(1.0, report.lam)).all()
+        assert report.social_identity_error <= band * max(1.0, report.social_cost)
 
 
 def test_lambda_monotone_in_demand():
