@@ -8,7 +8,6 @@ from .errors import (
     NegativeLoad,
     NoPath,
     NonConvergence,
-    NonpositiveOptimum,
     PathExplosion,
     PoakitError,
     SignViolation,

@@ -133,7 +133,7 @@ def cmd_solve(net, costs, args) -> dict:
     sol = solve_equilibrium(net, costs, args.demand)
     opt = solve_optimum(net, costs, args.demand)
     return {**_solution_doc(sol, "equilibrium"),
-            "poa": poa_ratio(sol.social_cost, opt.social_cost)}
+            "poa": poa_ratio(sol.social_cost, opt.social_cost, sol.cost)}
 
 
 def cmd_optimum(net, costs, args) -> dict:

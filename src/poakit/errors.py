@@ -15,7 +15,7 @@ class NoPath(PoakitError):
 
 
 class PathExplosion(PoakitError):
-    """Path enumeration exceeded the configured cap."""
+    """Path enumeration exceeded its cap, ``network.MAX_PATHS`` paths."""
 
 
 class NegativeLoad(PoakitError):
@@ -45,11 +45,6 @@ class BisectionFailure(PoakitError):
 
 class SignViolation(PoakitError):
     """A traced segment violates the sign contracts on its coefficients."""
-    exit_code = 3
-
-
-class NonpositiveOptimum(PoakitError):
-    """A PoA piece's optimum cost, its ratio's denominator, is not positive."""
     exit_code = 3
 
 

@@ -4,14 +4,12 @@ A :class:`Network` is a multigraph of directed edges between named vertices,
 with a single origin and destination. Routing happens on simple paths;
 :func:`enumerate_paths` lists them in lexicographic edge-id order and
 :class:`PathSet` caches the edge-path incidence matrix used by the solvers.
-Every enumeration is capped, at ``POA_MAX_PATHS`` when that environment
-variable is set, else at ``DEFAULT_PATH_CAP``; only this module reads it.
+Every enumeration is capped at ``MAX_PATHS`` paths.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +25,7 @@ __all__ = [
     "load_network",
 ]
 
-DEFAULT_PATH_CAP = 4096
+MAX_PATHS = 4096
 
 
 @dataclass(frozen=True)
@@ -80,17 +78,8 @@ def enumerate_paths(net: Network) -> list[tuple[str, ...]]:
 
     Paths come out in lexicographic order of their edge-id sequences. Raises
     :class:`NoPath` when none exists and :class:`PathExplosion` when more
-    paths than the cap would be produced. The cap is ``POA_MAX_PATHS`` when
-    set (a positive integer, else ``ValueError``), otherwise
-    ``DEFAULT_PATH_CAP``.
+    paths than ``MAX_PATHS`` would be produced.
     """
-    raw = os.environ.get("POA_MAX_PATHS", str(DEFAULT_PATH_CAP))
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"POA_MAX_PATHS must be an integer, got {raw!r}") from None
-    if cap <= 0:
-        raise ValueError(f"POA_MAX_PATHS must be positive, got {cap}")
     out = {v: net.out_edges(v) for v in net.vertices}
     paths: list[tuple[str, ...]] = []
     # on a stack, so no path is too deep to walk: (edge ids so far, last vertex, vertices seen)
@@ -98,8 +87,8 @@ def enumerate_paths(net: Network) -> list[tuple[str, ...]]:
     while stack:
         trail, vertex, seen = stack.pop()
         if vertex == net.destination:
-            if len(paths) >= cap:
-                raise PathExplosion(f"more than {cap} origin-destination paths")
+            if len(paths) >= MAX_PATHS:
+                raise PathExplosion(f"more than {MAX_PATHS} origin-destination paths")
             paths.append(trail)
         else:  # pushed in reverse, so the smallest edge id is walked first
             stack += [((*trail, e.id), e.head, seen | {e.head})

@@ -1,14 +1,16 @@
 """Efficiency analytics: price-of-anarchy values, curve pieces, extrema, sweeps.
 
 The price of anarchy at demand mu is the ratio of equilibrium social cost to
-optimum social cost. For affine costs both are piecewise quadratics driven by
-the equilibrium trace: the numerator's coefficients come from the segment
-containing mu, the denominator's from the segment containing 2*mu (the
-optimum at mu is half the equilibrium at 2*mu). Between consecutive merged
-breakpoints the ratio is a fixed rational function that turns at most once,
-at a minimum (see :func:`_classify`), so each piece is constant, increasing,
-decreasing, or a valley; a maximum never sits strictly inside a piece, which
-pins the global maximum to a breakpoint.
+optimum social cost, read everywhere (points, pieces, the check grid) by
+:func:`poa_ratio`, which reads the 0/0 of a free route as 1. For affine
+costs both are piecewise quadratics driven by the equilibrium trace: the
+numerator's coefficients come from the segment containing mu, the
+denominator's from the segment containing 2*mu (the optimum at mu is half
+the equilibrium at 2*mu). Between consecutive merged breakpoints the ratio
+is a fixed rational function that turns at most once, at a minimum (see
+:func:`_classify`), so each piece is constant, increasing, decreasing, or a
+valley; a maximum never sits strictly inside a piece, which pins the global
+maximum to a breakpoint.
 
 Every value is read off path flows graded before use (:func:`_certify`):
 the equilibrium in the original costs, the optimum in the marginal-cost
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import CostFunction, _checked
-from .errors import GridExceedsBreakpointMax, NonpositiveOptimum
+from .errors import GridExceedsBreakpointMax
 from .network import Network
 from .equilibrium import (
     _active_edge_set,
@@ -84,13 +86,16 @@ class PoAPoint:
         return active_set_hash(self.active_edges)
 
 
-def poa_ratio(sc_eq: float, sc_opt: float) -> float:
-    """sc_eq / sc_opt, declared exactly 1.0 when the two agree to
-    ``DECLARE_ONE_TOL`` relative, so equality regions test clean, and when
-    the optimum costs nothing, as at demand 0 or on free paths."""
-    if sc_opt == 0 or abs(sc_eq - sc_opt) <= DECLARE_ONE_TOL * abs(sc_opt):
-        return 1.0
-    return sc_eq / sc_opt
+def poa_ratio(sc_eq, sc_opt, lam):
+    """sc_eq / sc_opt at an equilibrium of common cost ``lam``: exactly 1.0
+    where ``lam`` is 0 or ``sc_opt`` is at most 0, since with nonnegative
+    costs the optimum costs nothing exactly when the equilibrium does, and
+    where the two agree to ``DECLARE_ONE_TOL`` relative, so equality regions
+    test clean; a NaN stays NaN. Elementwise on numpy arrays, in one pass."""
+    one = (lam == 0) | (sc_opt <= 0) | (abs(sc_eq - sc_opt) <= DECLARE_ONE_TOL * sc_opt)
+    if isinstance(one, np.ndarray):
+        return np.divide(sc_eq, sc_opt, out=np.ones_like(sc_opt), where=~one)
+    return 1.0 if one else sc_eq / sc_opt
 
 
 def _certify(builds, mus, f_eq: np.ndarray, f_opt: np.ndarray):
@@ -113,7 +118,7 @@ def _point(builds, mu: float, f_eq: np.ndarray, f_opt: np.ndarray) -> PoAPoint:
     come from the equilibrium grade."""
     (eq,), (sc_opt,) = _certify(builds, [mu], f_eq[None, :], f_opt[None, :])
     return PoAPoint(mu=mu, lam=eq.lam, sc_eq=eq.social_cost, sc_opt=sc_opt,
-                    poa=poa_ratio(eq.social_cost, sc_opt),
+                    poa=poa_ratio(eq.social_cost, sc_opt, eq.lam),
                     active_edges=_active_edge_set(builds[0], eq.path_costs, f_eq, mu))
 
 
@@ -151,8 +156,8 @@ def compute_poa(net: Network, costs: dict[str, CostFunction], mu: float) -> PoAP
 class PoAPiece:
     """The ratio on (mu_lo, mu_hi]: (num_lin*mu + num_quad*mu^2) divided by
     (den_const + den_lin*mu + den_quad*mu^2), with its monotonicity shape.
-    :meth:`value` raises :class:`NonpositiveOptimum` where the denominator,
-    the optimum cost, is not positive. ``analyze`` prints every field."""
+    :meth:`value` reads it by :func:`poa_ratio`, the equilibrium's common
+    cost being num_lin + num_quad*mu. ``analyze`` prints every field."""
 
     mu_lo: float
     mu_hi: float
@@ -165,13 +170,9 @@ class PoAPiece:
     valley_mu: float | None = None    # interior minimizer when shape == "valley"
 
     def value(self, mu: float) -> float:
-        num = self.num_lin * mu + self.num_quad * mu * mu
-        den = self.den_const + self.den_lin * mu + self.den_quad * mu * mu
-        if den <= 0:
-            raise NonpositiveOptimum(
-                f"optimum cost nonpositive at mu={mu} on piece "
-                f"({self.mu_lo:.6g}, {self.mu_hi:.6g}]")
-        return num / den
+        return poa_ratio(self.num_lin * mu + self.num_quad * mu * mu,
+                         self.den_const + self.den_lin * mu + self.den_quad * mu * mu,
+                         self.num_lin + self.num_quad * mu)
 
 
 @dataclass(frozen=True)
@@ -298,8 +299,7 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
     A grid of ``N_GRID`` demands over the curve formulas then cross-checks
     that no interior demand beats the anchored maximum; if one does by more
     than ``GRID_SLACK`` the piece structure is inconsistent and
-    :class:`GridExceedsBreakpointMax` is raised; a grid demand whose optimum
-    cost is not positive raises :class:`NonpositiveOptimum`.
+    :class:`GridExceedsBreakpointMax` is raised.
     """
     if curve is None:
         curve = classify_segments(net, costs)
@@ -309,7 +309,7 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
     eq, sc_opt = _certify(curve.builds, mus, np.array(f_eq), np.array(f_opt))
     best_mu, best_val, best_bp = None, -np.inf, False
     for mu, at_eq, eq_report, sc in zip(mus, [*curve.merged_at_eq, False], eq, sc_opt):
-        val = poa_ratio(eq_report.social_cost, sc)
+        val = poa_ratio(eq_report.social_cost, sc, eq_report.lam)
         if val > best_val + 1e-12 or (at_eq and not best_bp and abs(val - best_val) <= 1e-12):
             best_mu, best_val, best_bp = mu, val, at_eq
     # curve.value at every grid demand in one pass, in the same operation order
@@ -318,11 +318,8 @@ def find_poa_max(net: Network, costs: dict[str, CostFunction],
     k = np.searchsorted([p.mu_hi for p in pieces[:-1]], grid)  # the last owns the rest
     a, b, g, dd, e = np.array([(p.num_lin, p.num_quad, p.den_const, p.den_lin, p.den_quad)
                                for p in pieces]).T[:, k]
-    den = g + dd * grid + e * grid * grid
-    if (den <= 0).any():
-        i = int(np.argmax(den <= 0))
-        pieces[k[i]].value(grid[i])  # raises NonpositiveOptimum, naming the piece
-    grid_vals = (a * grid + b * grid * grid) / den
+    grid_vals = poa_ratio(a * grid + b * grid * grid, g + dd * grid + e * grid * grid,
+                          a + b * grid)
     gi = int(np.argmax(grid_vals))
     if grid_vals[gi] > best_val + GRID_SLACK:
         raise GridExceedsBreakpointMax(

@@ -1,9 +1,10 @@
 """Random instance generators shared by the test modules.
 
-Layered DAGs for general affine instances, and relabelled copies of a
-network; random composition trees turned into networks for the
-series-parallel tests, which solve them with ``solve_equilibrium`` and the
-``oracles.sp_recursion`` reference.
+Layered DAGs for general affine instances, small integer-cost DAGs whose
+ties and free routes real draws never give, parallel pairs in series for
+the path cap, and relabelled copies of a network; random composition trees
+turned into networks for the series-parallel tests, which solve them with
+``solve_equilibrium`` and the ``oracles.sp_recursion`` reference.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from poakit import Edge, Network, NoPath, enumerate_paths
-from poakit.costs import Affine
+from poakit.costs import Affine, Polynomial
 
 from oracles import SPLeaf, SPParallel, SPSeries, SPTree
 
@@ -39,6 +40,44 @@ def random_affine_network(rng: np.random.Generator, max_edges: int = 8,
                  for e in edges}
         return net, costs
     raise RuntimeError("failed to sample a connected instance")
+
+
+def integer_network(rng: np.random.Generator, degrees=(1,)):
+    """A small random DAG with at least one route: 1-3 middle vertices, 2-8
+    forward edges, each costing b + a*x^d with a in {0, 1, 2}, b in
+    {0, 1, 2, 3} and d drawn from ``degrees``; ``Affine(a, b)`` when d is 1."""
+    while True:
+        n_mid = int(rng.integers(1, 4))
+        vertices = ["O"] + [f"m{i}" for i in range(n_mid)] + ["D"]
+        pairs = [(t, h) for i, t in enumerate(vertices) for h in vertices[i + 1:]]
+        rng.shuffle(pairs)
+        edges = tuple(Edge(f"e{k}", t, h)
+                      for k, (t, h) in enumerate(pairs[:int(rng.integers(2, 9))]))
+        costs = {}
+        for e in edges:
+            a, b, d = float(rng.integers(0, 3)), float(rng.integers(0, 4)), int(rng.choice(degrees))
+            costs[e.id] = Affine(a, b) if d == 1 else Polynomial((b, *[0.0] * (d - 1), a))
+        net = Network(tuple(vertices), edges, "O", "D")
+        try:
+            enumerate_paths(net)
+        except NoPath:
+            continue
+        return net, costs
+
+
+def has_free_route(net: Network, costs) -> bool:
+    """Whether some origin-destination path costs nothing at every load."""
+    free = {eid for eid, c in costs.items()
+            if not any((c.a, c.b) if isinstance(c, Affine) else c.coeffs)}
+    return any(set(path) <= free for path in enumerate_paths(net))
+
+
+def pairs_in_series(k: int):
+    """k parallel pairs of edges in series, costing x each: 2**k paths."""
+    vertices = tuple(f"v{i}" for i in range(k + 1))
+    edges = tuple(Edge(f"{side}{i}", f"v{i}", f"v{i + 1}") for i in range(k) for side in "ab")
+    return (Network(vertices, edges, "v0", f"v{k}"),
+            {e.id: Affine(1.0, 0.0) for e in edges})
 
 
 def layered_affine_network(rng: np.random.Generator, widths=(3, 3, 3),

@@ -20,7 +20,7 @@ from poakit import (CertificateFailure, NoPath, PathSet, PoakitError, Polynomial
                     verify_wardrop)
 from poakit.network import network_from_json, network_to_json
 
-from netgen import layered_affine_network
+from netgen import layered_affine_network, pairs_in_series
 from oracles import newton_optimum, segment_coefficients
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -31,12 +31,9 @@ def fixture(name):
     return os.path.join(FIXTURES, f"{name}.json")
 
 
-def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "poakit.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, timeout=300)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -573,8 +570,8 @@ class TestExitCodes:
         "PoakitError": 1, "NoPath": 1, "PathExplosion": 1,
         "NonConvergence": 2, "SupportSearchExhausted": 2, "TraceFailure": 2,
         "BisectionFailure": 2,
-        "NegativeLoad": 3, "SignViolation": 3,
-        "NonpositiveOptimum": 3, "GridExceedsBreakpointMax": 3, "CertificateFailure": 3,
+        "NegativeLoad": 3, "SignViolation": 3, "GridExceedsBreakpointMax": 3,
+        "CertificateFailure": 3,
     }
 
     @staticmethod
@@ -786,14 +783,16 @@ class TestExitCodes:
             with pytest.raises(error, match="bug"):
                 cli.main(["breakpoints", "--network", fixture("fig1")])
 
-    def test_nonpositive_optimum_cost_exits_three(self, tmp_path, capsys):
+    def test_free_optimum_analyze_exits_zero(self, tmp_path, capsys):
+        # one free edge: every ratio of the curve is 0/0, which reads 1
         zero = tmp_path / "zero.json"
         zero.write_text(json.dumps({
             "vertices": ["O", "D"], "origin": "O", "destination": "D",
             "edges": [{"id": "e", "tail": "O", "head": "D",
                        "cost": {"type": "affine", "a": 0.0, "b": 0.0}}]}), encoding="utf-8")
-        assert cli.main(["analyze", "--network", str(zero)]) == 3
-        assert "optimum cost nonpositive" in capsys.readouterr().err
+        assert cli.main(["analyze", "--network", str(zero)]) == 0
+        out, err = capsys.readouterr()
+        assert (json.loads(out)["max"]["value"], err) == (1.0, "")
 
     def test_verify_violations_exit_three(self, tmp_path):
         sol = tmp_path / "sol.json"
@@ -814,32 +813,21 @@ class TestExitCodes:
         assert report["ok"] is False
         assert report["violations"]
 
-    def test_path_cap_env_override(self, tmp_path):
-        code, _, err = run_cli("solve", "--network", fixture("fig1"),
-                               "--demand", "1",
-                               env_extra={"POA_MAX_PATHS": "2"})
-        assert code == 1
-        assert "paths" in err
+    def test_path_cap_is_input_error(self, tmp_path, capsys):
+        # 13 parallel pairs in series have 8 192 paths, past the cap of 4 096
+        big = tmp_path / "pairs13.json"
+        big.write_text(json.dumps(network_to_json(*pairs_in_series(13))), encoding="utf-8")
+        assert cli.main(["solve", "--network", str(big), "--demand", "1"]) == 1
+        assert "more than 4096 origin-destination paths" in capsys.readouterr().err
         # verify honours the cap for a given solution or trace too
         sol, trace = tmp_path / "sol.json", tmp_path / "trace.json"
-        assert run_cli("solve", "--network", fixture("fig1"), "--demand", "1",
-                       "--output", str(sol))[0] == 0
-        assert run_cli("trace", "--network", fixture("fig1"), "--max-demand", "5",
-                       "--output", str(trace))[0] == 0
+        assert cli.main(["solve", "--network", fixture("fig1"), "--demand", "1",
+                         "--output", str(sol)]) == 0
+        assert cli.main(["trace", "--network", fixture("fig1"), "--max-demand", "5",
+                         "--output", str(trace)]) == 0
         for flag, path in (("--solution", sol), ("--trace", trace)):
-            code, _, err = run_cli("verify", "--network", fixture("fig1"),
-                                   flag, str(path), env_extra={"POA_MAX_PATHS": "2"})
-            assert code == 1, flag
-            assert "paths" in err, flag
-        code, _, err = run_cli("solve", "--network", fixture("fig1"),
-                               "--demand", "1",
-                               env_extra={"POA_MAX_PATHS": "banana"})
-        assert code == 1
-        assert "POA_MAX_PATHS" in err
-        code, _, _ = run_cli("solve", "--network", fixture("fig1"),
-                             "--demand", "1",
-                             env_extra={"POA_MAX_PATHS": "64"})
-        assert code == 0
+            assert cli.main(["verify", "--network", str(big), flag, str(path)]) == 1, flag
+            assert "more than 4096 origin-destination paths" in capsys.readouterr().err, flag
 
     @pytest.mark.parametrize("command", ["solve", "optimum"])
     @pytest.mark.parametrize("name", ["fig1", "parallel_quad"])

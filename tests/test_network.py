@@ -29,8 +29,10 @@ from poakit import (
     trace_to_completion,
     verify_wardrop,
 )
-from poakit import cli
+from poakit import cli, network
 from poakit.network import network_from_json, network_to_json
+
+from netgen import pairs_in_series
 
 
 def wheatstone() -> Network:
@@ -135,27 +137,18 @@ def test_no_path_raises():
         enumerate_paths(net)
 
 
-def test_path_cap_enforced(monkeypatch):
-    # k parallel pairs in series give 2**k paths
-    k = 6
-    vertices = ["v0"] + [f"v{i}" for i in range(1, k + 1)]
-    edges = []
-    for i in range(k):
-        edges.append(Edge(f"a{i}", f"v{i}", f"v{i+1}"))
-        edges.append(Edge(f"b{i}", f"v{i}", f"v{i+1}"))
-    net = Network(tuple(vertices), tuple(edges), "v0", f"v{k}")
-    monkeypatch.setenv("POA_MAX_PATHS", "64")
-    assert len(enumerate_paths(net)) == 64
-    monkeypatch.setenv("POA_MAX_PATHS", "63")
-    with pytest.raises(PathExplosion):
-        enumerate_paths(net)
+def test_path_cap_enforced():
+    # k parallel pairs in series give 2**k paths: 12 pairs sit at the cap, 13 pass it
+    assert len(enumerate_paths(pairs_in_series(12)[0])) == network.MAX_PATHS == 4096
+    with pytest.raises(PathExplosion, match="more than 4096 origin-destination paths"):
+        enumerate_paths(pairs_in_series(13)[0])
 
 
-def test_every_entry_point_honours_the_environment_cap(monkeypatch):
-    net, costs = load_network(os.path.join(os.path.dirname(__file__), os.pardir,
-                                           "fixtures", "fig1.json"))
-    sol = solve_equilibrium(net, costs, 5.0)
-    monkeypatch.setenv("POA_MAX_PATHS", "2")
+def test_every_entry_point_honours_the_path_cap():
+    fig1 = load_network(os.path.join(os.path.dirname(__file__), os.pardir,
+                                     "fixtures", "fig1.json"))
+    sol = solve_equilibrium(*fig1, 5.0)  # verify_wardrop enumerates before it reads this
+    net, costs = pairs_in_series(13)
     calls = {
         "solve_equilibrium": lambda: solve_equilibrium(net, costs, 5.0),
         "solve_optimum": lambda: solve_optimum(net, costs, 5.0),
@@ -169,18 +162,8 @@ def test_every_entry_point_honours_the_environment_cap(monkeypatch):
         "sweep_poa": lambda: sweep_poa(net, costs, 0.5, 5.0, 3),
     }
     for name, call in calls.items():
-        with pytest.raises(PathExplosion, match="more than 2 "):
+        with pytest.raises(PathExplosion, match="more than 4096 "):
             call()
-
-
-@pytest.mark.parametrize("raw, message", [
-    ("banana", "POA_MAX_PATHS must be an integer, got 'banana'"),
-    ("0", "POA_MAX_PATHS must be positive, got 0"),
-], ids=["banana", "zero"])
-def test_environment_cap_must_be_a_positive_integer(monkeypatch, raw, message):
-    monkeypatch.setenv("POA_MAX_PATHS", raw)
-    with pytest.raises(ValueError, match=message):
-        PathSet.build(wheatstone())
 
 
 def test_incidence_matrix_shape_and_loads():

@@ -14,7 +14,7 @@ import poakit
 from poakit import cli, equilibrium, errors, network, parametric, poa
 from poakit.costs import Affine, EdgeCosts, Polynomial
 from poakit.equilibrium import _builds, solve_affine_exact, solve_equilibrium, solve_optimum
-from poakit.errors import CertificateFailure, GridExceedsBreakpointMax, NonpositiveOptimum
+from poakit.errors import CertificateFailure, GridExceedsBreakpointMax
 from poakit.network import Network, Edge, PathSet, load_network
 from poakit.parametric import trace_affine
 from poakit.poa import (
@@ -69,6 +69,11 @@ def pigou_instance():
                   edges=(Edge("lin", "O", "D"), Edge("con", "O", "D")),
                   origin="O", destination="D")
     return net, {"lin": Affine(1.0, 0.0), "con": Affine(0.0, 1.0)}
+
+
+def free_edge():
+    # one O->D edge costing nothing: every ratio is 0/0, read as 1
+    return Network(("O", "D"), (Edge("e", "O", "D"),), "O", "D"), {"e": Affine(0.0, 0.0)}
 
 
 _CURVE_CACHE: dict = {}
@@ -152,7 +157,7 @@ class TestPointwiseRatio:
         costs = {"x": Affine(1.0, 0.0), "zero": Affine(0.0, 0.0), "one": Affine(0.0, 1.0)}
         pt = compute_poa(net, costs, mu)
         assert (pt.sc_opt, pt.poa) == (0.0, 1.0)
-        assert poa_ratio(pt.sc_eq, 0.0) == poa_ratio(0.0, 0.0) == 1.0
+        assert poa_ratio(pt.sc_eq, 0.0, pt.lam) == poa_ratio(0.0, 0.0, 0.0) == 1.0
 
     def test_negative_demand_rejected(self):
         net, costs = tracked("fig1")
@@ -288,10 +293,14 @@ class TestCurvePieces:
         assert piece.value(valley) < min(piece.value(valley - 1e-4), piece.value(valley + 1e-4))
 
     def test_piece_value_guards_nonpositive_denominator(self):
+        # a piece reads 1 where its optimum cost is not positive or its common
+        # cost num_lin + num_quad*mu is 0, as poa_ratio reads a point
         zero = PoAPiece(mu_lo=0.0, mu_hi=1.0, num_lin=1.0, num_quad=0.0,
                         den_const=0.0, den_lin=0.0, den_quad=0.0)
-        with pytest.raises(NonpositiveOptimum):
-            zero.value(0.5)
+        assert zero.value(0.5) == 1.0
+        dust = replace(zero, num_lin=0.0, den_lin=1e-30)  # 0 over an optimum of dust
+        assert dust.value(0.5) == 1.0
+        assert replace(zero, den_lin=4.0).value(0.5) == 0.5 / 2.0
 
     def test_mu_max_validation(self):
         net, costs = pigou_instance()
@@ -352,9 +361,9 @@ class TestMaximum:
         with pytest.raises(GridExceedsBreakpointMax):
             find_poa_max(net, costs, curve=classify_segments(net, costs, 3.0))
 
-    @pytest.mark.parametrize("name", ("fig1", "nested2", "nested3", "braess_direct"))
+    @pytest.mark.parametrize("name", ("fig1", "nested2", "nested3", "braess_direct", "free-edge"))
     def test_grid_is_the_pointwise_curve(self, name):
-        net, costs = tracked(name)
+        net, costs = free_edge() if name == "free-edge" else tracked(name)
         curve = classify_segments(net, costs)
         mx = find_poa_max(net, costs, curve=curve)
         grid = np.linspace(curve.mu_max / 1000, curve.mu_max, 1000)
@@ -363,10 +372,9 @@ class TestMaximum:
         assert (mx.grid_mu, mx.grid_value) == (grid[gi], values[gi])
 
     def test_grid_guards_nonpositive_optimum_cost(self):
-        net = Network(vertices=("O", "D"), edges=(Edge("e", "O", "D"),),
-                      origin="O", destination="D")
-        with pytest.raises(NonpositiveOptimum, match="optimum cost nonpositive"):
-            find_poa_max(net, {"e": Affine(0.0, 0.0)})
+        # every demand of one free edge costs nothing, at equilibrium and optimum
+        mx = find_poa_max(*free_edge())
+        assert (mx.mu, mx.value, mx.grid_mu, mx.grid_value) == (3.0, 1.0, 0.003, 1.0)
 
 
 class TestSweep:
@@ -769,12 +777,13 @@ def test_nonaffine_sweep_rows_are_compute_poa_points(name, lo, hi, n, adaptive):
 def test_retired_names_are_gone():
     # the series-parallel solver and decomposition, the sweep's row record,
     # the second path quadratic with the writer no command used, the
-    # segment packager no library code called, and the classifier's second
-    # sign check, which every traced segment passes first
+    # segment packager no library code called, the classifier's second
+    # sign check, which every traced segment passes first, and the error a
+    # free optimum raised before it read 1
     retired = ("NotSP", "SPLeaf", "SPParallel", "SPSeries", "decompose_series_parallel",
                "sp_equilibrium", "SweepRow", "write_sweep_csv", "sp_terminals",
                "segment_social_costs", "dump_network", "incidence", "segment_solution",
-               "ClassificationConflict")
+               "ClassificationConflict", "NonpositiveOptimum")
     for module in (poakit, network, parametric, errors):
         assert [name for name in retired if hasattr(module, name)] == [], module.__name__
 
@@ -808,7 +817,7 @@ def test_poa_values_need_no_selection(name):
         pt = compute_poa(net, costs, mu)
         eq, opt = solve_equilibrium(net, costs, mu), solve_optimum(net, costs, mu)
         want = {"lam": eq.cost, "sc_eq": eq.social_cost, "sc_opt": opt.social_cost,
-                "poa": poa_ratio(eq.social_cost, opt.social_cost)}
+                "poa": poa_ratio(eq.social_cost, opt.social_cost, eq.cost)}
         for field, b in want.items():
             a = getattr(pt, field)
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (name, mu, field, a, b)
